@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -32,13 +33,38 @@ from .model import (
     operator_jacobians,
     zero_key,
 )
-from .solver import SolutionLattice, SolverConfig, _rebuild, solve
+from .solver import (
+    SolutionLattice,
+    SolverConfig,
+    _explicit_step,
+    _march,
+    _restenciler,
+    _terminal_stacks,
+    solve,
+)
 from .stochastics import BrownianPaths, ConditionalEstimator, simulate_increments
 
 
 # ---------------------------------------------------------------------------
 # Reference adapters
 # ---------------------------------------------------------------------------
+
+
+def _time_slice(stack: dict, j: int) -> dict:
+    """Entries of a lattice stack at grid time j."""
+    return {key: arr[:, j] for key, arr in stack.items()}
+
+
+def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: bool):
+    """Analytic reference at grid time j along the paths, with difference stacks."""
+    S = paths.sample_count
+    w = paths.W[:, j, :].reshape(S, *([1] * partition.p), spec.d)
+    V, Vbar = spec.analytic_reference(float(partition.time_points[j]), partition.points, w)
+    shape = (S,) + partition.grid_shape + (spec.q,)
+    V = np.broadcast_to(np.asarray(V, dtype=float), shape).copy()
+    Vbar = np.broadcast_to(np.asarray(Vbar, dtype=float), shape + (spec.d,)).copy()
+    restencil = _restenciler(M, partition, paper_literal)
+    return restencil(V), restencil(Vbar)
 
 
 class _AnalyticReference:
@@ -52,29 +78,14 @@ class _AnalyticReference:
         self.spec = spec
         self.lattice = lattice
 
-    def _stacks(self, j: int):
-        part = self.lattice.partition
-        paths = self.lattice.paths
-        S = paths.sample_count
-        w = paths.W[:, j, :].reshape(S, *([1] * part.p), self.spec.d)
-        t = float(part.time_points[j])
-        V, Vbar = self.spec.analytic_reference(t, part.points, w)
-        V = np.broadcast_to(np.asarray(V, dtype=float), (S,) + part.grid_shape + (self.spec.q,))
-        Vbar = np.broadcast_to(
-            np.asarray(Vbar, dtype=float), (S,) + part.grid_shape + (self.spec.q, self.spec.d)
-        )
-        lit = self.lattice.config.paper_literal_stencil
-        return (
-            _rebuild(V.copy(), self.lattice.M, part, lit),
-            _rebuild(Vbar.copy(), self.lattice.M, part, lit),
-        )
-
     def at(self, j: int):
-        return self._stacks(j)
+        lat = self.lattice
+        return _reference_stacks(
+            self.spec, lat.partition, lat.paths, j, lat.M, lat.config.paper_literal_stencil
+        )
 
-    def left_limit(self, j: int):
-        # the reference is continuous in time: its left limit is its value
-        return self._stacks(j)
+    # the reference is continuous in time: its left limit is its value
+    left_limit = at
 
 
 class _LatticeReference:
@@ -95,9 +106,7 @@ class _LatticeReference:
         self.reference = reference
 
     def _slice(self, ref_j: int):
-        V = {key: arr[:, ref_j] for key, arr in self.reference.V.items()}
-        Vbar = {key: arr[:, ref_j] for key, arr in self.reference.Vbar.items()}
-        return V, Vbar
+        return _time_slice(self.reference.V, ref_j), _time_slice(self.reference.Vbar, ref_j)
 
     def at(self, j: int):
         return self._slice(self.index_map[j])
@@ -186,8 +195,7 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
         best = {"V": (-1.0, None), "Vbar": (-1.0, None)}
         for kind, j_ref, j_st in read_points:
             refV, refVbar = getattr(ref, kind)(j_ref)
-            latV = {key: arr[:, j_st] for key, arr in lattice.V.items()}
-            latVbar = {key: arr[:, j_st] for key, arr in lattice.Vbar.items()}
+            latV, latVbar = _time_slice(lattice.V, j_st), _time_slice(lattice.Vbar, j_st)
             for fam, ref_sl, lat_sl in (("V", refV, latV), ("Vbar", refVbar, latVbar)):
                 sq = _order_deviation(lat_sl, ref_sl, c, p)  # (S, grid)
                 mean = sq.mean(axis=0)
@@ -309,24 +317,11 @@ def reference_step_residual(
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed)
     est = ConditionalEstimator(config.estimator, paths)
-    S = paths.sample_count
-    p = spec.p
     lit = config.paper_literal_stencil
     M = spec.M if config.M is None else config.M
-
-    def ref_stacks(j):
-        w = paths.W[:, j, :].reshape(S, *([1] * p), spec.d)
-        t = float(partition.time_points[j])
-        V, Vbar = spec.analytic_reference(t, partition.points, w)
-        V = np.broadcast_to(np.asarray(V, float), (S,) + partition.grid_shape + (spec.q,)).copy()
-        Vbar = np.broadcast_to(
-            np.asarray(Vbar, float), (S,) + partition.grid_shape + (spec.q, spec.d)
-        ).copy()
-        return _rebuild(V, M, partition, lit), _rebuild(Vbar, M, partition, lit)
-
-    v_next, _ = ref_stacks(j0)
-    v_prev, vbar_prev = ref_stacks(j0 - 1)
-    zkey = zero_key(p)
+    v_next, _ = _reference_stacks(spec, partition, paths, j0, M, lit)
+    v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, M, lit)
+    zkey = zero_key(spec.p)
     cond = est.cond_mean(v_next[zkey], j0)
     dt = float(partition.time_increments[j0 - 1])
     args = operator_arguments(
@@ -403,13 +398,11 @@ class MalliavinLattice:
 
 def _base_args_at(lattice: SolutionLattice, j: int):
     spec = lattice.spec
-    v_stack = {key: arr[:, j] for key, arr in lattice.V.items()}
-    vbar_stack = {key: arr[:, j] for key, arr in lattice.Vbar.items()}
     return operator_arguments(
         float(lattice.partition.time_points[j]),
         lattice.partition,
-        v_stack,
-        vbar_stack,
+        _time_slice(lattice.V, j),
+        _time_slice(lattice.Vbar, j),
         spec.k,
         spec.m,
     )
@@ -492,49 +485,22 @@ def solve_malliavin_system(
     enter as per-sample exogenous data.  Values at grid times before the
     branch time are exactly zero.
     """
-    spec = base.spec
     part = base.partition
-    cfg = base.config
-    est = ConditionalEstimator(cfg.estimator, base.paths)
-    lit = cfg.paper_literal_stencil
-    M = base.M
-    p = spec.p
-    n0 = part.n0
-    S = base.sample_count
-    grid = part.grid_shape
-    theta = system.theta_index
-
-    D_V, D_Vbar = {}, {}
-    for c in range(M + 1):
-        for idx in enumerate_multi_indices(c, p).indices:
-            D_V[(c, idx)] = np.zeros((S, n0 + 1) + grid + (spec.q, spec.d))
-            D_Vbar[(c, idx)] = np.zeros((S, n0 + 1) + grid + (spec.q, spec.d, spec.d))
-
-    u_stack = _rebuild(system.terminal, M, part, lit)
-    ubar_stack = {key: np.zeros(arr.shape + (spec.d,)) for key, arr in u_stack.items()}
-    for key in u_stack:
-        D_V[key][:, n0] = u_stack[key]
-
-    zkey = zero_key(p)
-    for j0 in range(n0, theta, -1):
-        dt = float(part.time_increments[j0 - 1])
-        drift = _linear_driver(system.coefficients[j0], u_stack, ubar_stack)
-
-        u_prev = est.cond_mean(u_stack[zkey] + dt * drift, j0)
-        u_stack_prev = _rebuild(u_prev, M, part, lit)
-
-        u_dw = est.cond_mean_times_dw(u_stack[zkey], j0)
-        drift_dw = est.cond_mean_times_dw(drift, j0)
-        diff_term = _linear_diffusion(system.coefficients[j0 - 1], u_stack_prev)
-        ubar_prev = u_dw / dt + drift_dw + diff_term
-        ubar_stack_prev = _rebuild(ubar_prev, M, part, lit)
-
-        for key in u_stack_prev:
-            D_V[key][:, j0 - 1] = u_stack_prev[key]
-            D_Vbar[key][:, j0 - 1] = ubar_stack_prev[key]
-        u_stack, ubar_stack = u_stack_prev, ubar_stack_prev
-
-    return MalliavinLattice(theta_index=theta, partition=part, D_V=D_V, D_Vbar=D_Vbar)
+    coeffs = system.coefficients
+    restencil = _restenciler(base.M, part, base.config.paper_literal_stencil)
+    step = partial(
+        _explicit_step,
+        part,
+        ConditionalEstimator(base.config.estimator, base.paths),
+        restencil,
+        lambda j, u_stack, ubar_stack: _linear_driver(coeffs[j], u_stack, ubar_stack),
+        lambda j, u_stack: _linear_diffusion(coeffs[j], u_stack),
+    )
+    terminal = _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil)
+    D_V, D_Vbar = _march(part.n0, system.theta_index, terminal, step)
+    return MalliavinLattice(
+        theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar
+    )
 
 
 def build_malliavin_lattices(
@@ -643,9 +609,8 @@ def check_representation_identity(
     worst = 0.0
     for j in range(n0):
         diag = malliavin[j]
-        v_stack = {key: arr[:, j] for key, arr in base.V.items()}
         args = operator_arguments(
-            float(part.time_points[j]), part, v_stack, {}, spec.n, -1
+            float(part.time_points[j]), part, _time_slice(base.V, j), {}, spec.n, -1
         )
         J0 = evaluate_diffusion_driver(spec, args)
         J_stack = difference_stack_arrays(

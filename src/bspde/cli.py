@@ -106,10 +106,9 @@ CONFIG_SCHEMA = {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["analytic", "regression", "nested"]},
+                        "kind": {"enum": ["analytic", "regression"]},
                         "degree": {"type": "integer", "minimum": 0},
                         "ridge": {"type": ["number", "null"], "minimum": 0},
-                        "inner": {"type": "integer", "minimum": 1},
                     },
                 },
                 "fp_tolerance": {"type": "number", "exclusiveMinimum": 0},
@@ -132,7 +131,7 @@ _DEFAULTS = {
     "solver": {
         "algorithm": "one",
         "M": None,
-        "estimator": {"kind": "analytic", "degree": 3, "ridge": None, "inner": 1000},
+        "estimator": {"kind": "analytic", "degree": 3, "ridge": None},
         "fp_tolerance": 1e-10,
         "fp_max_iters": 50,
         "paper_literal_stencil": False,
@@ -194,9 +193,7 @@ def resolve(config: dict):
     solver_config = SolverConfig(
         algorithm=sol["algorithm"],
         samples=sol["samples"],
-        estimator=EstimatorSpec(
-            kind=est["kind"], degree=est["degree"], ridge=est["ridge"], inner=est["inner"]
-        ),
+        estimator=EstimatorSpec(kind=est["kind"], degree=est["degree"], ridge=est["ridge"]),
         M=sol["M"],
         fp_tolerance=sol["fp_tolerance"],
         fp_max_iters=sol["fp_max_iters"],

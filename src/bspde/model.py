@@ -55,8 +55,6 @@ class ProblemSpec:
     terminal_w_gradient: callable | None = None
     driver_jacobian: callable | None = None
     diffusion_jacobian: callable | None = None
-    lipschitz_constants: tuple[float, ...] | None = None
-    time_dependent: bool = False
     terminal_time: float | None = None
     params: dict | None = None
 
@@ -200,7 +198,6 @@ def _zero_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        lipschitz_constants=(0.0,),
         params={"value": value, "slope": slope},
     )
 
@@ -228,7 +225,6 @@ def _martingale_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        lipschitz_constants=(0.0,),
         params={},
     )
 
@@ -266,7 +262,6 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=jac_driver,
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        lipschitz_constants=(1.0,),
         terminal_time=T,
         params={"terminal_time": T},
     )
@@ -304,7 +299,6 @@ def _heat_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=lambda x, w: np.zeros(terminal(x, w).shape + (1,)),
         driver_jacobian=jac_driver,
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        lipschitz_constants=(0.5,),
         terminal_time=T,
         params={"a": a, "terminal_time": T},
     )
@@ -382,7 +376,6 @@ def time_homogenize(spec: ProblemSpec) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=None,  # finite differences cover the augmented system
         diffusion_jacobian=None,
-        time_dependent=False,
     )
 
 

@@ -17,6 +17,7 @@ satisfy the stencil recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -122,9 +123,15 @@ def _check_capacity(spec, partition, config, M):
         )
 
 
-def _rebuild(base: np.ndarray, M: int, partition: Partition, paper_literal: bool):
-    """Difference stack of a (S,) + grid + components array."""
-    return difference_stack_arrays(base, M, partition, batch_ndim=1, paper_literal=paper_literal)
+def _restenciler(M: int, partition: Partition, paper_literal: bool):
+    """The map from a (S,) + grid + components array to its difference stack."""
+
+    def restencil(base: np.ndarray):
+        return difference_stack_arrays(
+            base, M, partition, batch_ndim=1, paper_literal=paper_literal
+        )
+
+    return restencil
 
 
 def _require_finite(arr: np.ndarray, j0: int, what: str) -> None:
@@ -134,6 +141,13 @@ def _require_finite(arr: np.ndarray, j0: int, what: str) -> None:
             f"{what} became non-finite at time step j0={j0}, "
             f"first offending (sample, grid..., component) index {first}"
         )
+
+
+def _terminal_stacks(field: np.ndarray, n0: int, d: int, restencil):
+    """Terminal slice of a backward solve: the re-stenciled field, integrand 0."""
+    _require_finite(field, n0, "terminal field")
+    v_stack = restencil(field)
+    return v_stack, {key: np.zeros(arr.shape + (d,)) for key, arr in v_stack.items()}
 
 
 def terminal_stage(
@@ -149,27 +163,12 @@ def terminal_stage(
     w_T = paths.W[:, -1, :].reshape(S, *([1] * partition.p), spec.d)
     h = np.asarray(spec.terminal(partition.points, w_T), dtype=float)
     h = np.broadcast_to(h, (S,) + partition.grid_shape + (spec.q,)).copy()
-    if not np.all(np.isfinite(h)):
-        first = tuple(int(i) for i in np.argwhere(~np.isfinite(h))[0])
-        raise DivergenceError(f"terminal field non-finite at index {first}")
-    v_stack = _rebuild(h, M, partition, paper_literal)
-    vbar_stack = {
-        key: np.zeros(arr.shape + (spec.d,)) for key, arr in v_stack.items()
-    }
-    return v_stack, vbar_stack
+    return _terminal_stacks(h, partition.n0, spec.d, _restenciler(M, partition, paper_literal))
 
 
-def _allocate(spec, partition, config, M):
-    S = config.samples
-    n0 = partition.n0
-    grid = partition.grid_shape
-    V = {}
-    Vbar = {}
-    for c in range(M + 1):
-        for idx in enumerate_multi_indices(c, spec.p).indices:
-            V[(c, idx)] = np.empty((S, n0 + 1) + grid + (spec.q,))
-            Vbar[(c, idx)] = np.empty((S, n0 + 1) + grid + (spec.q, spec.d))
-    return V, Vbar
+def _allocate(n0: int, stack):
+    """A zeroed (S, n0+1) + slice-shape lattice keyed like the stack."""
+    return {key: np.zeros((arr.shape[0], n0 + 1) + arr.shape[1:]) for key, arr in stack.items()}
 
 
 def _store(V, Vbar, j, v_stack, vbar_stack):
@@ -177,6 +176,41 @@ def _store(V, Vbar, j, v_stack, vbar_stack):
         V[key][:, j] = arr
     for key, arr in vbar_stack.items():
         Vbar[key][:, j] = arr
+
+
+def _march(n0: int, stop: int, terminal, step):
+    """Store the terminal stacks at n0, then step(j0, stacks at j0) at j0-1 for
+    j0 = n0..stop+1; slices before stop stay zero.
+    """
+    v_stack, vbar_stack = terminal
+    V, Vbar = _allocate(n0, v_stack), _allocate(n0, vbar_stack)
+    _store(V, Vbar, n0, v_stack, vbar_stack)
+    for j0 in range(n0, stop, -1):
+        v_stack, vbar_stack = step(j0, v_stack, vbar_stack)
+        _store(V, Vbar, j0 - 1, v_stack, vbar_stack)
+    return V, Vbar
+
+
+def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vbar_stack):
+    """One explicit backward step from t_j0 to t_{j0-1}, order zero re-stenciled.
+
+    drift(j, v_stack, vbar_stack) and diffusion(j, v_stack) evaluate the
+    drivers at grid time j:
+      V(t_{j0-1})    = E[ V(t_j0) + L(t_j0) * dt | F_{t_{j0-1}} ]
+      Vbar(t_{j0-1}) = E[ V(t_j0) dW' | F ] / dt + E[ L(t_j0) dW' | F ]
+                       + J(t_{j0-1}, x, V(t_{j0-1}))
+    """
+    dt = float(partition.time_increments[j0 - 1])
+    zkey = zero_key(partition.p)
+    L = drift(j0, v_stack, vbar_stack)
+    v0 = est.cond_mean(v_stack[zkey] + dt * L, j0)
+    _require_finite(v0, j0, "solution field")
+    v_stack_prev = restencil(v0)
+    v_dw = est.cond_mean_times_dw(v_stack[zkey], j0)
+    L_dw = est.cond_mean_times_dw(L, j0)
+    vbar0 = v_dw / dt + L_dw + diffusion(j0 - 1, v_stack_prev)
+    _require_finite(vbar0, j0, "integrand field")
+    return v_stack_prev, restencil(vbar0)
 
 
 def _setup(spec, partition, config, paths):
@@ -190,16 +224,32 @@ def _setup(spec, partition, config, paths):
         raise InvalidPartitionError(
             f"paths carry {paths.sample_count} samples, config expects {config.samples}"
         )
-    if config.estimator.kind in ("analytic", "regression"):
-        basis = config.estimator.basis_size(spec.d)
-        if config.samples < basis:
-            raise InvalidPartitionError(
-                f"need samples >= basis size {basis} for the {config.estimator.kind} estimator"
-            )
+    basis = config.estimator.basis_size(spec.d)
+    if config.samples < basis:
+        raise InvalidPartitionError(
+            f"need samples >= basis size {basis} for the {config.estimator.kind} estimator"
+        )
     estimator = ConditionalEstimator(
         config.estimator, paths, record_coefficients=config.record_coefficients
     )
-    return M, paths, estimator
+    lit = config.paper_literal_stencil
+    terminal = terminal_stage(spec, partition, paths, M, lit)
+    return M, paths, estimator, _restenciler(M, partition, lit), terminal
+
+
+def _operators(spec: ProblemSpec, partition: Partition):
+    """The problem's drift and diffusion drivers as callables of (j, stacks)."""
+    times = partition.time_points
+
+    def drift(j, v_stack, vbar_stack):
+        args = operator_arguments(float(times[j]), partition, v_stack, vbar_stack, spec.k, spec.m)
+        return evaluate_driver(spec, args)
+
+    def diffusion(j, v_stack):
+        args = operator_arguments(float(times[j]), partition, v_stack, {}, spec.n, -1)
+        return evaluate_diffusion_driver(spec, args)
+
+    return drift, diffusion
 
 
 def solve_algorithm_one(
@@ -208,49 +258,14 @@ def solve_algorithm_one(
     config: SolverConfig,
     paths: BrownianPaths | None = None,
 ) -> SolutionLattice:
-    """Explicit backward scheme.
-
-    Per step, for the order-zero field (higher orders follow by re-stenciling):
-      V(t_{j0-1})    = E[ V(t_j0) + L(t_j0) * dt | F_{t_{j0-1}} ]
-      Vbar(t_{j0-1}) = E[ V(t_j0) dW' | F ] / dt + E[ L(t_j0) dW' | F ]
-                       + J(t_{j0-1}, x, V(t_{j0-1}))
+    """Explicit backward scheme: every step is :func:`_explicit_step` with the
+    problem's own drivers.
     """
     if config.algorithm != "one":
         raise InvalidPartitionError("config.algorithm must be 'one' for solve_algorithm_one")
-    M, paths, est = _setup(spec, partition, config, paths)
-    lit = config.paper_literal_stencil
-    zkey = zero_key(spec.p)
-    times = partition.time_points
-    n0 = partition.n0
-
-    V, Vbar = _allocate(spec, partition, config, M)
-    v_stack, vbar_stack = terminal_stage(spec, partition, paths, M, lit)
-    _store(V, Vbar, n0, v_stack, vbar_stack)
-
-    for j0 in range(n0, 0, -1):
-        dt = float(partition.time_increments[j0 - 1])
-        args = operator_arguments(
-            float(times[j0]), partition, v_stack, vbar_stack, spec.k, spec.m
-        )
-        drift = evaluate_driver(spec, args)
-
-        v0_prev = est.cond_mean(v_stack[zkey] + dt * drift, j0)
-        _require_finite(v0_prev, j0, "solution field")
-        v_stack_prev = _rebuild(v0_prev, M, partition, lit)
-
-        v_dw = est.cond_mean_times_dw(v_stack[zkey], j0)
-        drift_dw = est.cond_mean_times_dw(drift, j0)
-        args_prev = operator_arguments(
-            float(times[j0 - 1]), partition, v_stack_prev, {}, spec.n, -1
-        )
-        J0 = evaluate_diffusion_driver(spec, args_prev)
-        vbar0_prev = v_dw / dt + drift_dw + J0
-        _require_finite(vbar0_prev, j0, "integrand field")
-        vbar_stack_prev = _rebuild(vbar0_prev, M, partition, lit)
-
-        _store(V, Vbar, j0 - 1, v_stack_prev, vbar_stack_prev)
-        v_stack, vbar_stack = v_stack_prev, vbar_stack_prev
-
+    M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
+    step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
+    V, Vbar = _march(partition.n0, 0, terminal, step)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, coefficient_records=est.records,
@@ -274,47 +289,32 @@ def solve_algorithm_two(
     """
     if config.algorithm != "two":
         raise InvalidPartitionError("config.algorithm must be 'two' for solve_algorithm_two")
-    M, paths, est = _setup(spec, partition, config, paths)
-    lit = config.paper_literal_stencil
+    M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
+    drift, diffusion = _operators(spec, partition)
     zkey = zero_key(spec.p)
-    times = partition.time_points
-    n0 = partition.n0
-
-    V, Vbar = _allocate(spec, partition, config, M)
-    v_stack, vbar_stack = terminal_stage(spec, partition, paths, M, lit)
-    _store(V, Vbar, n0, v_stack, vbar_stack)
     fp_iterations = []
 
-    for j0 in range(n0, 0, -1):
+    def implicit_step(j0, v_stack, vbar_stack):
         dt = float(partition.time_increments[j0 - 1])
-        t_prev = float(times[j0 - 1])
-
         cond_mean = est.cond_mean(v_stack[zkey], j0)
         v_dw = est.cond_mean_times_dw(v_stack[zkey], j0) / dt
 
+        def integrand(v):
+            v_stack_prev = restencil(v)
+            return v_stack_prev, v_dw + diffusion(j0 - 1, v_stack_prev)
+
         v = cond_mean
-        first_residual = None
-        converged = False
         for it in range(1, config.fp_max_iters + 1):
-            v_stack_prev = _rebuild(v, M, partition, lit)
-            args_J = operator_arguments(t_prev, partition, v_stack_prev, {}, spec.n, -1)
-            vbar0 = v_dw + evaluate_diffusion_driver(spec, args_J)
-            vbar_stack_prev = _rebuild(vbar0, M, partition, lit)
-            args_L = operator_arguments(
-                t_prev, partition, v_stack_prev, vbar_stack_prev, spec.k, spec.m
-            )
-            v_new = cond_mean + dt * evaluate_driver(spec, args_L)
+            v_stack_prev, vbar0 = integrand(v)
+            v_new = cond_mean + dt * drift(j0 - 1, v_stack_prev, restencil(vbar0))
             _require_finite(v_new, j0, "implicit-stage iterate")
             residual = float(np.max(np.abs(v_new - v)))
             v = v_new
-            if first_residual is None:
+            if it == 1:
                 first_residual = residual
-            if residual < config.fp_tolerance:
-                converged = True
+            if residual < config.fp_tolerance or residual > 1e6 * max(first_residual, 1.0):
                 break
-            if residual > 1e6 * max(first_residual, 1.0):
-                break
-        if not converged:
+        if residual >= config.fp_tolerance:
             raise FixedPointDivergenceError(
                 f"implicit stage did not converge at step j0={j0}: last residual "
                 f"{residual:.3e} after {it} iterations; the iteration contracts "
@@ -322,15 +322,11 @@ def solve_algorithm_two(
             )
         fp_iterations.append(it)
 
-        v_stack_prev = _rebuild(v, M, partition, lit)
-        args_J = operator_arguments(t_prev, partition, v_stack_prev, {}, spec.n, -1)
-        vbar0 = v_dw + evaluate_diffusion_driver(spec, args_J)
+        v_stack_prev, vbar0 = integrand(v)
         _require_finite(vbar0, j0, "integrand field")
-        vbar_stack_prev = _rebuild(vbar0, M, partition, lit)
+        return v_stack_prev, restencil(vbar0)
 
-        _store(V, Vbar, j0 - 1, v_stack_prev, vbar_stack_prev)
-        v_stack, vbar_stack = v_stack_prev, vbar_stack_prev
-
+    V, Vbar = _march(partition.n0, 0, terminal, implicit_step)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,

@@ -14,9 +14,10 @@ Estimators realize E[. | F_{t_{j0-1}}] for the backward schemes:
   expectation is exact up to linear-algebra roundoff.
 * ``regression`` is the usual cross-sectional least-squares projection on a
   polynomial basis of the *current* state W(t_{j0-1}), with optional ridge.
-* ``nested`` brute-forces the expectation by branching fresh inner paths; it
-  needs the target as a functional of the continuation and is provided as an
-  oracle (see :func:`condexp_nested`), not as an in-scheme estimator.
+
+:func:`condexp_nested` brute-forces the expectation by branching fresh inner
+paths.  It needs the target as a functional of the continuation, so it is an
+oracle for testing the two estimators, not an estimator inside the schemes.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .errors import CapacityError, InvalidPartitionError, SingularDesignError
 from .grid import Partition
 
 DEFAULT_CAPACITY = 1 << 27  # float64 entries, ~1 GiB
-ESTIMATOR_KINDS = ("analytic", "regression", "nested")
+ESTIMATOR_KINDS = ("analytic", "regression")
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,6 @@ class EstimatorSpec:
     kind: str = "analytic"
     degree: int = 3
     ridge: float | None = None
-    inner: int = 1000
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -119,8 +119,6 @@ class EstimatorSpec:
             raise InvalidPartitionError(f"basis degree must be >= 0, got {self.degree}")
         if self.ridge is not None and self.ridge < 0:
             raise InvalidPartitionError(f"ridge must be >= 0, got {self.ridge}")
-        if self.inner < 1:
-            raise InvalidPartitionError(f"inner sample count must be >= 1, got {self.inner}")
 
     def basis_size(self, d: int) -> int:
         return math.comb(self.degree + d, d)
@@ -201,13 +199,6 @@ class ConditionalEstimator:
         paths: BrownianPaths,
         record_coefficients: bool = False,
     ):
-        if spec.kind == "nested":
-            raise InvalidPartitionError(
-                "nested estimation needs the target as a functional of the path "
-                "continuation; inside the backward schemes targets are realized "
-                "values, use the analytic or regression estimator (condexp_nested "
-                "remains available as a standalone oracle)"
-            )
         self.spec = spec
         self.paths = paths
         self.exponents = monomial_exponents(spec.degree, paths.d)

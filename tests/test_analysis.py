@@ -1,8 +1,11 @@
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from bspde import (
+    DivergenceError,
     InvalidPartitionError,
     ReferenceRequiredError,
     SolverConfig,
@@ -252,6 +255,17 @@ def test_representation_identity_requires_all_thetas():
     partial = build_malliavin_lattices(spec, base, [0, 1])
     with pytest.raises(InvalidPartitionError, match="missing"):
         check_representation_identity(spec, base, partial)
+
+
+def test_malliavin_non_finite_terminal_gradient_raises():
+    spec = lin_spec()
+    part = build_partition(1.0, 4, [0.5], [1])
+    base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=21))
+    system = build_malliavin_system(spec, base, theta_index=0)
+    terminal = system.terminal.copy()
+    terminal[7, 1, 0, 0] = np.inf
+    with pytest.raises(DivergenceError, match="non-finite"):
+        solve_malliavin_system(replace(system, terminal=terminal), base)
 
 
 def test_malliavin_theta_validation():

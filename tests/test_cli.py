@@ -1,5 +1,6 @@
 import json
 
+import pytest
 
 from bspde.cli import main
 
@@ -103,6 +104,15 @@ def test_unknown_keys_rejected(tmp_path):
         "surprise": True,
     }))
     assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("estimator", [{"kind": "nested"}, {"inner": 1000}])
+def test_nested_estimator_is_config_error(tmp_path, capsys, estimator):
+    cfg = write_config(tmp_path / "cfg.json", solver={"samples": 20, "estimator": estimator})
+    out = tmp_path / "o"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "estimator" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
 
 
 def test_partition_and_ladder_are_exclusive(tmp_path):

@@ -259,10 +259,9 @@ def test_analytic_estimator_matches_hand_gaussian_identities(c0, c1, c2, c3):
 
 
 def test_nested_kind_rejected_inside_schemes():
-    part = build_partition(1.0, 2, [1.0], [1])
-    paths = simulate_increments(part, 1, 100, seed=1)
-    with pytest.raises(InvalidPartitionError, match="oracle"):
-        ConditionalEstimator(EstimatorSpec(kind="nested"), paths)
+    # condexp_nested is a standalone oracle, not an estimator kind
+    with pytest.raises(InvalidPartitionError, match="kind"):
+        EstimatorSpec(kind="nested")
 
 
 def test_estimator_spec_validation():
@@ -272,8 +271,6 @@ def test_estimator_spec_validation():
         EstimatorSpec(degree=-1)
     with pytest.raises(InvalidPartitionError):
         EstimatorSpec(ridge=-0.5)
-    with pytest.raises(InvalidPartitionError):
-        EstimatorSpec(inner=0)
     assert EstimatorSpec(degree=3).basis_size(1) == 4
     assert EstimatorSpec(degree=3).basis_size(2) == 10
 
