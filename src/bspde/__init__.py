@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DivergenceError,
     FixedPointDivergenceError,
-    InvalidAxisError,
     InvalidDomainError,
     InvalidPartitionError,
     OperatorEvaluationError,
@@ -34,17 +33,14 @@ from .errors import (
     SingularDesignError,
 )
 from .grid import (
-    DerivativeStack,
-    GridField,
     MultiIndexSet,
     NormWeights,
     Partition,
-    build_derivative_stack,
     build_partition,
     cinf_truncated_norm,
     ck_norm,
+    difference_stack_arrays,
     enumerate_multi_indices,
-    first_difference,
     multi_index_key,
     refine_partition,
 )

@@ -50,11 +50,6 @@ from .stochastics import BrownianPaths, ConditionalEstimator, simulate_increment
 # ---------------------------------------------------------------------------
 
 
-def _time_slice(stack: dict, j: int) -> dict:
-    """Entries of a lattice stack at grid time j."""
-    return {key: arr[:, j] for key, arr in stack.items()}
-
-
 def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: bool):
     """Analytic reference at grid time j along the paths, with difference stacks."""
     S = paths.sample_count
@@ -106,7 +101,8 @@ class _LatticeReference:
         self.reference = reference
 
     def _slice(self, ref_j: int):
-        return _time_slice(self.reference.V, ref_j), _time_slice(self.reference.Vbar, ref_j)
+        ref = self.reference
+        return ref.stacks(ref.V, ref_j), ref.stacks(ref.Vbar, ref_j)
 
     def at(self, j: int):
         return self._slice(self.index_map[j])
@@ -190,29 +186,27 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
         ("left_limit", j, j - 1) for j in range(1, n0 + 1)
     ]
 
-    err_V, err_Vbar, se_V, se_Vbar = {}, {}, {}, {}
-    for c in range(M + 1):
-        best = {"V": (-1.0, None), "Vbar": (-1.0, None)}
-        for kind, j_ref, j_st in read_points:
-            refV, refVbar = getattr(ref, kind)(j_ref)
-            latV, latVbar = _time_slice(lattice.V, j_st), _time_slice(lattice.Vbar, j_st)
-            for fam, ref_sl, lat_sl in (("V", refV, latV), ("Vbar", refVbar, latVbar)):
+    orders = range(M + 1)
+    best = {(fam, c): (-1.0, None) for fam in ("V", "Vbar") for c in orders}
+    for kind, j_ref, j_st in read_points:
+        refV, refVbar = getattr(ref, kind)(j_ref)
+        latV, latVbar = lattice.stacks(lattice.V, j_st), lattice.stacks(lattice.Vbar, j_st)
+        for fam, ref_sl, lat_sl in (("V", refV, latV), ("Vbar", refVbar, latVbar)):
+            for c in orders:
                 sq = _order_deviation(lat_sl, ref_sl, c, p)  # (S, grid)
                 mean = sq.mean(axis=0)
                 worst_x = float(mean.max())
-                if worst_x > best[fam][0]:
+                if worst_x > best[fam, c][0]:
                     flat = sq.reshape(S, -1)
                     gx = int(np.argmax(mean.reshape(-1)))
                     se = float(flat[:, gx].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
-                    best[fam] = (worst_x, se)
-        err_V[c], se_V[c] = best["V"]
-        err_Vbar[c], se_Vbar[c] = best["Vbar"]
+                    best[fam, c] = (worst_x, se)
 
     return ErrorReport(
-        err_V_sq=err_V,
-        err_Vbar_sq=err_Vbar,
-        stderr_V=se_V,
-        stderr_Vbar=se_Vbar,
+        err_V_sq={c: best["V", c][0] for c in orders},
+        err_Vbar_sq={c: best["Vbar", c][0] for c in orders},
+        stderr_V={c: best["V", c][1] for c in orders},
+        stderr_Vbar={c: best["Vbar", c][1] for c in orders},
         mesh_size=lattice.partition.mesh_size,
         samples=S,
     )
@@ -347,13 +341,14 @@ def increment_regularity(lattice: SolutionLattice, M: int | None = None):
     n0 = lattice.partition.n0
     times = lattice.partition.time_points
     S = lattice.sample_count
+    V = lattice.stacks(lattice.V)
     lags, moments = [], []
     for j1 in range(n0):
         for j2 in range(j1 + 1, n0):
             worst = None
             for c in range(M + 1):
                 for idx in enumerate_multi_indices(c, p).indices:
-                    diff = np.abs(lattice.V[(c, idx)][:, j2] - lattice.V[(c, idx)][:, j1])
+                    diff = np.abs(V[(c, idx)][:, j2] - V[(c, idx)][:, j1])
                     diff = diff.reshape(S, -1).max(axis=1)
                     worst = diff if worst is None else np.maximum(worst, diff)
             lags.append(float(times[j2] - times[j1]))
@@ -388,12 +383,16 @@ class MalliavinSystem:
 
 @dataclass
 class MalliavinLattice:
-    """D_theta V and D_theta Vbar on the solution lattice; zero before theta."""
+    """D_theta V and D_theta Vbar on the solution lattice; zero before theta.
+
+    Like the base lattice's fields they hold order zero only; the base
+    lattice's `stacks` derives their higher orders.
+    """
 
     theta_index: int
     partition: Partition
-    D_V: dict[StackKey, np.ndarray]  # (S, n0+1) + grid + (q, d)
-    D_Vbar: dict[StackKey, np.ndarray]  # (S, n0+1) + grid + (q, d, d)
+    D_V: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d)
+    D_Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d, d)
 
 
 def _base_args_at(lattice: SolutionLattice, j: int):
@@ -401,8 +400,8 @@ def _base_args_at(lattice: SolutionLattice, j: int):
     return operator_arguments(
         float(lattice.partition.time_points[j]),
         lattice.partition,
-        _time_slice(lattice.V, j),
-        _time_slice(lattice.Vbar, j),
+        lattice.stacks(lattice.V, j),
+        lattice.stacks(lattice.Vbar, j),
         spec.k,
         spec.m,
     )
@@ -497,7 +496,7 @@ def solve_malliavin_system(
         lambda j, u_stack: _linear_diffusion(coeffs[j], u_stack),
     )
     terminal = _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil)
-    D_V, D_Vbar = _march(part.n0, system.theta_index, terminal, step)
+    D_V, D_Vbar = _march(part, system.theta_index, terminal, step)
     return MalliavinLattice(
         theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar
     )
@@ -608,18 +607,18 @@ def check_representation_identity(
     rows = []
     worst = 0.0
     for j in range(n0):
-        diag = malliavin[j]
         args = operator_arguments(
-            float(part.time_points[j]), part, _time_slice(base.V, j), {}, spec.n, -1
+            float(part.time_points[j]), part, base.stacks(base.V, j), {}, spec.n, -1
         )
         J0 = evaluate_diffusion_driver(spec, args)
         J_stack = difference_stack_arrays(
             J0, base.M, part, batch_ndim=1, paper_literal=base.config.paper_literal_stencil
         )
+        Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(malliavin[j].D_V, j)
         for c in range(base.M + 1):
             for idx in enumerate_multi_indices(c, p).indices:
-                lhs_full = base.Vbar[(c, idx)][:, j]
-                rhs_full = diag.D_V[(c, idx)][:, j] + J_stack[(c, idx)]
+                lhs_full = Vbar[(c, idx)]
+                rhs_full = D_V[(c, idx)] + J_stack[(c, idx)]
                 S = lhs_full.shape[0]
                 lhs_flat = lhs_full.reshape(S, -1, spec.q * spec.d)
                 rhs_flat = rhs_full.reshape(S, -1, spec.q * spec.d)

@@ -5,8 +5,7 @@ Exit codes: 0 ok, 2 config error, 3 numerical failure.
 
 Every run echoes the fully resolved configuration (all defaults materialized)
 and a manifest with seed, wall time, and library version.  Data artifacts are
-deterministic functions of (config, seed, library version); the worker cap is
-recorded but never changes results.
+deterministic functions of (config, seed, library version).
 """
 
 from __future__ import annotations
@@ -216,14 +215,13 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _emit_run_records(outdir, config, args, started, command) -> None:
+def _emit_run_records(outdir, config, started, command) -> None:
     _write_json(os.path.join(outdir, "resolved_config.json"), config)
     _write_json(
         os.path.join(outdir, "manifest.json"),
         {
             "command": command,
             "seed": config["seed"],
-            "workers": args.workers,
             "wall_time_s": round(time.perf_counter() - started, 6),
             "version": __version__,
         },
@@ -249,7 +247,7 @@ def cmd_solve(config: dict, args, outdir: str) -> int:
                 fh.write(
                     f"{rec.step},{rec.operation},{rec.column},0,{exps},{_fmt(rec.value)}\n"
                 )
-    _emit_run_records(outdir, config, args, started, "solve")
+    _emit_run_records(outdir, config, started, "solve")
     print(f"solve ok: {lattice.sample_count} samples, {partitions[0].n0} steps -> {outdir}")
     return EXIT_OK
 
@@ -276,7 +274,7 @@ def cmd_converge(config: dict, args, outdir: str) -> int:
         for part, rep in zip(partitions, fit.reports)
     ]
     _criterion_rows(os.path.join(outdir, "convergence.csv"), rows)
-    _emit_run_records(outdir, config, args, started, "converge")
+    _emit_run_records(outdir, config, started, "converge")
     if fit.degenerate:
         print("converge: degenerate (errors at machine-zero); no slope fitted")
     else:
@@ -294,7 +292,7 @@ def cmd_compare(config: dict, args, outdir: str) -> int:
         rows.append((part.mesh_size, report, config["seed"], "one-vs-two"))
         points.append((part.mesh_size, report.total))
     _criterion_rows(os.path.join(outdir, "compare.csv"), rows)
-    _emit_run_records(outdir, config, args, started, "compare")
+    _emit_run_records(outdir, config, started, "compare")
     if len(points) >= 3:
         slope, *_rest, degenerate = fit_loglog(points)
         if degenerate:
@@ -327,7 +325,7 @@ def cmd_check_malliavin(config: dict, args, outdir: str) -> int:
                 f"{_fmt(row.mean_rhs)},{_fmt(row.var_lhs)},{_fmt(row.var_rhs)},"
                 f"{_fmt(row.zscore)}\n"
             )
-    _emit_run_records(outdir, config, args, started, "check-malliavin")
+    _emit_run_records(outdir, config, started, "check-malliavin")
     print(f"check-malliavin: max |z| = {report.max_abs_z:.4f} over {len(report.rows)} nodes")
     return EXIT_OK
 
@@ -350,12 +348,6 @@ def _parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="experiment config (JSON)")
         cmd.add_argument("--out", default=None, help="output directory override")
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            default=int(os.environ.get("BSPDE_WORKERS", "1")),
-            help="worker cap (results are identical for any value)",
-        )
         cmd.add_argument("--seed", type=int, default=None, help="seed override")
         cmd.add_argument(
             "--paper-literal-stencil",
@@ -373,8 +365,6 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.paper_literal_stencil:
             config["solver"]["paper_literal_stencil"] = True
-        if args.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {args.workers}")
         outdir = args.out or config["output"]["directory"]
         config["output"]["directory"] = outdir
         os.makedirs(outdir, exist_ok=True)

@@ -1,8 +1,8 @@
 """Exception hierarchy for the bspde package.
 
 Numerical failures (divergence, fixed-point stall, singular designs) are kept
-distinct from usage errors (bad partitions, bad axes) so that batch drivers can
-map them to different exit codes.
+distinct from usage errors (bad partitions, bad configs) so that batch
+drivers can map them to different exit codes.
 """
 
 
@@ -16,10 +16,6 @@ class InvalidDomainError(BspdeError):
 
 class InvalidPartitionError(BspdeError):
     """Structurally invalid partition (zero counts, dimension bounds, ...)."""
-
-
-class InvalidAxisError(BspdeError):
-    """Difference axis outside 1..p."""
 
 
 class OrderTooHighError(BspdeError):

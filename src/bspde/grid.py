@@ -9,21 +9,21 @@ inside the lattice.  A mixed derivative of total order c is identified by a
 multi-index (i_1,...,i_p) with i_1+...+i_p = c, stored in increasing order of
 the polynomial key i_1 + i_2*c + ... + i_p*c^(p-1).
 
-All types here are immutable after construction and safe to share across
-workers; every operation is a pure function.
+A derivative stack is a plain dict keyed by (order, multi-index); order zero
+is the field itself.  All types here are immutable after construction and
+every operation is a pure function.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import (
-    InvalidAxisError,
     InvalidDomainError,
     InvalidPartitionError,
     OrderTooHighError,
@@ -191,32 +191,8 @@ def parent_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
 
 
 # ---------------------------------------------------------------------------
-# Grid fields and difference stencils
+# Difference stencils
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GridField:
-    """Values on the full lattice: shape grid_shape + component_shape.
-
-    component_shape is (q,) for vector fields and (q, d) for matrix fields.
-    """
-
-    values: np.ndarray
-    component_shape: tuple[int, ...]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        k = len(self.component_shape)
-        if k not in (1, 2) or v.shape[v.ndim - k :] != tuple(self.component_shape):
-            raise InvalidPartitionError(
-                f"trailing axes {v.shape} do not match component shape {self.component_shape}"
-            )
-        object.__setattr__(self, "values", v)
-
-    @property
-    def grid_shape(self) -> tuple[int, ...]:
-        return self.values.shape[: self.values.ndim - len(self.component_shape)]
 
 
 def _diff_along(values: np.ndarray, axis_pos: int, delta: float, paper_literal: bool) -> np.ndarray:
@@ -242,26 +218,6 @@ def _diff_along(values: np.ndarray, axis_pos: int, delta: float, paper_literal: 
     else:
         out[tuple(last)] = (values[tuple(last)] - values[tuple(prev)]) / delta
     return out
-
-
-def first_difference(
-    field: GridField,
-    axis: int,
-    partition: Partition,
-    paper_literal: bool = False,
-) -> GridField:
-    """First-difference stencil along a 1-based spatial axis.
-
-    Exact on fields affine in the axis coordinate, boundary included.
-    """
-    if not 1 <= axis <= partition.p:
-        raise InvalidAxisError(f"axis must be in 1..{partition.p}, got {axis}")
-    if field.grid_shape != partition.grid_shape:
-        raise InvalidPartitionError(
-            f"field grid {field.grid_shape} does not match partition grid {partition.grid_shape}"
-        )
-    out = _diff_along(field.values, axis - 1, partition.spacings[axis - 1], paper_literal)
-    return GridField(values=out, component_shape=field.component_shape)
 
 
 def difference_stack_arrays(
@@ -297,44 +253,20 @@ def difference_stack_arrays(
     return stack
 
 
-@dataclass(frozen=True)
-class DerivativeStack:
-    """A base field together with its difference entries for orders 0..M."""
-
-    base: GridField
-    M: int
-    partition: Partition
-    entries: dict[StackKey, GridField] = field(repr=False, default_factory=dict)
-
-    def entry(self, c: int, idx: tuple[int, ...]) -> GridField:
-        return self.entries[(c, idx)]
+def _stack_order(stack: dict[StackKey, np.ndarray]) -> int:
+    """Highest derivative order present in a difference stack."""
+    return max(c for c, _ in stack)
 
 
-def build_derivative_stack(
-    field: GridField,
-    M: int,
-    partition: Partition,
-    paper_literal: bool = False,
-) -> DerivativeStack:
-    """All repeated-difference entries of `field` up to total order M."""
-    arrays = difference_stack_arrays(
-        field.values, M, partition, batch_ndim=0, paper_literal=paper_literal
-    )
-    entries = {
-        key: GridField(values=arr, component_shape=field.component_shape)
-        for key, arr in arrays.items()
-    }
-    return DerivativeStack(base=field, M=M, partition=partition, entries=entries)
-
-
-def ck_norm(stack: DerivativeStack, k: int) -> float:
+def ck_norm(stack: dict[StackKey, np.ndarray], k: int) -> float:
     """Max absolute entry value over orders 0..k, all indices, components, points."""
-    if k > stack.M:
-        raise OrderTooHighError(f"k={k} exceeds the stack's order M={stack.M}")
+    M = _stack_order(stack)
+    if k > M:
+        raise OrderTooHighError(f"k={k} exceeds the stack's order M={M}")
     worst = 0.0
-    for (c, _), entry in stack.entries.items():
+    for (c, _), entry in stack.items():
         if c <= k:
-            worst = max(worst, float(np.max(np.abs(entry.values))))
+            worst = max(worst, float(np.max(np.abs(entry))))
     return worst
 
 
@@ -373,12 +305,11 @@ class NormWeights:
         return NormWeights(c_max=c_max, domain_bound=B, log_xi=log_xi, xi=xi, eta=eta)
 
 
-def cinf_truncated_norm(stack: DerivativeStack, weights: NormWeights) -> float:
+def cinf_truncated_norm(stack: dict[StackKey, np.ndarray], weights: NormWeights) -> float:
     """sqrt( sum_{c<=c_max} xi(c) * ck_norm(stack, c)^2 )."""
-    if weights.c_max > stack.M:
-        raise OrderTooHighError(
-            f"c_max={weights.c_max} exceeds the stack's order M={stack.M}"
-        )
+    M = _stack_order(stack)
+    if weights.c_max > M:
+        raise OrderTooHighError(f"c_max={weights.c_max} exceeds the stack's order M={M}")
     total = 0.0
     for c in range(weights.c_max + 1):
         total += float(weights.xi[c]) * ck_norm(stack, c) ** 2

@@ -29,11 +29,9 @@ from .errors import InvalidPartitionError, OperatorEvaluationError
 from .grid import (
     Partition,
     StackKey,
-    build_derivative_stack,
     ck_norm,
     difference_stack_arrays,
     enumerate_multi_indices,
-    GridField,
 )
 
 BUILTIN_NAMES = ("zero", "martingale", "linear_scalar", "heat")
@@ -518,8 +516,8 @@ def probe_lipschitz(
         args_v = operator_arguments(t, partition, v_stack, vbar_stack, spec.k, spec.m)
         delta_field = evaluate_driver(spec, args_u) - evaluate_driver(spec, args_v)
         delta_stack = difference_stack_arrays(delta_field, c_max, partition)
-        du = build_derivative_stack(GridField(u - v, (spec.q,)), order, partition)
-        dubar = build_derivative_stack(GridField(ubar - vbar, (spec.q, spec.d)), order, partition)
+        du = difference_stack_arrays(u - v, order, partition)
+        dubar = difference_stack_arrays(ubar - vbar, order, partition)
         for c in range(c_max + 1):
             num = max(
                 float(np.max(np.abs(delta_stack[(c, idx)])))

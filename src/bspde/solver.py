@@ -9,9 +9,10 @@ Derivative stacks are rebuilt from the order-zero field after every update.
 Because every estimator here is a linear map across the sample cross-section
 applied identically at each grid point, and the difference stencils are linear
 maps across grid points applied identically to each sample, the two commute:
-updating order zero and re-differencing gives exactly the same lattice as
-updating every order separately, while guaranteeing that stored orders always
-satisfy the stencil recursion.
+updating order zero and re-differencing gives exactly the same stacks as
+updating every order separately.  Lattices therefore store order zero only;
+`SolutionLattice.stacks` derives the higher orders of one slice, or of every
+slice at once, when something reads them.
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class SolverConfig:
 
 @dataclass
 class SolutionLattice:
-    """Per-sample, per-time, per-grid-point values of V and Vbar, all orders.
+    """Per-sample, per-time, per-grid-point values of V and Vbar.
 
+    V and Vbar hold the order-zero entry only; `stacks` derives orders 0..M.
     Reads between grid times follow the piecewise-constant convention: the
     lattice value at t in [t_{j-1}, t_j) is the slice stored at t_{j-1}.
     """
@@ -83,8 +85,8 @@ class SolutionLattice:
     paths: BrownianPaths
     config: SolverConfig
     M: int
-    V: dict[StackKey, np.ndarray]  # (S, n0+1) + grid + (q,)
-    Vbar: dict[StackKey, np.ndarray]  # (S, n0+1) + grid + (q, d)
+    V: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q,)
+    Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d)
     fp_iterations: list[int] = field(default_factory=list)
     coefficient_records: list | None = None
 
@@ -97,6 +99,17 @@ class SolutionLattice:
 
     def vbar_base(self) -> np.ndarray:
         return self.Vbar[zero_key(self.spec.p)]
+
+    def stacks(self, family: dict[StackKey, np.ndarray], j: int | None = None):
+        """Difference stack, orders 0..M with this lattice's stencil, of a family
+        stored on it (V, Vbar, or a Malliavin lattice's D_V/D_Vbar): of the
+        slice at grid time j, or of every slice when j is None.
+        """
+        base = family[zero_key(self.spec.p)]
+        lit = self.config.paper_literal_stencil
+        if j is None:
+            return _restenciler(self.M, self.partition, lit, batch_ndim=2)(base)
+        return _restenciler(self.M, self.partition, lit)(base[:, j])
 
 
 def _resolve_order(spec: ProblemSpec, config: SolverConfig) -> int:
@@ -123,12 +136,14 @@ def _check_capacity(spec, partition, config, M):
         )
 
 
-def _restenciler(M: int, partition: Partition, paper_literal: bool):
-    """The map from a (S,) + grid + components array to its difference stack."""
+def _restenciler(M: int, partition: Partition, paper_literal: bool, batch_ndim: int = 1):
+    """The map from a batch + grid + components array to its difference stack;
+    the batch is (S,) for a slice and (S, n0+1) for a whole lattice.
+    """
 
     def restencil(base: np.ndarray):
         return difference_stack_arrays(
-            base, M, partition, batch_ndim=1, paper_literal=paper_literal
+            base, M, partition, batch_ndim=batch_ndim, paper_literal=paper_literal
         )
 
     return restencil
@@ -166,29 +181,24 @@ def terminal_stage(
     return _terminal_stacks(h, partition.n0, spec.d, _restenciler(M, partition, paper_literal))
 
 
-def _allocate(n0: int, stack):
-    """A zeroed (S, n0+1) + slice-shape lattice keyed like the stack."""
-    return {key: np.zeros((arr.shape[0], n0 + 1) + arr.shape[1:]) for key, arr in stack.items()}
+def _allocate(n0: int, arr: np.ndarray) -> np.ndarray:
+    """A zeroed (S, n0+1) + slice-shape lattice for a (S,) + slice-shape field."""
+    return np.zeros((arr.shape[0], n0 + 1) + arr.shape[1:])
 
 
-def _store(V, Vbar, j, v_stack, vbar_stack):
-    for key, arr in v_stack.items():
-        V[key][:, j] = arr
-    for key, arr in vbar_stack.items():
-        Vbar[key][:, j] = arr
-
-
-def _march(n0: int, stop: int, terminal, step):
-    """Store the terminal stacks at n0, then step(j0, stacks at j0) at j0-1 for
-    j0 = n0..stop+1; slices before stop stay zero.
+def _march(partition: Partition, stop: int, terminal, step):
+    """Store the terminal order-zero fields at n0, then those of
+    step(j0, stacks at j0) at j0-1 for j0 = n0..stop+1; slices before stop
+    stay zero.
     """
+    n0, zkey = partition.n0, zero_key(partition.p)
     v_stack, vbar_stack = terminal
-    V, Vbar = _allocate(n0, v_stack), _allocate(n0, vbar_stack)
-    _store(V, Vbar, n0, v_stack, vbar_stack)
+    V, Vbar = _allocate(n0, v_stack[zkey]), _allocate(n0, vbar_stack[zkey])
+    V[:, n0], Vbar[:, n0] = v_stack[zkey], vbar_stack[zkey]
     for j0 in range(n0, stop, -1):
         v_stack, vbar_stack = step(j0, v_stack, vbar_stack)
-        _store(V, Vbar, j0 - 1, v_stack, vbar_stack)
-    return V, Vbar
+        V[:, j0 - 1], Vbar[:, j0 - 1] = v_stack[zkey], vbar_stack[zkey]
+    return {zkey: V}, {zkey: Vbar}
 
 
 def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vbar_stack):
@@ -265,7 +275,7 @@ def solve_algorithm_one(
         raise InvalidPartitionError("config.algorithm must be 'one' for solve_algorithm_one")
     M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
     step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
-    V, Vbar = _march(partition.n0, 0, terminal, step)
+    V, Vbar = _march(partition, 0, terminal, step)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, coefficient_records=est.records,
@@ -326,7 +336,7 @@ def solve_algorithm_two(
         _require_finite(vbar0, j0, "integrand field")
         return v_stack_prev, restencil(vbar0)
 
-    V, Vbar = _march(partition.n0, 0, terminal, implicit_step)
+    V, Vbar = _march(partition, 0, terminal, implicit_step)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,
@@ -354,49 +364,40 @@ def _format(v: float) -> str:
 
 
 def export_lattice_csv(lattice: SolutionLattice, v_path, vbar_path) -> None:
-    """Write the full lattice as CSV.
+    """Write the full lattice, every order, as CSV.
 
     Solution columns: sample, j, t, x1..xp, c, multi_index, component, value.
     The companion integrand file adds a dcomponent column.
     """
+    q, d = lattice.spec.q, lattice.spec.d
+    _write_family(lattice, lattice.V, v_path, "component", [f"{r}" for r in range(q)])
+    _write_family(
+        lattice, lattice.Vbar, vbar_path, "component,dcomponent",
+        [f"{r},{i}" for r in range(q) for i in range(d)],
+    )
+
+
+def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comps) -> None:
+    """One family's CSV: for each stack entry, one write per sample, whose rows
+    run over time, grid point and component in that order.
+    """
     part = lattice.partition
-    coords = part.points.reshape(-1, part.p)
-    grid_n = coords.shape[0]
+    times = [_format(t) for t in part.time_points]
+    coords = [",".join(_format(x) for x in pt) for pt in part.points.reshape(-1, part.p)]
     header_x = ",".join(f"x{l+1}" for l in range(part.p))
-    with open(v_path, "w") as fv:
-        fv.write(f"sample,j,t,{header_x},c,multi_index,component,value\n")
-        for key in sorted(lattice.V):
+    stack = lattice.stacks(family)
+    with open(path, "w") as fh:
+        fh.write(f"sample,j,t,{header_x},c,multi_index,{comp_header},value\n")
+        for key in sorted(stack):
             c, idx = key
             tag = "-".join(map(str, idx))
-            flat = lattice.V[key].reshape(
-                lattice.sample_count, part.n0 + 1, grid_n, lattice.spec.q
-            )
+            # the row between the sample and the value, in the array's own order
+            middles = [
+                f",{j},{t},{xs},{c},{tag},{comp},"
+                for j, t in enumerate(times) for xs in coords for comp in comps
+            ]
+            flat = stack[key].reshape(lattice.sample_count, -1)
             for s in range(lattice.sample_count):
-                for j in range(part.n0 + 1):
-                    t = part.time_points[j]
-                    for g in range(grid_n):
-                        xs = ",".join(_format(x) for x in coords[g])
-                        for r in range(lattice.spec.q):
-                            fv.write(
-                                f"{s},{j},{_format(t)},{xs},{c},{tag},{r},"
-                                f"{_format(flat[s, j, g, r])}\n"
-                            )
-    with open(vbar_path, "w") as fb:
-        fb.write(f"sample,j,t,{header_x},c,multi_index,component,dcomponent,value\n")
-        for key in sorted(lattice.Vbar):
-            c, idx = key
-            tag = "-".join(map(str, idx))
-            flat = lattice.Vbar[key].reshape(
-                lattice.sample_count, part.n0 + 1, grid_n, lattice.spec.q, lattice.spec.d
-            )
-            for s in range(lattice.sample_count):
-                for j in range(part.n0 + 1):
-                    t = part.time_points[j]
-                    for g in range(grid_n):
-                        xs = ",".join(_format(x) for x in coords[g])
-                        for r in range(lattice.spec.q):
-                            for i in range(lattice.spec.d):
-                                fb.write(
-                                    f"{s},{j},{_format(t)},{xs},{c},{tag},{r},{i},"
-                                    f"{_format(flat[s, j, g, r, i])}\n"
-                                )
+                fh.write("".join(
+                    f"{s}{mid}{_format(v)}\n" for mid, v in zip(middles, flat[s].tolist())
+                ))

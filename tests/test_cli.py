@@ -53,28 +53,6 @@ def test_rerunning_emitted_config_reproduces_artifacts(tmp_path):
     assert read(out1 / "solution_vbar.csv") == read(out2 / "solution_vbar.csv")
 
 
-def test_worker_count_does_not_change_artifacts(tmp_path):
-    cfg = write_config(tmp_path / "cfg.json")
-    out1, out2 = tmp_path / "w1", tmp_path / "w8"
-    assert main(["solve", "--config", str(cfg), "--out", str(out1), "--workers", "1"]) == 0
-    assert main(["solve", "--config", str(cfg), "--out", str(out2), "--workers", "8"]) == 0
-    assert read(out1 / "solution_v.csv") == read(out2 / "solution_v.csv")
-    assert read(out1 / "solution_vbar.csv") == read(out2 / "solution_vbar.csv")
-    a = json.loads((out1 / "resolved_config.json").read_text())
-    b = json.loads((out2 / "resolved_config.json").read_text())
-    a["output"] = b["output"] = None  # only the --out override may differ
-    assert a == b
-
-
-def test_workers_env_default(tmp_path, monkeypatch):
-    cfg = write_config(tmp_path / "cfg.json")
-    out = tmp_path / "out"
-    monkeypatch.setenv("BSPDE_WORKERS", "4")
-    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["workers"] == 4
-
-
 def test_seed_override(tmp_path):
     cfg = write_config(
         tmp_path / "cfg.json",

@@ -7,26 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bspde import (
-    GridField,
-    InvalidAxisError,
     InvalidDomainError,
     InvalidPartitionError,
     NormWeights,
     OrderTooHighError,
-    build_derivative_stack,
     build_partition,
     cinf_truncated_norm,
     ck_norm,
+    difference_stack_arrays,
     enumerate_multi_indices,
-    first_difference,
     multi_index_key,
     refine_partition,
 )
 
 
-def field(values, comp=(1,)):
-    arr = np.asarray(values, dtype=float)
-    return GridField(arr[..., None] if comp == (1,) and arr.shape[-1:] != (1,) else arr, comp)
+def field(values):
+    """A scalar field on the grid, with its one-component axis."""
+    return np.asarray(values, dtype=float)[..., None]
+
+
+def stack_of(values, M, part, paper_literal=False):
+    return difference_stack_arrays(field(values), M, part, paper_literal=paper_literal)
+
+
+def first_diff(values, part, paper_literal=False):
+    return stack_of(values, 1, part, paper_literal)[(1, (1,))]
 
 
 # ---------------------------------------------------------------------------
@@ -124,37 +129,31 @@ def test_multi_index_ordering_law(c, p):
 def test_first_difference_linear_exact():
     part = build_partition(1.0, 2, [1.0], [2])
     x = part.points[..., 0]
-    out = first_difference(field(x), 1, part)
-    assert np.array_equal(out.values[..., 0], np.ones(3))
+    out = first_diff(x, part)
+    assert np.array_equal(out[..., 0], np.ones(3))
 
 
 def test_first_difference_constant_is_zero():
     part = build_partition(1.0, 2, [1.0], [2])
-    out = first_difference(field(np.full(3, 4.2)), 1, part)
-    assert np.array_equal(out.values, np.zeros((3, 1)))
+    out = first_diff(np.full(3, 4.2), part)
+    assert np.array_equal(out, np.zeros((3, 1)))
 
 
 def test_first_difference_quadratic_values():
     part = build_partition(1.0, 2, [1.0], [2])
     x = part.points[..., 0]
-    out = first_difference(field(x**2), 1, part)
-    assert np.allclose(out.values[..., 0], [0.5, 1.5, 1.5])
-
-
-def test_first_difference_axis_error():
-    part = build_partition(1.0, 2, [1.0], [2])
-    with pytest.raises(InvalidAxisError):
-        first_difference(field(np.zeros(3)), 2, part)
+    out = first_diff(x**2, part)
+    assert np.allclose(out[..., 0], [0.5, 1.5, 1.5])
 
 
 def test_paper_literal_boundary_flips_sign():
     part = build_partition(1.0, 2, [1.0], [2])
     x = part.points[..., 0]
-    corrected = first_difference(field(x), 1, part)
-    literal = first_difference(field(x), 1, part, paper_literal=True)
-    assert corrected.values[-1, 0] == 1.0
-    assert literal.values[-1, 0] == -1.0  # the sign-reversed form breaks affine exactness
-    assert np.array_equal(corrected.values[:-1], literal.values[:-1])
+    corrected = first_diff(x, part)
+    literal = first_diff(x, part, paper_literal=True)
+    assert corrected[-1, 0] == 1.0
+    assert literal[-1, 0] == -1.0  # the sign-reversed form breaks affine exactness
+    assert np.array_equal(corrected[:-1], literal[:-1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -166,22 +165,23 @@ def test_paper_literal_boundary_flips_sign():
 def test_affine_exactness_one_dim(slope, offset, n):
     part = build_partition(1.0, 2, [1.5], [n])
     x = part.points[..., 0]
-    stack = build_derivative_stack(field(slope * x + offset), min(2, 2 * n - 1), part)
-    d1 = stack.entry(1, (1,)).values[..., 0]
+    M = min(2, 2 * n - 1)
+    stack = stack_of(slope * x + offset, M, part)
+    d1 = stack[(1, (1,))][..., 0]
     assert np.allclose(d1, slope, atol=1e-10 * max(1.0, abs(slope)))
-    if stack.M >= 2:
-        assert np.allclose(stack.entry(2, (2,)).values, 0.0, atol=1e-9)
+    if M >= 2:
+        assert np.allclose(stack[(2, (2,))], 0.0, atol=1e-9)
 
 
 def test_affine_exactness_two_dims():
     part = build_partition(1.0, 2, [1.0, 2.0], [3, 2])
     pts = part.points
     vals = 2.0 * pts[..., 0] - 3.0 * pts[..., 1] + 1.0
-    stack = build_derivative_stack(field(vals), 2, part)
-    assert np.allclose(stack.entry(1, (1, 0)).values[..., 0], 2.0)
-    assert np.allclose(stack.entry(1, (0, 1)).values[..., 0], -3.0)
+    stack = stack_of(vals, 2, part)
+    assert np.allclose(stack[(1, (1, 0))][..., 0], 2.0)
+    assert np.allclose(stack[(1, (0, 1))][..., 0], -3.0)
     for idx in ((2, 0), (1, 1), (0, 2)):
-        assert np.allclose(stack.entry(2, idx).values, 0.0, atol=1e-12)
+        assert np.allclose(stack[(2, idx)], 0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,34 +191,33 @@ def test_affine_exactness_two_dims():
 
 def test_stack_constant_all_orders_zero():
     part = build_partition(1.0, 2, [1.0], [4])
-    stack = build_derivative_stack(field(np.full(5, 3.3)), 2, part)
-    for (c, idx), entry in stack.entries.items():
+    stack = stack_of(np.full(5, 3.3), 2, part)
+    for (c, idx), entry in stack.items():
         if c > 0:
-            assert np.array_equal(entry.values, np.zeros_like(entry.values))
+            assert np.array_equal(entry, np.zeros_like(entry))
 
 
 def test_stack_exponential_first_order_accuracy():
     part = build_partition(1.0, 2, [1.0], [4])
     x = part.points[..., 0]
-    stack = build_derivative_stack(field(np.exp(x)), 1, part)
-    d1 = stack.entry(1, (1,)).values[..., 0]
+    d1 = first_diff(np.exp(x), part)[..., 0]
     assert np.max(np.abs(d1[1:-1] - np.exp(x[1:-1]))) < 0.3
 
 
 def test_stack_base_entry_is_field():
     part = build_partition(1.0, 2, [1.0], [2])
     f = field(np.array([1.0, 2.0, 5.0]))
-    stack = build_derivative_stack(f, 2, part)
-    assert stack.entry(0, (0,)).values is f.values
+    stack = difference_stack_arrays(f, 2, part)
+    assert stack[(0, (0,))] is f
 
 
 def test_stack_order_bound():
     part = build_partition(1.0, 2, [1.0], [2])
     with pytest.raises(OrderTooHighError):
-        build_derivative_stack(field(np.zeros(3)), 4, part)  # 4 >= 2*max(n_l)
+        stack_of(np.zeros(3), 4, part)  # 4 >= 2*max(n_l)
     big = build_partition(1.0, 2, [1.0], [8])
     with pytest.raises(OrderTooHighError):
-        build_derivative_stack(field(np.zeros(9)), 7, big)  # beyond supported order
+        stack_of(np.zeros(9), 7, big)  # beyond supported order
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +228,11 @@ def test_stack_order_bound():
 def test_ck_norm_examples():
     part = build_partition(1.0, 2, [1.0], [2])
     x = part.points[..., 0]
-    zero_stack = build_derivative_stack(field(np.zeros(3)), 1, part)
+    zero_stack = stack_of(np.zeros(3), 1, part)
     assert ck_norm(zero_stack, 1) == 0.0
-    lin = build_derivative_stack(field(x), 1, part)
+    lin = stack_of(x, 1, part)
     assert ck_norm(lin, 1) == 1.0
-    quad = build_derivative_stack(field(2 * x**2), 2, part)
+    quad = stack_of(2 * x**2, 2, part)
     assert ck_norm(quad, 0) == 2.0
     assert ck_norm(quad, 1) == 3.0
     assert ck_norm(quad, 2) == 4.0
@@ -244,7 +243,7 @@ def test_ck_norm_examples():
 def test_ck_norm_monotone_in_order():
     part = build_partition(1.0, 2, [1.0], [4])
     rng = np.random.default_rng(0)
-    stack = build_derivative_stack(field(rng.normal(size=5)), 3, part)
+    stack = stack_of(rng.normal(size=5), 3, part)
     norms = [ck_norm(stack, k) for k in range(4)]
     assert all(a <= b for a, b in zip(norms, norms[1:]))
 
@@ -268,15 +267,15 @@ def test_norm_weights_decay_various_domains():
 def test_cinf_truncated_norm():
     part = build_partition(1.0, 2, [1.0], [2])
     weights = NormWeights.for_domain(part.edges, 1)
-    zero_stack = build_derivative_stack(field(np.zeros(3)), 1, part)
+    zero_stack = stack_of(np.zeros(3), 1, part)
     assert cinf_truncated_norm(zero_stack, weights) == 0.0
     # the order-c norm is cumulative (max over orders <= c), so a constant
     # contributes through every weight even though its differences vanish
-    const = build_derivative_stack(field(np.ones(3)), 1, part)
+    const = stack_of(np.ones(3), 1, part)
     expected = math.sqrt(weights.xi[0] + weights.xi[1])
     assert cinf_truncated_norm(const, weights) == pytest.approx(expected, rel=1e-12)
     x = part.points[..., 0]
-    lin = build_derivative_stack(field(x), 1, part)
+    lin = stack_of(x, 1, part)
     expected = math.sqrt(1.0 * 1.0 + weights.xi[1] * 1.0)
     assert cinf_truncated_norm(lin, weights) == pytest.approx(expected, rel=1e-12)
 
@@ -284,7 +283,7 @@ def test_cinf_truncated_norm():
 def test_cinf_monotone_in_truncation():
     part = build_partition(1.0, 2, [1.0], [4])
     rng = np.random.default_rng(1)
-    stack = build_derivative_stack(field(rng.normal(size=5)), 3, part)
+    stack = stack_of(rng.normal(size=5), 3, part)
     vals = [
         cinf_truncated_norm(stack, NormWeights.for_domain(part.edges, c))
         for c in range(4)

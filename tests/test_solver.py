@@ -9,6 +9,7 @@ from bspde import (
     SolverConfig,
     build_partition,
     builtin_problem,
+    build_malliavin_lattices,
     export_lattice_csv,
     permute_future_increments,
     reference_step_residual,
@@ -112,9 +113,9 @@ def test_lattice_terminal_slice_matches_terminal_stage_bitwise():
     lat = solve_algorithm_one(spec, part, cfg, paths)
     v_stack, vbar_stack = terminal_stage(spec, part, paths)
     for key, arr in v_stack.items():
-        assert np.array_equal(lat.V[key][:, -1], arr)
+        assert np.array_equal(lat.stacks(lat.V, part.n0)[key], arr)
     for key, arr in vbar_stack.items():
-        assert np.array_equal(lat.Vbar[key][:, -1], arr)
+        assert np.array_equal(lat.stacks(lat.Vbar, part.n0)[key], arr)
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +129,24 @@ def test_stored_stacks_satisfy_stencil_recursion():
     spec = builtin_problem("heat", {"a": 1.0})
     part = build_partition(1.0, 2, [2.0], [4])
     lat = solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1))
+    whole = lat.stacks(lat.V)
     for j in range(part.n0 + 1):
         rebuilt = difference_stack_arrays(lat.v_base()[:, j], lat.M, part, batch_ndim=1)
+        derived = lat.stacks(lat.V, j)
+        assert derived.keys() == whole.keys() == rebuilt.keys()
         for key, arr in rebuilt.items():
-            assert np.array_equal(lat.V[key][:, j], arr)
+            assert np.array_equal(derived[key], arr)
+            assert np.array_equal(whole[key][:, j], arr)
+
+
+def test_lattices_store_order_zero_only():
+    spec = builtin_problem("heat", {"a": 1.0})
+    part = build_partition(1.0, 2, [2.0], [4])
+    lat = solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1, M=2))
+    assert list(lat.V) == list(lat.Vbar) == [(0, (0,))]
+    mall = build_malliavin_lattices(spec, lat, [0])[0]
+    assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
+    assert [c for c, _ in lat.stacks(lat.V)] == [0, 1, 2]
 
 
 def test_deterministic_problems_have_zero_sample_spread():
@@ -276,3 +291,75 @@ def test_export_lattice_csv(tmp_path):
     vbar_lines = vbar_path.read_text().splitlines()
     assert vbar_lines[0] == "sample,j,t,x1,c,multi_index,component,dcomponent,value"
     assert all(line.endswith(",0") for line in vbar_lines[1:])
+
+
+def _export_row_by_row(lattice, v_path, vbar_path):
+    """Reference writer: one formatted row per value, every order of the
+    lattice's derived stacks."""
+
+    def fmt(v):
+        return format(v, ".17g")
+
+    part = lattice.partition
+    S, q, d = lattice.sample_count, lattice.spec.q, lattice.spec.d
+    coords = part.points.reshape(-1, part.p)
+    grid_n = coords.shape[0]
+    header_x = ",".join(f"x{l+1}" for l in range(part.p))
+    V, Vbar = lattice.stacks(lattice.V), lattice.stacks(lattice.Vbar)
+    with open(v_path, "w") as fv:
+        fv.write(f"sample,j,t,{header_x},c,multi_index,component,value\n")
+        for key in sorted(V):
+            c, idx = key
+            tag = "-".join(map(str, idx))
+            flat = V[key].reshape(S, part.n0 + 1, grid_n, q)
+            for s in range(S):
+                for j in range(part.n0 + 1):
+                    t = part.time_points[j]
+                    for g in range(grid_n):
+                        xs = ",".join(fmt(x) for x in coords[g])
+                        for r in range(q):
+                            fv.write(f"{s},{j},{fmt(t)},{xs},{c},{tag},{r},{fmt(flat[s, j, g, r])}\n")
+    with open(vbar_path, "w") as fb:
+        fb.write(f"sample,j,t,{header_x},c,multi_index,component,dcomponent,value\n")
+        for key in sorted(Vbar):
+            c, idx = key
+            tag = "-".join(map(str, idx))
+            flat = Vbar[key].reshape(S, part.n0 + 1, grid_n, q, d)
+            for s in range(S):
+                for j in range(part.n0 + 1):
+                    t = part.time_points[j]
+                    for g in range(grid_n):
+                        xs = ",".join(fmt(x) for x in coords[g])
+                        for r in range(q):
+                            for i in range(d):
+                                fb.write(
+                                    f"{s},{j},{fmt(t)},{xs},{c},{tag},{r},{i},"
+                                    f"{fmt(flat[s, j, g, r, i])}\n"
+                                )
+
+
+def test_export_matches_row_by_row_writer_p2_q2_d2(tmp_path):
+    def driver(t, x, v, vbar):
+        return 0.5 * v[(0, (0, 0))] + 0.1 * vbar[(0, (0, 0))][..., 1]
+
+    def diffusion(t, x, v):
+        return 0.2 * v[(0, (0, 0))][..., None] * np.array([1.0, -0.5])
+
+    def terminal(x, w):
+        a = np.sin(x[..., 0]) * w[..., 0] + x[..., 1] ** 2 * w[..., 1]
+        b = np.cos(x[..., 1]) * (1.0 + x[..., 0] * w[..., 0])
+        return np.stack([a, b], axis=-1)
+
+    spec = ProblemSpec(
+        name="p2q2d2", p=2, q=2, d=2, k=0, m=0, n=0,
+        driver=driver, diffusion=diffusion, terminal=terminal,
+    )
+    part = build_partition(1.0, 2, [1.0, 0.5], [2, 2])
+    lat = solve_algorithm_one(spec, part, SolverConfig(samples=12, seed=4, M=2))
+    export_lattice_csv(lat, tmp_path / "v.csv", tmp_path / "vbar.csv")
+    _export_row_by_row(lat, tmp_path / "v_ref.csv", tmp_path / "vbar_ref.csv")
+    for name in ("v", "vbar"):
+        got = (tmp_path / f"{name}.csv").read_bytes()
+        assert got == (tmp_path / f"{name}_ref.csv").read_bytes()
+    # 6 stack entries (orders 0..2 in two dims) x 12 samples x 3 times x 9 points
+    assert got.count(b"\n") == 1 + 6 * 12 * 3 * 9 * 2 * 2
