@@ -176,8 +176,11 @@ def _transfer_matrix(exponents: np.ndarray, var: float, extra: np.ndarray) -> np
 @dataclass
 class CoefficientRecord:
     step: int
-    operation: str  # "mean" or "dw{i}"
-    column: str
+    # one record set per fit: the analytic kind writes "mean" per cond_mean
+    # call and "dw" per cond_mean_times_dw call (one fit serves every
+    # component); the regression kind writes "mean" and "dw{i}" per component
+    operation: str
+    column: str  # the target's flattened column index, or its label
     exponents: tuple[int, ...]
     value: float
 
@@ -190,7 +193,10 @@ class ConditionalEstimator:
                                       one trailing axis per component i.
 
     Targets carry a leading sample axis; arbitrary trailing axes are treated
-    as independent regression columns.
+    as independent regression columns.  The polynomial basis at W(t_j) is
+    built once per time index and shared by every fit and apply that reads
+    it: a backward step from t_j0 reads indices j0 and j0-1, and the next
+    step reads j0-1 again, so only the two most recently used are held.
     """
 
     def __init__(
@@ -204,17 +210,38 @@ class ConditionalEstimator:
         self.exponents = monomial_exponents(spec.degree, paths.d)
         self.records: list[CoefficientRecord] = [] if record_coefficients else None
         self._transfer_cache: dict[tuple[int, int], np.ndarray] = {}
+        self._bases: dict[int, np.ndarray] = {}
 
     # -- shared helpers -----------------------------------------------------
 
-    def _flatten(self, targets: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-        shape = targets.shape
-        return targets.reshape(shape[0], -1), shape[1:]
+    def _basis(self, j: int) -> np.ndarray:
+        """Read-only design matrix at W(t_j), least recently used evicted first."""
+        phi = self._bases.pop(j, None)
+        if phi is None:
+            phi = _design_matrix(self.paths.W[:, j, :], self.exponents)
+            phi.setflags(write=False)
+            if len(self._bases) == 2:
+                del self._bases[next(iter(self._bases))]
+        self._bases[j] = phi
+        return phi
 
-    def _record(self, j0: int, op: str, coef: np.ndarray, labels) -> None:
+    @staticmethod
+    def _split(targets) -> tuple[np.ndarray, np.ndarray, slice | np.ndarray]:
+        """Flattened targets, their constant-column mask, and a selector of the
+        varying columns: a plain slice when none is constant, so reads are
+        views and writes are unmasked."""
+        targets = np.asarray(targets, dtype=float)
+        flat = targets.reshape(targets.shape[0], -1)
+        # screen on the first two rows; only columns that pass are compared in full
+        const = np.all(flat[:2] == flat[0:1], axis=0)
+        if const.any():
+            const[const] = np.all(flat[:, const] == flat[0:1, const], axis=0)
+        return flat, const, ~const if const.any() else slice(None)
+
+    def _record(self, j0: int, op: str, coef: np.ndarray, const: np.ndarray, labels) -> None:
         if self.records is None:
             return
-        for col in range(coef.shape[1]):
+        for c, col in enumerate(np.flatnonzero(~const)):
             label = labels[col] if labels is not None else str(col)
             for b, exps in enumerate(self.exponents):
                 self.records.append(
@@ -223,7 +250,7 @@ class ConditionalEstimator:
                         operation=op,
                         column=label,
                         exponents=tuple(int(e) for e in exps),
-                        value=float(coef[b, col]),
+                        value=float(coef[b, c]),
                     )
                 )
 
@@ -239,66 +266,56 @@ class ConditionalEstimator:
             self._transfer_cache[key] = _transfer_matrix(self.exponents, var, extra)
         return self._transfer_cache[key]
 
-    def _analytic_fit(self, flat: np.ndarray, j0: int) -> tuple[np.ndarray, np.ndarray]:
+    def _analytic_fit(self, flat: np.ndarray, j0: int) -> np.ndarray:
         """Least-squares polynomial fit of the targets in W(t_j0)."""
-        w_next = self.paths.W[:, j0, :]
-        phi = _design_matrix(w_next, self.exponents)
-        coef, *_ = np.linalg.lstsq(phi, flat, rcond=None)
-        return coef, phi
+        coef, *_ = np.linalg.lstsq(self._basis(j0), flat, rcond=None)
+        return coef
 
     def cond_mean(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
-        flat, tail = self._flatten(np.asarray(targets, dtype=float))
+        flat, const, varying = self._split(targets)
         out = np.empty_like(flat)
-        const = np.all(flat == flat[0:1, :], axis=0)
         # E[c | F] = c, exactly; keeps noise-free problems bit-deterministic
         out[:, const] = flat[0:1, const]
-        varying = ~const
-        if np.any(varying):
+        if not const.all():
             if self.spec.kind == "analytic":
-                coef, _ = self._analytic_fit(flat[:, varying], j0)
-                w_prev = self.paths.W[:, j0 - 1, :]
-                phi_prev = _design_matrix(w_prev, self.exponents)
-                out[:, varying] = phi_prev @ (self._transfer(j0, -1) @ coef)
-                self._record(j0, "mean", coef, labels)
+                coef = self._analytic_fit(flat[:, varying], j0)
+                out[:, varying] = self._basis(j0 - 1) @ (self._transfer(j0, -1) @ coef)
+                self._record(j0, "mean", coef, const, labels)
             else:
-                out[:, varying] = self._regress(flat[:, varying], j0, "mean", labels)
-        return out.reshape(targets.shape)
+                out[:, varying] = self._regress(flat[:, varying], j0, "mean", const, labels)
+        return out.reshape(np.shape(targets))
 
     def cond_mean_times_dw(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
-        flat, tail = self._flatten(np.asarray(targets, dtype=float))
-        S = flat.shape[0]
+        flat, const, varying = self._split(targets)
         d = self.paths.d
-        out = np.empty((S, flat.shape[1], d))
-        const = np.all(flat == flat[0:1, :], axis=0)
+        out = np.empty(flat.shape + (d,))
         out[:, const, :] = 0.0  # E[c * dW | F] = 0, exactly
-        varying = ~const
-        if np.any(varying):
+        if not const.all():
             if self.spec.kind == "analytic":
-                coef, _ = self._analytic_fit(flat[:, varying], j0)
-                w_prev = self.paths.W[:, j0 - 1, :]
-                phi_prev = _design_matrix(w_prev, self.exponents)
+                coef = self._analytic_fit(flat[:, varying], j0)
+                phi_prev = self._basis(j0 - 1)
                 for i in range(d):
                     out[:, varying, i] = phi_prev @ (self._transfer(j0, i) @ coef)
-                self._record(j0, "dw", coef, labels)
+                self._record(j0, "dw", coef, const, labels)
             else:
                 dw = self.paths.increments[:, j0 - 1, :]
                 for i in range(d):
                     out[:, varying, i] = self._regress(
-                        flat[:, varying] * dw[:, i : i + 1], j0, f"dw{i}", labels
+                        flat[:, varying] * dw[:, i : i + 1], j0, f"dw{i}", const, labels
                     )
-        return out.reshape(targets.shape + (d,))
+        return out.reshape(np.shape(targets) + (d,))
 
     # -- regression kind ----------------------------------------------------
 
-    def _regress(self, flat: np.ndarray, j0: int, op: str, labels) -> np.ndarray:
+    def _regress(self, flat: np.ndarray, j0: int, op: str, const: np.ndarray, labels) -> np.ndarray:
         w_prev = self.paths.W[:, j0 - 1, :]
         if np.all(w_prev == w_prev[0:1, :]):
             # all states coincide (j0 = 1): the projection is the sample mean
             mean = flat.mean(axis=0)
             return np.broadcast_to(mean, flat.shape).copy()
-        phi = _design_matrix(w_prev, self.exponents)
+        phi = self._basis(j0 - 1)
         coef = ridge_solve(phi, flat, self._ridge_value(flat.shape[0]))
-        self._record(j0, op, coef, labels)
+        self._record(j0, op, coef, const, labels)
         return phi @ coef
 
     def _ridge_value(self, S: int) -> float:

@@ -207,3 +207,22 @@ def test_coefficient_dump(tmp_path):
     lines = (out / "coefficients.csv").read_text().splitlines()
     assert lines[0] == "step,operation,component,multi_index,exponents,coefficient"
     assert len(lines) > 1
+
+
+def test_coefficient_dump_labels_original_columns(tmp_path):
+    # linear_scalar is identically zero at x = 0, so that column is constant
+    # and unfitted; x = 0.5 and x = 1 keep their own column indices 1 and 2
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        problem={"name": "linear_scalar"},
+        partition={"T": 1.0, "n0": 2, "edges": [1.0], "counts": [2]},
+        solver={"samples": 50, "dump_coefficients": True},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "coefficients.csv").read_text().splitlines()[1:]]
+    assert {row[2] for row in rows} == {"1", "2"}
+    for step in ("1", "2"):
+        ops = [row[1] for row in rows if row[0] == step]
+        # per column and monomial: one "mean" fit, two "dw" fits (V and drift)
+        assert ops.count("mean") == 2 * 4 and ops.count("dw") == 2 * 2 * 4

@@ -17,6 +17,7 @@ from bspde import (
     solve,
     solve_algorithm_one,
     solve_algorithm_two,
+    stochastics,
     terminal_stage,
 )
 
@@ -147,6 +148,21 @@ def test_lattices_store_order_zero_only():
     mall = build_malliavin_lattices(spec, lat, [0])[0]
     assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
     assert [c for c, _ in lat.stacks(lat.V)] == [0, 1, 2]
+
+
+@pytest.mark.parametrize("algorithm", ["one", "two"])
+def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
+    built = []
+    design_matrix = stochastics._design_matrix
+
+    def counting(states, exponents):
+        built.append(states)
+        return design_matrix(states, exponents)
+
+    monkeypatch.setattr(stochastics, "_design_matrix", counting)
+    part = small_partition(n0=8)
+    solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
+    assert len(built) == part.n0 + 1
 
 
 def test_deterministic_problems_have_zero_sample_spread():

@@ -14,7 +14,7 @@ from bspde import (
     permute_future_increments,
     simulate_increments,
 )
-from bspde.stochastics import ConditionalEstimator
+from bspde.stochastics import ConditionalEstimator, _design_matrix
 
 
 def one_step_partition(T=1.0):
@@ -256,6 +256,78 @@ def test_analytic_estimator_matches_hand_gaussian_identities(c0, c1, c2, c3):
     got_dw = est.cond_mean_times_dw(target[:, None], 2)[:, 0, 0]
     expected_dw = dt * (c1 + 2 * c2 * w_prev + 3 * c3 * (w_prev**2 + dt))
     assert np.max(np.abs(got_dw - expected_dw)) < 1e-9 * scale
+
+
+def _march_targets(paths, j0):
+    """Three (S, 2, 3) targets at W(t_j0), d = 2: two with constant columns,
+    one with none (the unmasked path)."""
+    w0, w1 = paths.W[:, j0, 0], paths.W[:, j0, 1]
+    ones = np.ones_like(w0)
+    cols = [
+        [w0 * w1 + j0, 1.5 * ones, w0**2, -2.0 * ones, np.sin(w1), w0 - w1],
+        [np.exp(w0), 0.0 * ones, w1**3, w0 * w1**2, 3.0 * ones, w1],
+        [w0 + 0.5, w0, w1 * j0, w1**2 - w0, w0 * w1, np.cos(w0)],
+    ]
+    return [np.stack(c, axis=1).reshape(-1, 2, 3) for c in cols]
+
+
+@pytest.mark.parametrize("kind", ["analytic", "regression"])
+def test_shared_basis_matches_fresh_estimator_per_call(kind):
+    # one estimator driven in a backward march order (each index is the apply
+    # basis of one step and the fit basis of the next) against a fresh
+    # estimator per call: results and coefficient records must be identical
+    part = build_partition(1.0, 4, [1.0], [1])
+    paths = simulate_increments(part, 2, 400, seed=17)
+    spec = EstimatorSpec(kind=kind, degree=2)
+    shared = ConditionalEstimator(spec, paths, record_coefficients=True)
+    fresh_records = []
+    for j0 in range(part.n0, 0, -1):
+        mean_t, v_t, l_t = _march_targets(paths, j0)
+        for method, target in (
+            ("cond_mean", mean_t), ("cond_mean_times_dw", v_t), ("cond_mean_times_dw", l_t)
+        ):
+            fresh = ConditionalEstimator(spec, paths, record_coefficients=True)
+            got = getattr(shared, method)(target, j0)
+            assert np.array_equal(got, getattr(fresh, method)(target, j0))
+            fresh_records += fresh.records
+            for j, phi in shared._bases.items():
+                assert np.array_equal(phi, _design_matrix(paths.W[:, j, :], shared.exponents))
+        assert len(shared._bases) <= 2
+    assert shared.records == fresh_records
+    # the shared basis is read-only
+    phi = shared._basis(1)
+    assert not phi.flags.writeable
+    with pytest.raises(ValueError):
+        phi[0, 0] = 1.0
+
+
+def test_column_equal_in_first_rows_is_still_fitted():
+    # the constant-column screen looks at two rows first; a column that only
+    # varies further down must still be fitted, not copied from row 0
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, 1, 300, seed=8)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    target = paths.W[:, 2, 0] ** 2
+    target[1] = target[0]
+    got = est.cond_mean(np.stack([target, np.full_like(target, 2.0)], axis=1), 2)
+    coef = np.linalg.lstsq(_design_matrix(paths.W[:, 2, :], est.exponents), target[:, None], rcond=None)[0]
+    expected = _design_matrix(paths.W[:, 1, :], est.exponents) @ (est._transfer(2, -1) @ coef)
+    assert np.array_equal(got[:, 0], expected[:, 0])
+    assert np.array_equal(got[:, 1], np.full_like(target, 2.0))
+
+
+@pytest.mark.parametrize("kind", ["analytic", "regression"])
+def test_coefficient_labels_use_original_columns(kind):
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, 1, 200, seed=5)
+    w = paths.W[:, 2, 0]
+    targets = np.stack([np.full_like(w, 4.0), w, w**2], axis=1)  # column 0 constant
+    est = ConditionalEstimator(EstimatorSpec(kind=kind), paths, record_coefficients=True)
+    est.cond_mean(targets, 2)
+    assert {rec.column for rec in est.records} == {"1", "2"}
+    est.records.clear()
+    est.cond_mean_times_dw(targets, 2, labels=["a", "b", "c"])
+    assert {rec.column for rec in est.records} == {"b", "c"}
 
 
 def test_nested_kind_rejected_inside_schemes():
