@@ -1,21 +1,31 @@
 #!/usr/bin/env python3
-"""Golden CSV digests of the CLI, for checking that a change keeps every
-output byte-identical.
+"""Golden CLI outputs, for checking that a change keeps every CSV
+byte-identical, or within a stated relative tolerance.
 
-    PYTHONPATH=src python3 scripts/golden.py save DIR    # record digests
-    PYTHONPATH=src python3 scripts/golden.py check DIR   # re-run and compare
+    PYTHONPATH=src python3 scripts/golden.py save DIR               # record
+    PYTHONPATH=src python3 scripts/golden.py check DIR              # bit-exact
+    PYTHONPATH=src python3 scripts/golden.py compare DIR --rtol R   # tolerance
 
 The runs are the shipped configs in scripts/configs/*.json and the four
 perfbench workload configs at seed 42.  `save` writes DIR/golden.json, which
-maps "<run>/<file>.csv" to the sha256 of that file; `check` repeats the runs
-in a temporary directory and exits 1 if any CSV is missing, new or different.
+maps "<run>/<file>.csv" to the sha256 of that file, and keeps the CSVs
+themselves under DIR/csv/.  `check` repeats the runs in a temporary directory
+and exits 1 if any CSV is missing, new or different.  `compare` repeats them
+and prints, per file, the largest relative difference |a - b| / max(|a|, |b|)
+over the numeric cells (0 where a == b); it exits 1 if a file is missing or
+new, if its header, row count or a non-numeric cell differs, or if its largest
+relative difference exceeds R.
 """
 
 import argparse
+import csv
 import glob
 import hashlib
+import itertools
 import json
+import math
 import os
+import shutil
 import sys
 import tempfile
 
@@ -56,8 +66,8 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def digests(workdir: str) -> dict:
-    """Run every golden config under workdir and hash the CSVs it writes."""
+def run_all(workdir: str) -> dict:
+    """Run every golden config under workdir; map each CSV's key to its path."""
     out = {}
     for name, command, config in _runs():
         rundir = os.path.join(workdir, name)
@@ -68,30 +78,44 @@ def digests(workdir: str) -> dict:
         code = cli_main([command, "--config", cfg_path, "--out", os.path.join(rundir, "out")])
         if code != 0:
             raise SystemExit(f"{name}: bspde {command} exited with {code}")
-        for csv in sorted(glob.glob(os.path.join(rundir, "out", "*.csv"))):
-            out[f"{name}/{os.path.basename(csv)}"] = _sha256(csv)
+        for path in sorted(glob.glob(os.path.join(rundir, "out", "*.csv"))):
+            out[f"{name}/{os.path.basename(path)}"] = path
     return out
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("action", choices=["save", "check"])
-    parser.add_argument("dir", help="directory holding golden.json")
-    args = parser.parse_args(argv)
-    record = os.path.join(args.dir, "golden.json")
-    with tempfile.TemporaryDirectory() as workdir:
-        got = digests(workdir)
-    if args.action == "save":
-        os.makedirs(args.dir, exist_ok=True)
-        with open(record, "w") as fh:
-            json.dump(got, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"saved {len(got)} digests to {record}")
-        return 0
-    with open(record) as fh:
-        want = json.load(fh)
+def _cell_difference(a: str, b: str) -> float:
+    """Relative difference of two numeric cells; ValueError if either is not
+    numeric and they differ."""
+    if a == b:
+        return 0.0
+    x, y = float(a), float(b)
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    rel = abs(x - y) / max(abs(x), abs(y))
+    return rel if math.isfinite(rel) else math.inf
+
+
+def max_relative_difference(got: str, want: str) -> float:
+    """Largest relative difference over the cells of two CSVs of one layout."""
+    with open(got, newline="") as fg, open(want, newline="") as fw:
+        got_rows, want_rows = csv.reader(fg), csv.reader(fw)
+        if next(got_rows, None) != next(want_rows, None):
+            raise ValueError("header differs")
+        worst = 0.0
+        for n, (g, w) in enumerate(itertools.zip_longest(got_rows, want_rows), start=2):
+            if g is None or w is None:
+                raise ValueError("row count differs")
+            if len(g) != len(w):
+                raise ValueError(f"row {n} has {len(g)} cells, expected {len(w)}")
+            try:
+                worst = max([worst] + [_cell_difference(a, b) for a, b in zip(g, w)])
+            except ValueError:
+                raise ValueError(f"row {n}: a non-numeric cell differs") from None
+    return worst
+
+
+def _check(want: dict, got: dict) -> int:
+    """Digest comparison; prints one line per missing, new or differing CSV."""
     bad = 0
     for key in sorted(want.keys() | got.keys()):
         if key not in got:
@@ -106,6 +130,66 @@ def main(argv=None) -> int:
     same = sum(1 for key, digest in want.items() if got.get(key) == digest)
     print(f"{same} identical, {bad} different")
     return 1 if bad else 0
+
+
+def _compare(golden_dir: str, got: dict, rtol: float) -> int:
+    """Tolerance comparison; prints every CSV's largest relative difference."""
+    want = {
+        os.path.relpath(path, golden_dir): path
+        for path in glob.glob(os.path.join(golden_dir, "*", "*.csv"))
+    }
+    bad = 0
+    for key in sorted(want.keys() | got.keys()):
+        if key not in got:
+            print(f"missing  {key}")
+        elif key not in want:
+            print(f"new      {key}")
+        else:
+            try:
+                rel = max_relative_difference(got[key], want[key])
+            except ValueError as exc:
+                print(f"layout   {key}: {exc}")
+            else:
+                verdict = "ok" if rel <= rtol else "over"
+                print(f"{verdict:8} {key}: max relative difference {rel:.3e}")
+                if rel <= rtol:
+                    continue
+        bad += 1
+    print(f"{len(want.keys() | got.keys()) - bad} within rtol {rtol:g}, {bad} not")
+    return 1 if bad else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
+    parser.add_argument("action", choices=["save", "check", "compare"])
+    parser.add_argument("dir", help="directory holding golden.json and csv/")
+    parser.add_argument(
+        "--rtol", type=float, default=0.0,
+        help="compare: largest relative difference accepted per file (default 0)",
+    )
+    args = parser.parse_args(argv)
+    record = os.path.join(args.dir, "golden.json")
+    csv_dir = os.path.join(args.dir, "csv")
+    with tempfile.TemporaryDirectory() as workdir:
+        got = run_all(workdir)
+        if args.action == "compare":
+            return _compare(csv_dir, got, args.rtol)
+        digests = {key: _sha256(path) for key, path in got.items()}
+        if args.action == "check":
+            with open(record) as fh:
+                return _check(json.load(fh), digests)
+        os.makedirs(args.dir, exist_ok=True)
+        shutil.rmtree(csv_dir, ignore_errors=True)
+        for key, path in got.items():
+            os.makedirs(os.path.dirname(os.path.join(csv_dir, key)), exist_ok=True)
+            shutil.copyfile(path, os.path.join(csv_dir, key))
+        with open(record, "w") as fh:
+            json.dump(digests, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"saved {len(digests)} digests and CSVs to {args.dir}")
+        return 0
 
 
 if __name__ == "__main__":

@@ -12,13 +12,21 @@ the true solution; against a stochastic reference it contributes the Brownian
 modulus of continuity, which is exactly the first-order term the criterion is
 designed to expose.  The terminal integrand slice (identically zero by
 construction) lies outside the extension and is never read.
+
+The criterion is computed in one pass over grid times: the reference at t_j
+is built once and serves both read points there, "at t_j" against the stored
+slice j and "just before t_j" against slice j-1.  The per-sample deviation is
+the squared difference, reduced over components with max.  The sample means
+of both read points are taken together, in cache-sized chunks of samples
+whose running sums add the samples one after another, exactly as a mean over
+the sample axis does, so the report is bit-identical to a per-read-point loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -56,14 +64,23 @@ def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: boo
     w = paths.W[:, j, :].reshape(S, *([1] * partition.p), spec.d)
     V, Vbar = spec.analytic_reference(float(partition.time_points[j]), partition.points, w)
     shape = (S,) + partition.grid_shape + (spec.q,)
-    V = np.broadcast_to(np.asarray(V, dtype=float), shape).copy()
-    Vbar = np.broadcast_to(np.asarray(Vbar, dtype=float), shape + (spec.d,)).copy()
+    V, Vbar = np.asarray(V, dtype=float), np.asarray(Vbar, dtype=float)
+    # only a broadcast result is copied out; the stacks are never written
+    if V.shape != shape:
+        V = np.broadcast_to(V, shape).copy()
+    if Vbar.shape != shape + (spec.d,):
+        Vbar = np.broadcast_to(Vbar, shape + (spec.d,)).copy()
     restencil = _restenciler(M, partition, paper_literal)
     return restencil(V), restencil(Vbar)
 
 
 class _AnalyticReference:
-    """Continuous-time reference evaluated along the lattice's own paths."""
+    """Continuous-time reference evaluated along the lattice's own paths.
+
+    `key(j, left)` names the reference slice read at grid time j (just before
+    it when left is true) and `derive(key)` builds that slice's V and Vbar
+    stacks; reads that share a key share one derivation.
+    """
 
     def __init__(self, spec: ProblemSpec, lattice: SolutionLattice):
         if spec.analytic_reference is None:
@@ -73,18 +90,21 @@ class _AnalyticReference:
         self.spec = spec
         self.lattice = lattice
 
-    def at(self, j: int):
+    def key(self, j: int, left: bool) -> int:
+        # the reference is continuous in time: its left limit is its value
+        return j
+
+    def derive(self, j: int):
         lat = self.lattice
         return _reference_stacks(
             self.spec, lat.partition, lat.paths, j, lat.M, lat.config.paper_literal_stencil
         )
 
-    # the reference is continuous in time: its left limit is its value
-    left_limit = at
-
 
 class _LatticeReference:
-    """Another lattice (same spatial grid, compatible time grid) as reference."""
+    """Another lattice (same spatial grid, compatible time grid) as reference,
+    with the same `key`/`derive` reads as `_AnalyticReference`.
+    """
 
     def __init__(self, reference: SolutionLattice, lattice: SolutionLattice):
         if reference.partition.grid_shape != lattice.partition.grid_shape:
@@ -100,16 +120,13 @@ class _LatticeReference:
             self.index_map.append(int(hits[0]))
         self.reference = reference
 
-    def _slice(self, ref_j: int):
+    def key(self, j: int, left: bool) -> int:
+        # piecewise-constant extension: value just before t_j is the previous slice
+        return self.index_map[j] - left
+
+    def derive(self, ref_j: int):
         ref = self.reference
         return ref.stacks(ref.V, ref_j), ref.stacks(ref.Vbar, ref_j)
-
-    def at(self, j: int):
-        return self._slice(self.index_map[j])
-
-    def left_limit(self, j: int):
-        # piecewise-constant extension: value just before t_j is the previous slice
-        return self._slice(self.index_map[j] - 1)
 
 
 def _as_reference(reference, lattice: SolutionLattice):
@@ -134,7 +151,9 @@ class ErrorReport:
     Each term is max over grid points of the worst read-point mean of the
     squared max-abs entry deviation; total is their sum over orders and over
     the solution/integrand families.  Standard errors are the Monte Carlo
-    errors of the mean at the attaining (read point, grid point).
+    errors of the mean at the attaining (read point, grid point): the first
+    worst read point, all "at" reads before all "left_limit" reads, and on it
+    the first worst grid point.
     """
 
     err_V_sq: dict[int, float]
@@ -156,15 +175,57 @@ class ErrorReport:
         )
 
 
-def _order_deviation(lattice_slice: dict, ref_slice: dict, c: int, p: int) -> np.ndarray:
-    """Per-sample squared max-abs deviation over order-c entries, shape (S, grid)."""
-    worst = None
-    for idx in enumerate_multi_indices(c, p).indices:
-        diff = np.abs(ref_slice[(c, idx)] - lattice_slice[(c, idx)])
-        while diff.ndim > 1 + p:  # reduce component axes
-            diff = diff.max(axis=-1)
-        worst = diff if worst is None else np.maximum(worst, diff)
-    return worst**2
+# Entries per chunk of the sample-mean reduction: a chunk's squared deviations
+# stay in cache while they are formed and added to the running sums.
+_CHUNK_ENTRIES = 1 << 16
+
+
+def _entry_pairs(ref_slice: dict, lattice_slice: dict, c: int, p: int, G: int):
+    """(reference, lattice) arrays of every order-c entry, each (S, G, components)."""
+    return [
+        tuple(arr.reshape(arr.shape[0], G, -1) for arr in (ref_slice[key], lattice_slice[key]))
+        for key in ((c, idx) for idx in enumerate_multi_indices(c, p).indices)
+    ]
+
+
+def _squared_deviation_into(out: np.ndarray, pairs) -> None:
+    """out[...] = per-sample max over entry pairs and components of the squared
+    difference, shape (rows, G).  Squares are monotone, so this is the square
+    of the max-abs difference.
+    """
+    for n, (ref, lat) in enumerate(pairs):
+        if n == 0 and ref.shape[-1] == 1:
+            np.subtract(ref[..., 0], lat[..., 0], out=out)
+            np.multiply(out, out, out=out)
+            continue
+        sq = ref - lat
+        sq = np.multiply(sq, sq, out=sq).max(axis=-1)
+        if n == 0:
+            out[...] = sq
+        else:
+            np.maximum(out, sq, out=out)
+
+
+def _sample_means(term_pairs, S: int, G: int) -> np.ndarray:
+    """Sample means of the squared deviations of every term, given as its
+    list of entry pairs, shape (len(term_pairs), G).
+
+    The samples are taken in chunks small enough to stay in cache.  A chunk
+    holds one sample per row, with the terms interleaved innermost so that
+    each term's (samples, G) block is written in one strided pass, and row 0
+    carries the running sums: one axis-0 reduction per chunk adds each
+    column's samples one after another, exactly as a mean over the whole
+    sample axis does.
+    """
+    rows = min(S, max(1, _CHUNK_ENTRIES // (len(term_pairs) * G)))
+    block = np.zeros((rows + 1, G, len(term_pairs)))
+    for lo in range(0, S, rows):
+        n = min(rows, S - lo)
+        for k, pairs in enumerate(term_pairs):
+            chunk = [(r[lo : lo + n], l[lo : lo + n]) for r, l in pairs]
+            _squared_deviation_into(block[1 : n + 1, :, k], chunk)
+        block[0] = np.add.reduce(block[: n + 1], axis=0)
+    return (block[0] / S).T
 
 
 def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) -> ErrorReport:
@@ -173,6 +234,12 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     reference: a ProblemSpec carrying an analytic reference (evaluated along
     the lattice's sample paths) or another SolutionLattice on the same spatial
     grid whose time grid contains this lattice's grid times.
+
+    One pass over grid times j = 0..n0 reads the reference at t_j once, for
+    the read point "left_limit j" (lattice slice j-1) and "at j" (slice j);
+    lattice and reference slices are each derived once.  Read points are
+    numbered all "at" first, then all "left_limit", and each term is attained
+    at the first worst read point in that order.
     """
     M = lattice.M if M is None else M
     if M > lattice.M:
@@ -180,33 +247,40 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     ref = _as_reference(reference, lattice)
     p = lattice.spec.p
     n0 = lattice.partition.n0
+    G = lattice.partition.num_points
     S = lattice.sample_count
-
-    read_points = [("at", j, j) for j in range(n0)] + [
-        ("left_limit", j, j - 1) for j in range(1, n0 + 1)
-    ]
-
     orders = range(M + 1)
-    best = {(fam, c): (-1.0, None) for fam in ("V", "Vbar") for c in orders}
-    for kind, j_ref, j_st in read_points:
-        refV, refVbar = getattr(ref, kind)(j_ref)
-        latV, latVbar = lattice.stacks(lattice.V, j_st), lattice.stacks(lattice.Vbar, j_st)
-        for fam, ref_sl, lat_sl in (("V", refV, latV), ("Vbar", refVbar, latVbar)):
-            for c in orders:
-                sq = _order_deviation(lat_sl, ref_sl, c, p)  # (S, grid)
-                mean = sq.mean(axis=0)
-                worst_x = float(mean.max())
-                if worst_x > best[fam, c][0]:
-                    flat = sq.reshape(S, -1)
-                    gx = int(np.argmax(mean.reshape(-1)))
-                    se = float(flat[:, gx].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
-                    best[fam, c] = (worst_x, se)
+    terms = [(f, c) for f in range(2) for c in orders]  # f: 0 for V, 1 for Vbar
+
+    ref_slice = lru_cache(maxsize=1)(ref.derive)
+    lat_slice = lru_cache(maxsize=1)(
+        lambda j: (lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
+    )
+    # per term: (worst mean, -read point, stderr); the first worst read point wins
+    best = {term: (-1.0, 0, None) for term in terms}
+    for j in range(n0 + 1):
+        reads = []  # (read point, its entry pairs per term)
+        for r, left, j_st in ((n0 + j - 1, True, j - 1), (j, False, j)):
+            if 0 <= j_st < n0:
+                ref_sl, lat_sl = ref_slice(ref.key(j, left)), lat_slice(j_st)
+                reads.append((r, [_entry_pairs(ref_sl[f], lat_sl[f], c, p, G) for f, c in terms]))
+        means = _sample_means([pairs for _, per_term in reads for pairs in per_term], S, G)
+        for (r, per_term), read_means in zip(reads, means.reshape(len(reads), len(terms), G)):
+            for term, pairs, mean in zip(terms, per_term, read_means):
+                worst = float(mean.max())
+                if (worst, -r) > best[term][:2]:
+                    gx = int(np.argmax(mean))
+                    column = np.empty((S, 1))
+                    at_gx = [(a[:, gx : gx + 1], b[:, gx : gx + 1]) for a, b in pairs]
+                    _squared_deviation_into(column, at_gx)
+                    se = float(column[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
+                    best[term] = (worst, -r, se)
 
     return ErrorReport(
-        err_V_sq={c: best["V", c][0] for c in orders},
-        err_Vbar_sq={c: best["Vbar", c][0] for c in orders},
-        stderr_V={c: best["V", c][1] for c in orders},
-        stderr_Vbar={c: best["Vbar", c][1] for c in orders},
+        err_V_sq={c: best[0, c][0] for c in orders},
+        err_Vbar_sq={c: best[1, c][0] for c in orders},
+        stderr_V={c: best[0, c][2] for c in orders},
+        stderr_Vbar={c: best[1, c][2] for c in orders},
         mesh_size=lattice.partition.mesh_size,
         samples=S,
     )
@@ -262,8 +336,8 @@ def convergence_study(
     reports = []
     points = []
     for part in partitions:
-        lattice = solve(spec, part, config)
-        report = discrete_error(lattice, spec)
+        # the lattice is dropped before the next level solves
+        report = discrete_error(solve(spec, part, config), spec)
         reports.append(report)
         points.append((part.mesh_size, report.total))
     slope, intercept, resid, degenerate = fit_loglog(points)
@@ -386,7 +460,10 @@ class MalliavinLattice:
     """D_theta V and D_theta Vbar on the solution lattice; zero before theta.
 
     Like the base lattice's fields they hold order zero only; the base
-    lattice's `stacks` derives their higher orders.
+    lattice's `stacks` derives their higher orders.  They share its layout:
+    logical shape (S, n0+1) + grid + components, stored time-major, so each
+    slice is contiguous, the slices before theta are never written, and a
+    whole-lattice `reshape` copies.
     """
 
     theta_index: int

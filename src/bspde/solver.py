@@ -78,6 +78,11 @@ class SolutionLattice:
     V and Vbar hold the order-zero entry only; `stacks` derives orders 0..M.
     Reads between grid times follow the piecewise-constant convention: the
     lattice value at t in [t_{j-1}, t_j) is the slice stored at t_{j-1}.
+
+    Each array has the logical shape (S, n0+1) + grid + components, indexed
+    V[:, j] for the slice at grid time j, but is stored time-major: it is a
+    view of a (n0+1, S, ...) buffer (see `_allocate`), so every time slice is
+    one contiguous block, and a whole-lattice `reshape` copies.
     """
 
     spec: ProblemSpec
@@ -182,8 +187,12 @@ def terminal_stage(
 
 
 def _allocate(n0: int, arr: np.ndarray) -> np.ndarray:
-    """A zeroed (S, n0+1) + slice-shape lattice for a (S,) + slice-shape field."""
-    return np.zeros((arr.shape[0], n0 + 1) + arr.shape[1:])
+    """A zeroed lattice for a (S,) + slice-shape field: logical shape
+    (S, n0+1) + slice shape, stored time-major as a view of a (n0+1, S) +
+    slice-shape buffer.  Each time slice is contiguous, slices never written
+    are never touched, and a whole-lattice `reshape` copies.
+    """
+    return np.moveaxis(np.zeros((n0 + 1,) + arr.shape), 0, 1)
 
 
 def _march(partition: Partition, stop: int, terminal, step):
@@ -379,7 +388,8 @@ def export_lattice_csv(lattice: SolutionLattice, v_path, vbar_path) -> None:
 
 def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comps) -> None:
     """One family's CSV: for each stack entry, one write per sample, whose rows
-    run over time, grid point and component in that order.
+    run over time, grid point and component in that order.  Values are read
+    one sample at a time, so the time-major lattice is never copied whole.
     """
     part = lattice.partition
     times = [_format(t) for t in part.time_points]
@@ -396,8 +406,9 @@ def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comp
                 f",{j},{t},{xs},{c},{tag},{comp},"
                 for j, t in enumerate(times) for xs in coords for comp in comps
             ]
-            flat = stack[key].reshape(lattice.sample_count, -1)
+            entry = stack[key]
             for s in range(lattice.sample_count):
                 fh.write("".join(
-                    f"{s}{mid}{_format(v)}\n" for mid, v in zip(middles, flat[s].tolist())
+                    f"{s}{mid}{_format(v)}\n"
+                    for mid, v in zip(middles, entry[s].ravel().tolist())
                 ))

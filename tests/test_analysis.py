@@ -1,4 +1,6 @@
 
+import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -7,8 +9,10 @@ import pytest
 from bspde import (
     DivergenceError,
     InvalidPartitionError,
+    ProblemSpec,
     ReferenceRequiredError,
     SolverConfig,
+    analysis,
     build_malliavin_lattices,
     build_malliavin_system,
     build_partition,
@@ -16,13 +20,16 @@ from bspde import (
     check_representation_identity,
     compare_algorithms,
     convergence_study,
+    difference_stack_arrays,
     discrete_error,
+    enumerate_multi_indices,
     increment_regularity,
     simulate_increments,
     solve_algorithm_one,
+    solve_algorithm_two,
     solve_malliavin_system,
 )
-from bspde.analysis import fit_loglog
+from bspde.analysis import ErrorReport, fit_loglog
 
 
 def ladder(edge=0.03, count=1, levels=(4, 8, 16, 32)):
@@ -127,6 +134,198 @@ def test_fine_time_lattice_as_reference():
     assert report.total == 0.0  # scheme exact on this fixture at any grid
 
 
+def _discrete_error_oracle(lattice, reference, M=None):
+    """The criterion as a loop over read points (all "at t_j", then all "just
+    before t_j"), each reference slice built afresh; a strictly larger mean
+    replaces the kept term, so the first worst read point wins."""
+    M = lattice.M if M is None else M
+    part, p, S = lattice.partition, lattice.spec.p, lattice.sample_count
+    n0 = part.n0
+    lit = lattice.config.paper_literal_stencil
+
+    def restencil(arr, M_ref):
+        return difference_stack_arrays(arr, M_ref, part, batch_ndim=1, paper_literal=lit)
+
+    if isinstance(reference, ProblemSpec):
+        spec = reference
+
+        def ref_slices(j, left):
+            w = lattice.paths.W[:, j, :].reshape(S, *([1] * p), spec.d)
+            V, Vbar = spec.analytic_reference(float(part.time_points[j]), part.points, w)
+            shape = (S,) + part.grid_shape + (spec.q,)
+            V = np.broadcast_to(np.asarray(V, dtype=float), shape).copy()
+            Vbar = np.broadcast_to(np.asarray(Vbar, dtype=float), shape + (spec.d,)).copy()
+            return restencil(V, lattice.M), restencil(Vbar, lattice.M)
+    else:
+        ref_times = list(reference.partition.time_points)
+
+        def ref_slices(j, left):
+            i = int(np.argmin(np.abs(np.array(ref_times) - part.time_points[j]))) - left
+            return reference.stacks(reference.V, i), reference.stacks(reference.Vbar, i)
+
+    def deviation(lat_sl, ref_sl, c):
+        worst = None
+        for idx in enumerate_multi_indices(c, p).indices:
+            diff = np.abs(ref_sl[(c, idx)] - lat_sl[(c, idx)])
+            while diff.ndim > 1 + p:
+                diff = diff.max(axis=-1)
+            worst = diff if worst is None else np.maximum(worst, diff)
+        return worst**2
+
+    reads = [(j, False, j) for j in range(n0)] + [(j, True, j - 1) for j in range(1, n0 + 1)]
+    best = {(fam, c): (-1.0, None) for fam in ("V", "Vbar") for c in range(M + 1)}
+    for j, left, j_st in reads:
+        refV, refVbar = ref_slices(j, left)
+        latV, latVbar = lattice.stacks(lattice.V, j_st), lattice.stacks(lattice.Vbar, j_st)
+        for fam, ref_sl, lat_sl in (("V", refV, latV), ("Vbar", refVbar, latVbar)):
+            for c in range(M + 1):
+                sq = deviation(lat_sl, ref_sl, c)
+                mean = sq.mean(axis=0)
+                worst_x = float(mean.max())
+                if worst_x > best[fam, c][0]:
+                    gx = int(np.argmax(mean.reshape(-1)))
+                    flat = sq.reshape(S, -1)
+                    se = float(flat[:, gx].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
+                    best[fam, c] = (worst_x, se)
+    orders = range(M + 1)
+    return ErrorReport(
+        err_V_sq={c: best["V", c][0] for c in orders},
+        err_Vbar_sq={c: best["Vbar", c][0] for c in orders},
+        stderr_V={c: best["V", c][1] for c in orders},
+        stderr_Vbar={c: best["Vbar", c][1] for c in orders},
+        mesh_size=part.mesh_size,
+        samples=S,
+    )
+
+
+def _p2q2d2_spec():
+    def driver(t, x, v, vbar):
+        return 0.5 * v[(0, (0, 0))] + 0.1 * vbar[(0, (0, 0))][..., 1]
+
+    def diffusion(t, x, v):
+        return 0.2 * v[(0, (0, 0))][..., None] * np.array([1.0, -0.5])
+
+    def terminal(x, w):
+        a = np.sin(x[..., 0]) * w[..., 0] + x[..., 1] ** 2 * w[..., 1]
+        b = np.cos(x[..., 1]) * (1.0 + x[..., 0] * w[..., 0])
+        return np.stack([a, b], axis=-1)
+
+    def reference(t, x, w):
+        # not the solution: any smooth field of (t, x, W) exercises the criterion
+        V = terminal(x, w) * np.exp(1.0 - t)
+        Vbar = V[..., None] * np.array([0.3, -0.7]) + t * x[..., :1, None]
+        return V, Vbar
+
+    return ProblemSpec(
+        name="p2q2d2", p=2, q=2, d=2, k=0, m=0, n=0,
+        driver=driver, diffusion=diffusion, terminal=terminal, analytic_reference=reference,
+    )
+
+
+def _oracle_cases():
+    lin = lin_spec()
+    part = build_partition(1.0, 8, [0.5], [2])
+    cfg = SolverConfig(samples=300, seed=21, M=2)
+    paths = simulate_increments(part, 1, 300, seed=21)
+    one = solve_algorithm_one(lin, part, cfg, paths)
+    two = solve_algorithm_two(lin, part, replace(cfg, algorithm="two"), paths)
+    fine = solve_algorithm_one(lin, build_partition(1.0, 32, [0.5], [2]), cfg)
+    p2 = build_partition(1.0, 4, [1.0, 0.5], [2, 2])
+    spec2 = _p2q2d2_spec()
+    lat2 = solve_algorithm_one(spec2, p2, SolverConfig(samples=40, seed=22, M=2))
+    zero = builtin_problem("zero", {"value": 3.0, "slope": 1.0})
+    mart = builtin_problem("martingale")
+    tie = build_partition(1.0, 4, [1.0], [2])
+    return {
+        "linear_scalar_analytic": (one, lin),
+        "linear_scalar_analytic_order_0": (one, lin, 0),
+        "one_against_two": (one, two),
+        "coarse_against_fine": (one, fine),
+        "p2q2d2_M2_analytic": (lat2, spec2),
+        "zero_ties": (solve_algorithm_one(zero, tie, SolverConfig(samples=30, seed=23)), zero),
+        "martingale_ties": (solve_algorithm_one(mart, tie, SolverConfig(samples=30, seed=24)), mart),
+    }
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    return _oracle_cases()
+
+
+@pytest.mark.parametrize("chunk_entries", [1, 7 * 4 * 3, None])
+@pytest.mark.parametrize("case", [
+    "linear_scalar_analytic", "linear_scalar_analytic_order_0", "one_against_two",
+    "coarse_against_fine", "p2q2d2_M2_analytic", "zero_ties", "martingale_ties",
+])
+def test_discrete_error_matches_read_point_loop(oracle_cases, case, chunk_entries, monkeypatch):
+    # chunk_entries 1 reduces one sample per chunk; the middle value takes
+    # 7 samples per chunk where a grid time has 4 terms on 3 points (the
+    # order-0 case), leaving a partial last chunk; None keeps the default size
+    if chunk_entries is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", chunk_entries)
+    lattice, reference, *M = oracle_cases[case]
+    got = discrete_error(lattice, reference, *M)
+    want = _discrete_error_oracle(lattice, reference, *M)
+    for name in ("err_V_sq", "err_Vbar_sq", "stderr_V", "stderr_Vbar", "mesh_size", "samples"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def test_tied_read_points_keep_the_first_in_read_order():
+    # a zero-problem lattice with crafted V slices, per sample: (3, 4, 3, 4)
+    # at both grid points at t = 0, and (5, 0, 5, 0) at the first point,
+    # (3, 4, 3, 4) at the second at t = 1/2; references 3.5, 0 and 4.5 at
+    # t = 0, 1/2, 1.  "at t_1" (read point 1) and "just before t_1" (read
+    # point 2, reached first in the pass) tie at 12.5, and so do the two grid
+    # points of "at t_1", each with a different spread: the report must take
+    # the spread of "at t_1" at the first grid point
+    spec = builtin_problem("zero", {"value": 0.0})
+    lat = solve_algorithm_one(spec, build_partition(1.0, 2, [1.0], [1]), SolverConfig(samples=4))
+    lat.V[(0, (0,))][:, 0] = np.array([3.0, 4.0, 3.0, 4.0])[:, None, None]
+    lat.V[(0, (0,))][:, 1] = np.array([[5.0, 3.0], [0.0, 4.0], [5.0, 3.0], [0.0, 4.0]])[..., None]
+    levels = {0.0: 3.5, 0.5: 0.0, 1.0: 4.5}
+
+    def reference(t, x, w):
+        V = np.full(np.broadcast_shapes(x[..., 0:1].shape, w[..., 0:1].shape), levels[t])
+        return V, np.zeros(V.shape + (1,))
+
+    spec = replace(spec, analytic_reference=reference)
+    report = discrete_error(lat, spec)
+    assert report.err_V_sq[0] == 12.5
+    # std(25, 0, 25, 0) / 2, not std(9, 16, 9, 16) / 2 = 2.02
+    assert report.stderr_V[0] == pytest.approx(7.2168783648703)
+    assert report == _discrete_error_oracle(lat, spec)
+
+
+def test_analytic_reference_evaluated_once_per_grid_time():
+    calls = []
+    spec = lin_spec()
+    reference = spec.analytic_reference
+
+    def counting(t, x, w):
+        calls.append(t)
+        return reference(t, x, w)
+
+    spec = replace(spec, analytic_reference=counting)
+    part = build_partition(1.0, 8, [0.5], [1])
+    lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=25, M=1))
+    discrete_error(lat, spec)
+    assert sorted(calls) == list(part.time_points)  # n0 + 1 calls, one per grid time
+
+
+def test_reference_lattice_slices_derived_once():
+    spec = lin_spec()
+    part = build_partition(1.0, 8, [0.5], [1])
+    cfg = SolverConfig(samples=100, seed=26)
+    lat = solve_algorithm_one(spec, part, cfg)
+    ref = solve_algorithm_one(spec, part, cfg)
+    read = []
+    derive = ref.stacks
+    ref.stacks = lambda family, j=None: read.append(j) or derive(family, j)
+    discrete_error(lat, ref)
+    # slices 0..n0-1 serve both "at t_j" and, one step later, "just before t_{j+1}"
+    assert sorted(read) == sorted(list(range(part.n0)) * 2)
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 # ---------------------------------------------------------------------------
@@ -167,6 +366,22 @@ def test_convergence_validation():
     with pytest.raises(ReferenceRequiredError):
         convergence_study(replace(no_ref, analytic_reference=None), ladder(),
                           SolverConfig(samples=100))
+
+
+def test_convergence_study_frees_each_level_before_the_next_solve(monkeypatch):
+    alive_at_start = []
+    held = []
+    solve = analysis.solve
+
+    def tracking(*args, **kwargs):
+        alive_at_start.append([r() is not None for r in held])
+        lattice = solve(*args, **kwargs)
+        held.append(weakref.ref(lattice))
+        return lattice
+
+    monkeypatch.setattr(analysis, "solve", tracking)
+    convergence_study(lin_spec(), ladder(levels=(2, 4, 8)), SolverConfig(samples=200, seed=27))
+    assert alive_at_start == [[], [False], [False, False]]
 
 
 def test_compare_algorithms_zero_discrepancy_on_exact_fixture():

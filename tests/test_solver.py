@@ -151,6 +151,20 @@ def test_lattices_store_order_zero_only():
 
 
 @pytest.mark.parametrize("algorithm", ["one", "two"])
+def test_every_time_slice_is_contiguous(algorithm):
+    spec = builtin_problem("linear_scalar")
+    part = small_partition(n0=4)
+    lat = solve(spec, part, SolverConfig(algorithm=algorithm, samples=20, seed=2, M=1))
+    mall = build_malliavin_lattices(spec, lat, [2])[2]
+    families = [lat.V, lat.Vbar, mall.D_V, mall.D_Vbar]
+    shapes = [(20, 5, 3, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1, 1)]
+    for family, shape in zip(families, shapes):
+        (arr,) = family.values()
+        assert arr.shape == shape  # the logical (S, n0+1, ...) layout is kept
+        assert all(arr[:, j].flags.c_contiguous for j in range(part.n0 + 1))
+
+
+@pytest.mark.parametrize("algorithm", ["one", "two"])
 def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
     built = []
     design_matrix = stochastics._design_matrix
