@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Golden CLI outputs, for checking that a change keeps every CSV
-byte-identical, or within a stated relative tolerance.
+byte-identical, or within a stated tolerance.
 
-    PYTHONPATH=src python3 scripts/golden.py save DIR               # record
-    PYTHONPATH=src python3 scripts/golden.py check DIR              # bit-exact
-    PYTHONPATH=src python3 scripts/golden.py compare DIR --rtol R   # tolerance
+    PYTHONPATH=src python3 scripts/golden.py save DIR                         # record
+    PYTHONPATH=src python3 scripts/golden.py check DIR                        # bit-exact
+    PYTHONPATH=src python3 scripts/golden.py compare DIR --rtol R [--atol A]  # tolerance
 
 The runs are the shipped configs in scripts/configs/*.json and the four
 perfbench workload configs at seed 42.  `save` writes DIR/golden.json, which
@@ -12,9 +12,11 @@ maps "<run>/<file>.csv" to the sha256 of that file, and keeps the CSVs
 themselves under DIR/csv/.  `check` repeats the runs in a temporary directory
 and exits 1 if any CSV is missing, new or different.  `compare` repeats them
 and prints, per file, the largest relative difference |a - b| / max(|a|, |b|)
-over the numeric cells (0 where a == b); it exits 1 if a file is missing or
-new, if its header, row count or a non-numeric cell differs, or if its largest
-relative difference exceeds R.
+and the largest absolute difference |a - b| over the numeric cells (0 where
+a == b).  A cell passes when |a - b| <= A + R * max(|a|, |b|); the floor A
+(default 0) lets cells that are pure roundoff around zero pass.  `compare`
+exits 1 if a file is missing or new, if its header, row count or a
+non-numeric cell differs, or if any of its cells does not pass.
 """
 
 import argparse
@@ -83,35 +85,48 @@ def run_all(workdir: str) -> dict:
     return out
 
 
-def _cell_difference(a: str, b: str) -> float:
-    """Relative difference of two numeric cells; ValueError if either is not
-    numeric and they differ."""
+def _cell_difference(a: str, b: str) -> tuple[float, float]:
+    """|a - b| and max(|a|, |b|) of two numeric cells: (0, 0) when they are
+    equal, (inf, inf) when the difference is not finite.  ValueError if either
+    is not numeric and they differ."""
     if a == b:
-        return 0.0
+        return 0.0, 0.0
     x, y = float(a), float(b)
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    rel = abs(x - y) / max(abs(x), abs(y))
-    return rel if math.isfinite(rel) else math.inf
+        return 0.0, 0.0
+    diff = abs(x - y)
+    if not math.isfinite(diff):
+        return math.inf, math.inf
+    return diff, max(abs(x), abs(y))
 
 
-def max_relative_difference(got: str, want: str) -> float:
-    """Largest relative difference over the cells of two CSVs of one layout."""
+def file_differences(got: str, want: str, rtol: float = 0.0, atol: float = 0.0):
+    """(largest relative, largest absolute difference, cells over tolerance)
+    over the cells of two CSVs of one layout; ValueError if the layouts differ.
+    """
+    worst_rel = worst_abs = 0.0
+    over = 0
     with open(got, newline="") as fg, open(want, newline="") as fw:
         got_rows, want_rows = csv.reader(fg), csv.reader(fw)
         if next(got_rows, None) != next(want_rows, None):
             raise ValueError("header differs")
-        worst = 0.0
         for n, (g, w) in enumerate(itertools.zip_longest(got_rows, want_rows), start=2):
             if g is None or w is None:
                 raise ValueError("row count differs")
             if len(g) != len(w):
                 raise ValueError(f"row {n} has {len(g)} cells, expected {len(w)}")
             try:
-                worst = max([worst] + [_cell_difference(a, b) for a, b in zip(g, w)])
+                cells = [_cell_difference(a, b) for a, b in zip(g, w)]
             except ValueError:
                 raise ValueError(f"row {n}: a non-numeric cell differs") from None
-    return worst
+            for diff, scale in cells:
+                if diff == 0.0:
+                    continue
+                worst_abs = max(worst_abs, diff)
+                worst_rel = max(worst_rel, diff / scale if math.isfinite(diff) else math.inf)
+                if not (math.isfinite(diff) and diff <= atol + rtol * scale):
+                    over += 1
+    return worst_rel, worst_abs, over
 
 
 def _check(want: dict, got: dict) -> int:
@@ -132,8 +147,9 @@ def _check(want: dict, got: dict) -> int:
     return 1 if bad else 0
 
 
-def _compare(golden_dir: str, got: dict, rtol: float) -> int:
-    """Tolerance comparison; prints every CSV's largest relative difference."""
+def _compare(golden_dir: str, got: dict, rtol: float, atol: float) -> int:
+    """Tolerance comparison; prints every CSV's largest relative and absolute
+    difference and the number of its cells over the tolerance."""
     want = {
         os.path.relpath(path, golden_dir): path
         for path in glob.glob(os.path.join(golden_dir, "*", "*.csv"))
@@ -146,16 +162,18 @@ def _compare(golden_dir: str, got: dict, rtol: float) -> int:
             print(f"new      {key}")
         else:
             try:
-                rel = max_relative_difference(got[key], want[key])
+                rel, diff, over = file_differences(got[key], want[key], rtol, atol)
             except ValueError as exc:
                 print(f"layout   {key}: {exc}")
             else:
-                verdict = "ok" if rel <= rtol else "over"
-                print(f"{verdict:8} {key}: max relative difference {rel:.3e}")
-                if rel <= rtol:
+                print(f"{'over' if over else 'ok':8} {key}: max relative difference "
+                      f"{rel:.3e}, max absolute difference {diff:.3e}"
+                      + (f", {over} cells over" if over else ""))
+                if not over:
                     continue
         bad += 1
-    print(f"{len(want.keys() | got.keys()) - bad} within rtol {rtol:g}, {bad} not")
+    total = len(want.keys() | got.keys())
+    print(f"{total - bad} within rtol {rtol:g} atol {atol:g}, {bad} not")
     return 1 if bad else 0
 
 
@@ -167,7 +185,11 @@ def main(argv=None) -> int:
     parser.add_argument("dir", help="directory holding golden.json and csv/")
     parser.add_argument(
         "--rtol", type=float, default=0.0,
-        help="compare: largest relative difference accepted per file (default 0)",
+        help="compare: relative tolerance R per cell (default 0)",
+    )
+    parser.add_argument(
+        "--atol", type=float, default=0.0,
+        help="compare: absolute floor A per cell, |a-b| <= A + R*max(|a|,|b|) (default 0)",
     )
     args = parser.parse_args(argv)
     record = os.path.join(args.dir, "golden.json")
@@ -175,7 +197,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as workdir:
         got = run_all(workdir)
         if args.action == "compare":
-            return _compare(csv_dir, got, args.rtol)
+            return _compare(csv_dir, got, args.rtol, args.atol)
         digests = {key: _sha256(path) for key, path in got.items()}
         if args.action == "check":
             with open(record) as fh:

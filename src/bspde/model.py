@@ -205,9 +205,9 @@ def _martingale_problem(params: dict) -> ProblemSpec:
         return x[..., 0:1] * w[..., 0:1]
 
     def reference(t, x, w):
-        V = x[..., 0:1] * w[..., 0:1]
-        Vbar = np.broadcast_to(x[..., 0:1, None], V.shape + (1,)).copy()
-        return V, Vbar
+        # grid axis innermost; Vbar is a read-only broadcast
+        V = (x[..., 0] * w[..., 0])[..., None]
+        return V, np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
     def terminal_grad(x, w):
         V = x[..., 0:1] * w[..., 0:1]
@@ -238,9 +238,9 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
 
     def reference(t, x, w):
         scale = math.exp(T - t) if np.isscalar(t) else np.exp(T - t)
-        V = scale * x[..., 0:1] * w[..., 0:1]
-        Vbar = np.broadcast_to(scale * x[..., 0:1, None], V.shape + (1,)).copy()
-        return V, Vbar
+        # grid axis innermost; Vbar is a read-only broadcast
+        V = (scale * x[..., 0] * w[..., 0])[..., None]
+        return V, np.broadcast_to(scale * x[..., 0:1, None], V.shape + (1,))
 
     def terminal_grad(x, w):
         V = x[..., 0:1] * w[..., 0:1]

@@ -140,8 +140,27 @@ def monomial_exponents(degree: int, d: int) -> np.ndarray:
 
 
 def _design_matrix(states: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    # states (S, d), exponents (B, d) -> (S, B)
-    return np.prod(states[:, None, :] ** exponents[None, :, :], axis=2)
+    """Monomial basis (S, B) of states (S, d), column b = prod_i x_i^exponents[b, i].
+
+    Multiplications only: each component's powers x^k = x^(k-1) * x go into
+    contiguous rows of a (d, degree, S) table, and each column multiplies its
+    nonzero-exponent powers in component order.  Columns of total degree 0
+    and 1 are exactly 1 and x; higher powers differ from `states ** exponents`
+    (libm pow) by a few ulp.  The result is column-major.
+    """
+    degree = int(exponents.max(initial=0))
+    powers = np.empty((states.shape[1], degree, states.shape[0]))
+    if degree:
+        powers[:, 0] = states.T
+    for k in range(1, degree):
+        np.multiply(powers[:, k - 1], powers[:, 0], out=powers[:, k])
+    out = np.empty((exponents.shape[0], states.shape[0]))
+    for column, row in zip(out, exponents):
+        factors = [powers[i, e - 1] for i, e in enumerate(row) if e]
+        column[:] = factors[0] if factors else 1.0
+        for factor in factors[1:]:
+            column *= factor
+    return out.T
 
 
 def _gaussian_moment(k: int, var: float) -> float:

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,32 @@ def test_reference_terminal_consistency():
         V, Vbar = spec.analytic_reference(1.0, part.points, w)
         H = spec.terminal(part.points, w)
         assert np.max(np.abs(V - H)) < 1e-12, name
+
+
+def _copying_reference(name, T, t, x, w):
+    # the formulas that copied a broadcast Vbar, kept as the oracle
+    if name == "martingale":
+        V = x[..., 0:1] * w[..., 0:1]
+        Vbar = np.broadcast_to(x[..., 0:1, None], V.shape + (1,)).copy()
+    else:
+        scale = math.exp(T - t)
+        V = scale * x[..., 0:1] * w[..., 0:1]
+        Vbar = np.broadcast_to(scale * x[..., 0:1, None], V.shape + (1,)).copy()
+    return V, Vbar
+
+
+@pytest.mark.parametrize("name", ["martingale", "linear_scalar"])
+@pytest.mark.parametrize("edges,counts", [([1.0], [4]), ([1.0, 2.0], [3, 2])])
+def test_reference_matches_copying_formula_bitwise(name, edges, counts):
+    T = 1.5
+    spec = builtin_problem(name, {} if name == "martingale" else {"terminal_time": T})
+    part = build_partition(T, 4, edges, counts)
+    w = np.random.default_rng(9).normal(size=(50,) + (1,) * part.p + (1,))
+    for t in part.time_points:
+        V, Vbar = spec.analytic_reference(float(t), part.points, w)
+        want_V, want_Vbar = _copying_reference(name, T, float(t), part.points, w)
+        assert V.shape == want_V.shape and Vbar.shape == want_Vbar.shape
+        assert np.array_equal(V, want_V) and np.array_equal(Vbar, want_Vbar)
 
 
 def test_evaluate_driver_examples():

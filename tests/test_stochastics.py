@@ -14,7 +14,7 @@ from bspde import (
     permute_future_increments,
     simulate_increments,
 )
-from bspde.stochastics import ConditionalEstimator, _design_matrix
+from bspde.stochastics import ConditionalEstimator, _design_matrix, monomial_exponents
 
 
 def one_step_partition(T=1.0):
@@ -299,6 +299,37 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
     assert not phi.flags.writeable
     with pytest.raises(ValueError):
         phi[0, 0] = 1.0
+
+
+def _pow_design_matrix(states, exponents):
+    # the libm-pow build that the multiplication-only build replaced
+    return np.prod(states[:, None, :] ** exponents[None, :, :], axis=2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 3, 5])
+def test_design_matrix_matches_pow_build(d, degree):
+    paths = simulate_increments(build_partition(1.0, 4, [1.0], [1]), d, 2000, seed=23)
+    states = paths.W[:, 3, :]  # a strided view, as the estimator passes it
+    assert not states.flags.c_contiguous
+    exps = monomial_exponents(degree, d)
+    phi = _design_matrix(states, exps)
+    oracle = _pow_design_matrix(states, exps)
+    assert phi.shape == oracle.shape == (2000, math.comb(degree + d, d))
+    for b, row in enumerate(exps):
+        if row.sum() == 0:
+            assert np.array_equal(phi[:, b], np.ones(2000))
+        elif row.sum() == 1:
+            assert np.array_equal(phi[:, b], states[:, np.argmax(row)])
+    # column b is the monomial of row b, within a few ulp of pow
+    assert np.all(np.abs(phi - oracle) <= 1e-14 * np.abs(oracle))
+
+
+def test_design_matrix_degree_zero_and_zero_states():
+    states = np.zeros((5, 2))
+    assert np.array_equal(_design_matrix(states, monomial_exponents(0, 2)), np.ones((5, 1)))
+    phi = _design_matrix(states, monomial_exponents(2, 2))
+    assert np.array_equal(phi, _pow_design_matrix(states, monomial_exponents(2, 2)))
 
 
 def test_column_equal_in_first_rows_is_still_fitted():
