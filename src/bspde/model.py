@@ -210,8 +210,9 @@ def _martingale_problem(params: dict) -> ProblemSpec:
         return V, np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
     def terminal_grad(x, w):
+        # a read-only broadcast; its consumers copy it into their own arrays
         V = x[..., 0:1] * w[..., 0:1]
-        return np.broadcast_to(x[..., 0:1, None], V.shape + (1,)).copy()
+        return np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
     return ProblemSpec(
         name="martingale",
@@ -243,8 +244,9 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
         return V, np.broadcast_to(scale * x[..., 0:1, None], V.shape + (1,))
 
     def terminal_grad(x, w):
+        # a read-only broadcast; its consumers copy it into their own arrays
         V = x[..., 0:1] * w[..., 0:1]
-        return np.broadcast_to(x[..., 0:1, None], V.shape + (1,)).copy()
+        return np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
     def jac_driver(t, x, v, vbar):
         jv = {key: (np.ones if key == (0, (0,)) else np.zeros)(arr.shape + (1,)) for key, arr in v.items()}

@@ -212,10 +212,12 @@ class ConditionalEstimator:
                                       one trailing axis per component i.
 
     Targets carry a leading sample axis; arbitrary trailing axes are treated
-    as independent regression columns.  The polynomial basis at W(t_j) is
-    built once per time index and shared by every fit and apply that reads
-    it: a backward step from t_j0 reads indices j0 and j0-1, and the next
-    step reads j0-1 again, so only the two most recently used are held.
+    as independent regression columns.  A backward step from t_j0 fits at
+    index j0 and applies at j0-1, and the next step fits at j0-1.  The
+    estimator holds one slot for a polynomial basis and one for the thin QR
+    factor Q R of the analytic kind's fit basis; factoring index j empties
+    the basis slot, because no later step applies there.  Each index's basis
+    is built once per backward march, and its factor once per fit index.
     """
 
     def __init__(
@@ -229,20 +231,27 @@ class ConditionalEstimator:
         self.exponents = monomial_exponents(spec.degree, paths.d)
         self.records: list[CoefficientRecord] = [] if record_coefficients else None
         self._transfer_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._bases: dict[int, np.ndarray] = {}
+        self._basis_slot: tuple[int | None, np.ndarray | None] = (None, None)
+        self._factor_slot: tuple[int | None, tuple[np.ndarray, np.ndarray] | None] = (None, None)
 
     # -- shared helpers -----------------------------------------------------
 
     def _basis(self, j: int) -> np.ndarray:
-        """Read-only design matrix at W(t_j), least recently used evicted first."""
-        phi = self._bases.pop(j, None)
-        if phi is None:
+        """Read-only design matrix at W(t_j); replaces the one held before."""
+        if self._basis_slot[0] != j:
+            self._basis_slot = (None, None)  # free the old basis before building
             phi = _design_matrix(self.paths.W[:, j, :], self.exponents)
             phi.setflags(write=False)
-            if len(self._bases) == 2:
-                del self._bases[next(iter(self._bases))]
-        self._bases[j] = phi
-        return phi
+            self._basis_slot = (j, phi)
+        return self._basis_slot[1]
+
+    def _factor(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """Thin QR factor of the design matrix at W(t_j), which it replaces."""
+        if self._factor_slot[0] != j:
+            self._factor_slot = (None, None)  # free the old factor before factoring
+            self._factor_slot = (j, np.linalg.qr(self._basis(j)))
+            self._basis_slot = (None, None)
+        return self._factor_slot[1]
 
     @staticmethod
     def _split(targets) -> tuple[np.ndarray, np.ndarray, slice | np.ndarray]:
@@ -286,8 +295,15 @@ class ConditionalEstimator:
         return self._transfer_cache[key]
 
     def _analytic_fit(self, flat: np.ndarray, j0: int) -> np.ndarray:
-        """Least-squares polynomial fit of the targets in W(t_j0)."""
-        coef, *_ = np.linalg.lstsq(self._basis(j0), flat, rcond=None)
+        """Least-squares polynomial fit of the targets in W(t_j0).
+
+        With Phi = Q R and Q orthonormal, R has Phi's singular values, so the
+        cutoff eps * max(S, B) of lstsq(Phi, flat) gives the same rank and the
+        same minimum-norm solution from the B x B problem R c = Q^T flat.
+        """
+        q, r = self._factor(j0)
+        rcond = np.finfo(float).eps * max(q.shape[0], r.shape[1])
+        coef, *_ = np.linalg.lstsq(r, q.T @ flat, rcond=rcond)
         return coef
 
     def cond_mean(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:

@@ -483,6 +483,20 @@ def test_malliavin_non_finite_terminal_gradient_raises():
         solve_malliavin_system(replace(system, terminal=terminal), base)
 
 
+@pytest.mark.parametrize("name", ["martingale", "linear_scalar"])
+def test_terminal_gradient_is_a_writeable_owned_array(name):
+    # the problem hands out a read-only broadcast; the Malliavin terminal
+    # condition must still be an array of its own
+    spec = builtin_problem(name)
+    part = build_partition(1.0, 4, [0.5], [1])
+    base = solve_algorithm_one(spec, part, SolverConfig(samples=30, seed=22))
+    assert not spec.terminal_w_gradient(part.points, base.paths.W[:, -1, None, :]).flags.writeable
+    grad = analysis._terminal_gradient(spec, base)
+    assert grad.shape == (30,) + part.grid_shape + (1, 1)
+    assert grad.flags.writeable and grad.flags.owndata
+    assert np.array_equal(grad[..., 0, 0], np.broadcast_to(part.points[..., 0], (30,) + part.grid_shape))
+
+
 def test_malliavin_theta_validation():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [0.5], [1])

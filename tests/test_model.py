@@ -1,5 +1,6 @@
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -82,6 +83,23 @@ def test_reference_matches_copying_formula_bitwise(name, edges, counts):
         want_V, want_Vbar = _copying_reference(name, T, float(t), part.points, w)
         assert V.shape == want_V.shape and Vbar.shape == want_Vbar.shape
         assert np.array_equal(V, want_V) and np.array_equal(Vbar, want_Vbar)
+
+
+@pytest.mark.parametrize("name", ["martingale", "linear_scalar"])
+@pytest.mark.parametrize("edges,counts", [([1.0], [4]), ([1.0, 2.0], [3, 2])])
+def test_terminal_gradient_matches_copying_formula_bitwise(name, edges, counts):
+    # the gradient is a read-only broadcast; the copying formula is the oracle
+    spec = builtin_problem(name)
+    part = build_partition(1.0, 4, edges, counts)
+    x = part.points
+    w = np.random.default_rng(11).normal(size=(50,) + (1,) * part.p + (1,))
+    want = np.broadcast_to(x[..., 0:1, None], (x[..., 0:1] * w[..., 0:1]).shape + (1,)).copy()
+    got = spec.terminal_w_gradient(x, w)
+    assert got.shape == want.shape and np.array_equal(got, want)
+    # the clock-augmented gradient concatenates into a fresh array
+    clocked = time_homogenize(replace(spec, terminal_time=1.0)).terminal_w_gradient(x, w)
+    assert clocked.flags.writeable
+    assert np.array_equal(clocked[..., 1:, :], want) and not clocked[..., 0, :].any()
 
 
 def test_evaluate_driver_examples():

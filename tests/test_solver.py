@@ -3,6 +3,7 @@ import pytest
 
 from bspde import (
     DivergenceError,
+    EstimatorSpec,
     FixedPointDivergenceError,
     InvalidPartitionError,
     ProblemSpec,
@@ -177,6 +178,28 @@ def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
     part = small_partition(n0=8)
     solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
     assert len(built) == part.n0 + 1
+
+
+@pytest.mark.parametrize("algorithm,fits_per_step", [("one", 3), ("two", 2)])
+def test_one_factor_per_fit_index_and_one_small_lstsq_per_fit(monkeypatch, algorithm, fits_per_step):
+    qr_inputs, lstsq_inputs = [], []
+    qr, lstsq = np.linalg.qr, np.linalg.lstsq
+
+    def counting_qr(a, *args, **kwargs):
+        qr_inputs.append(a.shape)
+        return qr(a, *args, **kwargs)
+
+    def counting_lstsq(a, b, *args, **kwargs):
+        lstsq_inputs.append(a.shape)
+        return lstsq(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
+    part = small_partition(n0=8)
+    solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
+    B = EstimatorSpec().basis_size(1)
+    assert qr_inputs == [(200, B)] * part.n0
+    assert lstsq_inputs == [(B, B)] * (fits_per_step * part.n0)
 
 
 def test_deterministic_problems_have_zero_sample_spread():

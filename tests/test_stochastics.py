@@ -14,7 +14,13 @@ from bspde import (
     permute_future_increments,
     simulate_increments,
 )
-from bspde.stochastics import ConditionalEstimator, _design_matrix, monomial_exponents
+from bspde.stochastics import (
+    BrownianPaths,
+    ConditionalEstimator,
+    _design_matrix,
+    _transfer_matrix,
+    monomial_exponents,
+)
 
 
 def one_step_partition(T=1.0):
@@ -290,9 +296,11 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
             got = getattr(shared, method)(target, j0)
             assert np.array_equal(got, getattr(fresh, method)(target, j0))
             fresh_records += fresh.records
-            for j, phi in shared._bases.items():
-                assert np.array_equal(phi, _design_matrix(paths.W[:, j, :], shared.exponents))
-        assert len(shared._bases) <= 2
+            j, phi = shared._basis_slot
+            assert np.array_equal(phi, _design_matrix(paths.W[:, j, :], shared.exponents))
+        # the apply index is held; the analytic kind holds its fit index's factor
+        assert shared._basis_slot[0] == j0 - 1 or (kind, j0) == ("regression", 1)
+        assert shared._factor_slot[0] == (j0 if kind == "analytic" else None)
     assert shared.records == fresh_records
     # the shared basis is read-only
     phi = shared._basis(1)
@@ -341,10 +349,63 @@ def test_column_equal_in_first_rows_is_still_fitted():
     target = paths.W[:, 2, 0] ** 2
     target[1] = target[0]
     got = est.cond_mean(np.stack([target, np.full_like(target, 2.0)], axis=1), 2)
-    coef = np.linalg.lstsq(_design_matrix(paths.W[:, 2, :], est.exponents), target[:, None], rcond=None)[0]
+    # the estimator's factored fit: lstsq on R of phi = Q R, with phi's cutoff
+    q, r = np.linalg.qr(_design_matrix(paths.W[:, 2, :], est.exponents))
+    coef = np.linalg.lstsq(r, q.T @ target[:, None], rcond=np.finfo(float).eps * 300)[0]
     expected = _design_matrix(paths.W[:, 1, :], est.exponents) @ (est._transfer(2, -1) @ coef)
     assert np.array_equal(got[:, 0], expected[:, 0])
     assert np.array_equal(got[:, 1], np.full_like(target, 2.0))
+
+
+def _targets(paths, j0, with_constant):
+    """(S, 3, 2) targets at W(t_j0): smooth, polynomial and, optionally,
+    constant columns, so both the unmasked and the masked path are taken."""
+    w = paths.W[:, j0, :]
+    s = w.sum(axis=1)
+    cols = [np.sin(s), s**2 - w[:, 0], np.exp(0.3 * w[:, -1]), w[:, 0] * s, np.cos(s), s + 1.0]
+    if with_constant:
+        cols[1] = np.full_like(s, 2.5)
+        cols[4] = np.zeros_like(s)
+    return np.stack(cols, axis=1).reshape(-1, 3, 2)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("with_constant", [False, True])
+def test_factored_fit_matches_full_lstsq(d, with_constant):
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, d, 3000, seed=29)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    targets = _targets(paths, 2, with_constant)
+    flat = targets.reshape(3000, -1)
+    phi = _design_matrix(paths.W[:, 2, :], est.exponents)
+    full = np.linalg.lstsq(phi, flat, rcond=None)[0]
+    coef = est._analytic_fit(flat, 2)
+    assert np.max(np.abs(coef - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
+    fitted = phi @ coef
+    assert np.max(np.abs(fitted - phi @ full)) <= 1e-12 * np.max(np.abs(flat))
+    # the conditional mean through the full fit, to the same tolerance
+    T = _transfer_matrix(est.exponents, 0.5, np.zeros(d, dtype=int))
+    want = (_design_matrix(paths.W[:, 1, :], est.exponents) @ (T @ full)).reshape(targets.shape)
+    assert np.max(np.abs(est.cond_mean(targets, 2) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_factored_fit_rank_deficient_gives_minimum_norm():
+    # states with two distinct values: the degree-3 basis has rank 2, and
+    # the fit must return lstsq's minimum-norm coefficients, not any solution
+    part = build_partition(1.0, 2, [1.0], [1])
+    S = 200
+    w = np.zeros((S, 3, 1))
+    w[:, 1, 0] = 0.4
+    w[:, 2, 0] = np.where(np.arange(S) % 2 == 0, -0.7, 1.3)
+    paths = BrownianPaths(partition=part, d=1, seed=0, increments=np.diff(w, axis=1), W=w)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
+    phi = _design_matrix(w[:, 2, :], est.exponents)
+    assert np.linalg.matrix_rank(phi) == 2
+    coef = est._analytic_fit(y, 2)
+    min_norm = np.linalg.pinv(phi) @ y
+    assert np.max(np.abs(coef - min_norm)) <= 1e-12 * np.max(np.abs(min_norm))
+    assert np.max(np.abs(coef - np.linalg.lstsq(phi, y, rcond=None)[0])) <= 1e-12 * np.max(np.abs(min_norm))
 
 
 @pytest.mark.parametrize("kind", ["analytic", "regression"])
