@@ -212,12 +212,15 @@ class ConditionalEstimator:
                                       one trailing axis per component i.
 
     Targets carry a leading sample axis; arbitrary trailing axes are treated
-    as independent regression columns.  A backward step from t_j0 fits at
-    index j0 and applies at j0-1, and the next step fits at j0-1.  The
-    estimator holds one slot for a polynomial basis and one for the thin QR
-    factor Q R of the analytic kind's fit basis; factoring index j empties
-    the basis slot, because no later step applies there.  Each index's basis
-    is built once per backward march, and its factor once per fit index.
+    as independent regression columns, all fitted and applied in one product.
+    A column constant over the samples is then overwritten with its exact
+    value (c, or 0 for the dW form) and records no coefficients.  A backward
+    step from t_j0 fits at index j0 and applies at j0-1, and the next step
+    fits at j0-1.  The estimator holds one slot for a polynomial basis and
+    one for the thin QR factor Q R of the analytic kind's fit basis;
+    factoring index j empties the basis slot, because no later step applies
+    there.  Each index's basis is built once per backward march, and its
+    factor once per fit index.
     """
 
     def __init__(
@@ -254,22 +257,20 @@ class ConditionalEstimator:
         return self._factor_slot[1]
 
     @staticmethod
-    def _split(targets) -> tuple[np.ndarray, np.ndarray, slice | np.ndarray]:
-        """Flattened targets, their constant-column mask, and a selector of the
-        varying columns: a plain slice when none is constant, so reads are
-        views and writes are unmasked."""
+    def _split(targets) -> tuple[np.ndarray, np.ndarray]:
+        """Flattened targets and the mask of their constant columns."""
         targets = np.asarray(targets, dtype=float)
         flat = targets.reshape(targets.shape[0], -1)
         # screen on the first two rows; only columns that pass are compared in full
         const = np.all(flat[:2] == flat[0:1], axis=0)
         if const.any():
             const[const] = np.all(flat[:, const] == flat[0:1, const], axis=0)
-        return flat, const, ~const if const.any() else slice(None)
+        return flat, const
 
     def _record(self, j0: int, op: str, coef: np.ndarray, const: np.ndarray, labels) -> None:
         if self.records is None:
             return
-        for c, col in enumerate(np.flatnonzero(~const)):
+        for col in np.flatnonzero(~const):
             label = labels[col] if labels is not None else str(col)
             for b, exps in enumerate(self.exponents):
                 self.records.append(
@@ -278,7 +279,7 @@ class ConditionalEstimator:
                         operation=op,
                         column=label,
                         exponents=tuple(int(e) for e in exps),
-                        value=float(coef[b, c]),
+                        value=float(coef[b, col]),
                     )
                 )
 
@@ -294,8 +295,8 @@ class ConditionalEstimator:
             self._transfer_cache[key] = _transfer_matrix(self.exponents, var, extra)
         return self._transfer_cache[key]
 
-    def _analytic_fit(self, flat: np.ndarray, j0: int) -> np.ndarray:
-        """Least-squares polynomial fit of the targets in W(t_j0).
+    def _analytic_fit(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
+        """Least-squares polynomial fit of the targets in W(t_j0), recorded as op.
 
         With Phi = Q R and Q orthonormal, R has Phi's singular values, so the
         cutoff eps * max(S, B) of lstsq(Phi, flat) gives the same rank and the
@@ -304,57 +305,55 @@ class ConditionalEstimator:
         q, r = self._factor(j0)
         rcond = np.finfo(float).eps * max(q.shape[0], r.shape[1])
         coef, *_ = np.linalg.lstsq(r, q.T @ flat, rcond=rcond)
+        self._record(j0, op, coef, const, labels)
         return coef
 
     def cond_mean(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
-        flat, const, varying = self._split(targets)
-        out = np.empty_like(flat)
-        # E[c | F] = c, exactly; keeps noise-free problems bit-deterministic
-        out[:, const] = flat[0:1, const]
+        flat, const = self._split(targets)
+        out = np.empty(flat.shape)
         if not const.all():
             if self.spec.kind == "analytic":
-                coef = self._analytic_fit(flat[:, varying], j0)
-                out[:, varying] = self._basis(j0 - 1) @ (self._transfer(j0, -1) @ coef)
-                self._record(j0, "mean", coef, const, labels)
+                coef = self._transfer(j0, -1) @ self._analytic_fit(flat, j0, "mean", const, labels)
             else:
-                out[:, varying] = self._regress(flat[:, varying], j0, "mean", const, labels)
+                coef = self._regress(flat, j0, "mean", const, labels)
+            np.matmul(self._basis(j0 - 1), coef, out=out)
+        # E[c | F] = c, exactly; keeps noise-free problems bit-deterministic
+        for col in np.flatnonzero(const):
+            out[:, col] = flat[0, col]
         return out.reshape(np.shape(targets))
 
     def cond_mean_times_dw(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
-        flat, const, varying = self._split(targets)
-        d = self.paths.d
-        out = np.empty(flat.shape + (d,))
-        out[:, const, :] = 0.0  # E[c * dW | F] = 0, exactly
+        flat, const = self._split(targets)
+        (S, G), d = flat.shape, self.paths.d
+        out = np.empty((S, G, d))
         if not const.all():
             if self.spec.kind == "analytic":
-                coef = self._analytic_fit(flat[:, varying], j0)
-                phi_prev = self._basis(j0 - 1)
-                for i in range(d):
-                    out[:, varying, i] = phi_prev @ (self._transfer(j0, i) @ coef)
-                self._record(j0, "dw", coef, const, labels)
+                coef = self._analytic_fit(flat, j0, "dw", const, labels)
+                coefs = [self._transfer(j0, i) @ coef for i in range(d)]
             else:
-                dw = self.paths.increments[:, j0 - 1, :]
-                for i in range(d):
-                    out[:, varying, i] = self._regress(
-                        flat[:, varying] * dw[:, i : i + 1], j0, f"dw{i}", const, labels
-                    )
+                dw = self.paths.increments[:, j0 - 1, :, None]
+                coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const, labels) for i in range(d)]
+            # one product for all d: (B, G, d) coefficients into the (S, G, d) output
+            coef = np.stack(coefs, axis=-1).reshape(-1, G * d)
+            np.matmul(self._basis(j0 - 1), coef, out=out.reshape(S, G * d))
+        for col in np.flatnonzero(const):
+            out[:, col] = 0.0  # E[c * dW | F] = 0, exactly
         return out.reshape(np.shape(targets) + (d,))
 
     # -- regression kind ----------------------------------------------------
 
-    def _regress(self, flat: np.ndarray, j0: int, op: str, const: np.ndarray, labels) -> np.ndarray:
+    def _regress(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
+        """Projection coefficients of flat on the basis at W(t_{j0-1}); a fit is recorded."""
         w_prev = self.paths.W[:, j0 - 1, :]
         if np.all(w_prev == w_prev[0:1, :]):
-            # all states coincide (j0 = 1): the projection is the sample mean
-            mean = flat.mean(axis=0)
-            return np.broadcast_to(mean, flat.shape).copy()
-        phi = self._basis(j0 - 1)
-        coef = ridge_solve(phi, flat, self._ridge_value(flat.shape[0]))
+            # all states coincide (j0 = 1): the sample mean, on the constant monomial (row 0)
+            coef = np.zeros((self.exponents.shape[0], flat.shape[1]))
+            coef[0] = flat.mean(axis=0)
+            return coef
+        ridge = 1e-8 * flat.shape[0] if self.spec.ridge is None else self.spec.ridge
+        coef = ridge_solve(self._basis(j0 - 1), flat, ridge)
         self._record(j0, op, coef, const, labels)
-        return phi @ coef
-
-    def _ridge_value(self, S: int) -> float:
-        return 1e-8 * S if self.spec.ridge is None else self.spec.ridge
+        return coef
 
 
 def ridge_solve(phi: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:

@@ -266,7 +266,7 @@ def test_analytic_estimator_matches_hand_gaussian_identities(c0, c1, c2, c3):
 
 def _march_targets(paths, j0):
     """Three (S, 2, 3) targets at W(t_j0), d = 2: two with constant columns,
-    one with none (the unmasked path)."""
+    one with none."""
     w0, w1 = paths.W[:, j0, 0], paths.W[:, j0, 1]
     ones = np.ones_like(w0)
     cols = [
@@ -299,7 +299,7 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
             j, phi = shared._basis_slot
             assert np.array_equal(phi, _design_matrix(paths.W[:, j, :], shared.exponents))
         # the apply index is held; the analytic kind holds its fit index's factor
-        assert shared._basis_slot[0] == j0 - 1 or (kind, j0) == ("regression", 1)
+        assert shared._basis_slot[0] == j0 - 1
         assert shared._factor_slot[0] == (j0 if kind == "analytic" else None)
     assert shared.records == fresh_records
     # the shared basis is read-only
@@ -348,10 +348,12 @@ def test_column_equal_in_first_rows_is_still_fitted():
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
     target = paths.W[:, 2, 0] ** 2
     target[1] = target[0]
-    got = est.cond_mean(np.stack([target, np.full_like(target, 2.0)], axis=1), 2)
-    # the estimator's factored fit: lstsq on R of phi = Q R, with phi's cutoff
+    targets = np.stack([target, np.full_like(target, 2.0)], axis=1)
+    got = est.cond_mean(targets, 2)
+    # the estimator's factored fit of every column: lstsq on R of phi = Q R,
+    # with phi's cutoff, and one product over both columns
     q, r = np.linalg.qr(_design_matrix(paths.W[:, 2, :], est.exponents))
-    coef = np.linalg.lstsq(r, q.T @ target[:, None], rcond=np.finfo(float).eps * 300)[0]
+    coef = np.linalg.lstsq(r, q.T @ targets, rcond=np.finfo(float).eps * 300)[0]
     expected = _design_matrix(paths.W[:, 1, :], est.exponents) @ (est._transfer(2, -1) @ coef)
     assert np.array_equal(got[:, 0], expected[:, 0])
     assert np.array_equal(got[:, 1], np.full_like(target, 2.0))
@@ -359,7 +361,8 @@ def test_column_equal_in_first_rows_is_still_fitted():
 
 def _targets(paths, j0, with_constant):
     """(S, 3, 2) targets at W(t_j0): smooth, polynomial and, optionally,
-    constant columns, so both the unmasked and the masked path are taken."""
+    constant columns (2.5 at [0, 1], zero at [2, 0]), which are fitted with
+    the rest and then overwritten."""
     w = paths.W[:, j0, :]
     s = w.sum(axis=1)
     cols = [np.sin(s), s**2 - w[:, 0], np.exp(0.3 * w[:, -1]), w[:, 0] * s, np.cos(s), s + 1.0]
@@ -379,7 +382,7 @@ def test_factored_fit_matches_full_lstsq(d, with_constant):
     flat = targets.reshape(3000, -1)
     phi = _design_matrix(paths.W[:, 2, :], est.exponents)
     full = np.linalg.lstsq(phi, flat, rcond=None)[0]
-    coef = est._analytic_fit(flat, 2)
+    coef = est._analytic_fit(flat, 2, "mean", None, None)
     assert np.max(np.abs(coef - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
     fitted = phi @ coef
     assert np.max(np.abs(fitted - phi @ full)) <= 1e-12 * np.max(np.abs(flat))
@@ -402,10 +405,67 @@ def test_factored_fit_rank_deficient_gives_minimum_norm():
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
     phi = _design_matrix(w[:, 2, :], est.exponents)
     assert np.linalg.matrix_rank(phi) == 2
-    coef = est._analytic_fit(y, 2)
+    coef = est._analytic_fit(y, 2, "mean", None, None)
     min_norm = np.linalg.pinv(phi) @ y
     assert np.max(np.abs(coef - min_norm)) <= 1e-12 * np.max(np.abs(min_norm))
     assert np.max(np.abs(coef - np.linalg.lstsq(phi, y, rcond=None)[0])) <= 1e-12 * np.max(np.abs(min_norm))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("with_constant", [False, True])
+def test_times_dw_matches_per_component_oracle(d, with_constant):
+    # the estimator applies all d components in one product over G*d columns;
+    # the oracle applies each component on its own, so a wrong interleave of
+    # the (G, d) output fails here
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, d, 3000, seed=31)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    targets = _targets(paths, 2, with_constant)
+    got = est.cond_mean_times_dw(targets, 2)
+    assert got.shape == targets.shape + (d,)
+    flat = targets.reshape(3000, -1)
+    coef = np.linalg.lstsq(_design_matrix(paths.W[:, 2, :], est.exponents), flat, rcond=None)[0]
+    phi_prev = _design_matrix(paths.W[:, 1, :], est.exponents)
+    var = float(part.time_increments[1])
+    for i in range(d):
+        T = _transfer_matrix(est.exponents, var, np.eye(d, dtype=int)[i])
+        want = (phi_prev @ (T @ coef)).reshape(targets.shape)
+        assert np.max(np.abs(got[..., i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    if with_constant:
+        for kind in ("analytic", "regression"):
+            est = ConditionalEstimator(EstimatorSpec(kind=kind, degree=3), paths)
+            dw = est.cond_mean_times_dw(targets, 2)
+            assert np.array_equal(dw[:, 0, 1], np.zeros((3000, d)))
+            assert np.array_equal(dw[:, 2, 0], np.zeros((3000, d)))
+            mean = est.cond_mean(targets, 2)
+            assert np.array_equal(mean[:, 0, 1], np.full(3000, 2.5))
+            assert np.array_equal(mean[:, 2, 0], np.zeros(3000))
+
+
+def test_regression_first_step_is_the_sample_mean():
+    # at j0 = 1 every state is W(0) = 0: the regression kind's projection is
+    # the sample mean, applied as the constant monomial's coefficient
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, 2, 500, seed=41)
+    est = ConditionalEstimator(EstimatorSpec(kind="regression"), paths, record_coefficients=True)
+    w = paths.W[:, 1, :]
+    targets = np.stack([np.sin(w[:, 0]), np.full(500, 3.0), w[:, 0] * w[:, 1]], axis=1)
+    mean = est.cond_mean(targets, 1)
+    assert np.array_equal(mean, np.broadcast_to(targets.mean(axis=0), targets.shape))
+    dw = est.cond_mean_times_dw(targets, 1)
+    for i in range(2):
+        want = (targets * paths.increments[:, 0, i : i + 1]).mean(axis=0)
+        want[1] = 0.0
+        assert np.array_equal(dw[..., i], np.broadcast_to(want, targets.shape))
+    assert est.records == []  # no fit, no coefficients
+
+
+def _record_values(records):
+    """Coefficient values by (operation, column), in exponent order."""
+    values = {}
+    for rec in records:
+        values.setdefault((rec.operation, rec.column), []).append(rec.value)
+    return {key: np.array(v) for key, v in values.items()}
 
 
 @pytest.mark.parametrize("kind", ["analytic", "regression"])
@@ -414,12 +474,45 @@ def test_coefficient_labels_use_original_columns(kind):
     paths = simulate_increments(part, 1, 200, seed=5)
     w = paths.W[:, 2, 0]
     targets = np.stack([np.full_like(w, 4.0), w, w**2], axis=1)  # column 0 constant
-    est = ConditionalEstimator(EstimatorSpec(kind=kind), paths, record_coefficients=True)
-    est.cond_mean(targets, 2)
-    assert {rec.column for rec in est.records} == {"1", "2"}
-    est.records.clear()
-    est.cond_mean_times_dw(targets, 2, labels=["a", "b", "c"])
-    assert {rec.column for rec in est.records} == {"b", "c"}
+    spec = EstimatorSpec(kind=kind)
+    est = ConditionalEstimator(spec, paths, record_coefficients=True)
+    for method, labels in (("cond_mean", None), ("cond_mean_times_dw", ["a", "b", "c"])):
+        est.records.clear()
+        getattr(est, method)(targets, 2, labels=labels)
+        names = labels or ["0", "1", "2"]
+        got = _record_values(est.records)
+        assert {column for _, column in got} == set(names[1:])
+        # each labelled column's coefficients are those of a fit of it alone
+        for (op, column), values in got.items():
+            alone = ConditionalEstimator(spec, paths, record_coefficients=True)
+            getattr(alone, method)(targets[:, [names.index(column)]], 2)
+            want = _record_values(alone.records)[(op, "0")]
+            assert np.max(np.abs(values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_analytic_fit_makes_one_lstsq_call(monkeypatch):
+    # one lstsq per analytic fit, none for an all-constant target
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counting)
+    part = build_partition(1.0, 2, [1.0], [1])
+    paths = simulate_increments(part, 2, 500, seed=37)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    constant = np.stack([np.full(500, 1.5), np.zeros(500), np.full(500, -2.0)], axis=1)
+    assert np.array_equal(est.cond_mean(constant, 2), constant)
+    assert np.array_equal(est.cond_mean_times_dw(constant, 2), np.zeros((500, 3, 2)))
+    assert calls == []
+    mixed = constant.copy()
+    mixed[:, 1] = paths.W[:, 2, 0] * paths.W[:, 2, 1]
+    est.cond_mean(mixed, 2)
+    assert len(calls) == 1
+    est.cond_mean_times_dw(mixed, 2)  # one fit serves both components
+    assert len(calls) == 2
 
 
 def test_nested_kind_rejected_inside_schemes():
