@@ -25,6 +25,7 @@ the sample axis does, so the report is bit-identical to a per-read-point loop.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
@@ -359,7 +360,7 @@ def compare_algorithms(
 ) -> ErrorReport:
     """Criterion-style discrepancy between the two schemes on shared paths."""
     if paths is None:
-        paths = simulate_increments(partition, spec.d, config.samples, config.seed)
+        paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     lat_one = solve(spec, partition, replace(config, algorithm="one"), paths)
     lat_two = solve(spec, partition, replace(config, algorithm="two"), paths)
     return discrete_error(lat_one, lat_two)
@@ -383,7 +384,7 @@ def reference_step_residual(
         raise ReferenceRequiredError(f"{spec.name!r} has no analytic reference")
     j0 = partition.n0 if j0 is None else j0
     if paths is None:
-        paths = simulate_increments(partition, spec.d, config.samples, config.seed)
+        paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     est = ConditionalEstimator(config.estimator, paths)
     lit = config.paper_literal_stencil
     M = spec.M if config.M is None else config.M
@@ -454,6 +455,10 @@ class MalliavinSystem:
     terminal: np.ndarray  # (S,) + grid + (q, d)
     coefficients: dict[int, OperatorJacobians]  # time index -> Jacobians
 
+    def __post_init__(self):
+        if self.theta_index not in self.coefficients:
+            raise InvalidPartitionError(f"theta index {self.theta_index} outside the time grid")
+
 
 @dataclass
 class MalliavinLattice:
@@ -470,28 +475,6 @@ class MalliavinLattice:
     partition: Partition
     D_V: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d)
     D_Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d, d)
-
-
-def _base_args_at(lattice: SolutionLattice, j: int):
-    spec = lattice.spec
-    return operator_arguments(
-        float(lattice.partition.time_points[j]),
-        lattice.partition,
-        lattice.stacks(lattice.V, j),
-        lattice.stacks(lattice.Vbar, j),
-        spec.k,
-        spec.m,
-    )
-
-
-def frozen_coefficients(
-    spec: ProblemSpec, base: SolutionLattice, use_analytic: bool = True
-) -> dict[int, OperatorJacobians]:
-    """Operator Jacobians along the base solve at every grid time."""
-    return {
-        j: operator_jacobians(spec, _base_args_at(base, j), use_analytic=use_analytic)
-        for j in range(base.partition.n0 + 1)
-    }
 
 
 def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice, h: float = 1e-6) -> np.ndarray:
@@ -516,20 +499,18 @@ def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice, h: float = 1e-6
 
 
 def build_malliavin_system(
-    spec: ProblemSpec,
-    base: SolutionLattice,
-    theta_index: int,
-    coefficients: dict[int, OperatorJacobians] | None = None,
+    spec: ProblemSpec, base: SolutionLattice, theta_index: int
 ) -> MalliavinSystem:
-    if not 0 <= theta_index <= base.partition.n0:
-        raise InvalidPartitionError(f"theta index {theta_index} outside the time grid")
-    if coefficients is None:
-        coefficients = frozen_coefficients(spec, base)
-    return MalliavinSystem(
-        theta_index=theta_index,
-        terminal=_terminal_gradient(spec, base),
-        coefficients=coefficients,
-    )
+    """The linear system at one branch time: the terminal gradient, and the
+    operator Jacobians frozen along the base solve at every grid time.
+    """
+    part = base.partition
+    coefficients = {}
+    for j in range(part.n0 + 1):
+        v, vbar = base.stacks(base.V, j), base.stacks(base.Vbar, j)
+        args = operator_arguments(float(part.time_points[j]), part, v, vbar, spec.k, spec.m)
+        coefficients[j] = operator_jacobians(spec, args)
+    return MalliavinSystem(theta_index, _terminal_gradient(spec, base), coefficients)
 
 
 def _linear_driver(jac: OperatorJacobians, u_stack, ubar_stack) -> np.ndarray:
@@ -583,16 +564,22 @@ def build_malliavin_lattices(
     spec: ProblemSpec,
     base: SolutionLattice,
     theta_indices=None,
-) -> dict[int, MalliavinLattice]:
-    """Solve the linear system for every requested branch time (default: all)."""
+) -> Iterator[tuple[int, MalliavinLattice]]:
+    """Yield (theta, MalliavinLattice) for every requested branch time
+    (default: 0..n0-1, in order), each solved when it is pulled.
+
+    The terminal gradient and the frozen coefficients do not depend on theta:
+    they are built once, on the first pull, as a theta = 0 system with a
+    read-only terminal, and each solve runs on a copy with its own theta.
+    The stream keeps no lattice it has yielded, so a consumer that drops each
+    one before pulling the next holds one per-theta lattice at a time.
+    """
     if theta_indices is None:
         theta_indices = range(base.partition.n0)
-    coefficients = frozen_coefficients(spec, base)
-    out = {}
+    system = build_malliavin_system(spec, base, 0)
+    system.terminal.flags.writeable = False
     for theta in theta_indices:
-        system = build_malliavin_system(spec, base, theta, coefficients)
-        out[theta] = solve_malliavin_system(system, base)
-    return out
+        yield theta, solve_malliavin_system(replace(system, theta_index=theta), base)
 
 
 # ---------------------------------------------------------------------------
@@ -624,100 +611,106 @@ class IdentityReport:
         return self.max_abs_z < z_tol
 
 
-def _moment_z(lhs: np.ndarray, rhs: np.ndarray) -> tuple[float, float, float, float, float]:
-    """First-two-moment comparison of two sample vectors, conservative z."""
-    S = lhs.shape[0]
-    m_l, m_r = float(lhs.mean()), float(rhs.mean())
-    v_l = float(lhs.var(ddof=1)) if S > 1 else 0.0
-    v_r = float(rhs.var(ddof=1)) if S > 1 else 0.0
+def _node_moments(block: np.ndarray) -> list[tuple[float, float, float]]:
+    """(mean, ddof=1 variance, fourth central moment) of each row of a
+    C-contiguous (nodes, S) block; the variance and moment are 0 when S < 2.
+
+    Each row is reduced along the last axis, the same pairwise sum that a 1-D
+    reduction of that node's samples makes, so the moments are bit-identical
+    to per-node reductions (reducing along axis 0 of an (S, nodes) block is not).
+    """
+    mean = block.mean(axis=-1)
+    if block.shape[1] < 2:
+        return [(m, 0.0, 0.0) for m in mean.tolist()]
+    m4 = ((block - mean[:, None]) ** 4).mean(axis=-1)
+    return list(zip(mean.tolist(), block.var(axis=-1, ddof=1).tolist(), m4.tolist()))
+
+
+def _z(diff: float, se: float, tol: float) -> float:
+    if abs(diff) <= tol:
+        return 0.0  # numerically identical; float jitter is not evidence
+    return diff / se if se != 0.0 else math.inf
+
+
+def _moment_z(S: int, lhs: tuple, rhs: tuple) -> float:
+    """Conservative |z| of a first-two-moment comparison of two samples of
+    size S, each given as (mean, ddof=1 variance, fourth central moment).
+    """
+    (m_l, v_l, _), (m_r, v_r, _) = lhs, rhs
     scale = max(abs(m_l), abs(m_r), math.sqrt(v_l), math.sqrt(v_r), 1e-12)
+    z_mean = _z(m_l - m_r, math.sqrt((v_l + v_r) / S), 1e-10 * scale)
+    var_se = [math.sqrt(max(m4 - v**2, 0.0) / S) if S > 1 else 0.0 for _, v, m4 in (lhs, rhs)]
+    z_var = _z(v_l - v_r, math.hypot(*var_se), 1e-10 * scale**2)
+    return max(abs(z_mean), abs(z_var))
 
-    se_mean = math.sqrt((v_l + v_r) / S)
-    dm = m_l - m_r
-    if abs(dm) <= 1e-10 * scale:
-        z_mean = 0.0  # numerically identical; float jitter is not evidence
-    elif se_mean == 0.0:
-        z_mean = math.inf
-    else:
-        z_mean = dm / se_mean
 
-    def var_se(x, v):
-        if S < 2:
-            return 0.0
-        m4 = float(((x - x.mean()) ** 4).mean())
-        return math.sqrt(max(m4 - v**2, 0.0) / S)
+def _next_lattice(pairs, j: int, n0: int) -> MalliavinLattice | None:
+    """Lattice of the next (theta, lattice) pair, which must have theta = j;
+    at j = n0 the pairs must be exhausted, and None is returned.
+    """
+    theta, lattice = next(pairs, (None, None))
+    if theta == (j if j < n0 else None):
+        return lattice
+    if theta is None:
+        raise InvalidPartitionError(f"missing Malliavin solves for theta indices {list(range(j, n0))}")
+    if theta < j:
+        raise InvalidPartitionError(f"duplicate Malliavin solve for theta index {theta}")
+    if theta >= n0:
+        raise InvalidPartitionError(f"Malliavin solve for theta index {theta} outside 0..{n0 - 1}")
+    raise InvalidPartitionError(
+        f"Malliavin solve for theta index {theta} where {j} was due (missing or out of order)"
+    )
 
-    se_var = math.hypot(var_se(lhs, v_l), var_se(rhs, v_r))
-    dv = v_l - v_r
-    if abs(dv) <= 1e-10 * scale**2:
-        z_var = 0.0
-    elif se_var == 0.0:
-        z_var = math.inf
-    else:
-        z_var = dv / se_var
-    z = max(abs(z_mean), abs(z_var))
-    return m_l, m_r, v_l, v_r, z
+
+def _identity_rows_at(spec, base: SolutionLattice, j: int, lattice: MalliavinLattice) -> list:
+    """The IdentityRows of grid time j, read from slice j of the theta = j lattice.
+
+    Each (c, multi_index) entry's two sides are copied into C-contiguous
+    (nodes, S) blocks, nodes ordered grid point first, then component, so no
+    view of the lattice outlives the call.
+    """
+    part, t, S = base.partition, float(base.partition.time_points[j]), base.sample_count
+    args = operator_arguments(t, part, base.stacks(base.V, j), {}, spec.n, -1)
+    lit = base.config.paper_literal_stencil
+    J_stack = difference_stack_arrays(
+        evaluate_diffusion_driver(spec, args), base.M, part, batch_ndim=1, paper_literal=lit
+    )
+    Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(lattice.D_V, j)
+    coords = [tuple(x) for x in part.points.reshape(-1, spec.p).tolist()]
+    rows = []
+    for key, J in J_stack.items():
+        lhs = _node_moments(np.ascontiguousarray(Vbar[key].reshape(S, -1).T))
+        rhs = _node_moments(np.ascontiguousarray((D_V[key] + J).reshape(S, -1).T))
+        for node, (left, right) in enumerate(zip(lhs, rhs)):
+            g, comp = divmod(node, spec.q * spec.d)
+            moments = (left[0], right[0], left[1], right[1], _moment_z(S, left, right))
+            rows.append(IdentityRow(j, t, coords[g], *key, divmod(comp, spec.d), *moments))
+    return rows
 
 
 def check_representation_identity(
     spec: ProblemSpec,
     base: SolutionLattice,
-    malliavin: dict[int, MalliavinLattice] | None = None,
+    malliavin=None,
 ) -> IdentityReport:
     """Moment comparison of Vbar against the diagonal Malliavin derivative
     plus the diffusion driver, at every grid time and grid point.
+
+    malliavin: (theta, MalliavinLattice) pairs for theta = 0..n0-1 in order,
+    as `build_malliavin_lattices` yields them (the default).  Grid time j
+    reads slice j of the theta = j lattice and drops it before the next pair
+    is pulled, so a stream holds one per-theta lattice at a time.  Missing,
+    duplicate, out-of-order or out-of-range theta indices raise
+    InvalidPartitionError.
 
     Only the first two moments are compared; the underlying statement is an
     equality in distribution, and matching means and variances at every node
     already rules out sign and scaling mistakes at Monte Carlo resolution.
     """
-    part = base.partition
-    p = spec.p
-    n0 = part.n0
-    if malliavin is None:
-        malliavin = build_malliavin_lattices(spec, base)
-    missing = [j for j in range(n0) if j not in malliavin]
-    if missing:
-        raise InvalidPartitionError(f"missing Malliavin solves for theta indices {missing}")
-
-    coords = part.points.reshape(-1, p)
+    n0 = base.partition.n0
+    pairs = iter(build_malliavin_lattices(spec, base) if malliavin is None else malliavin)
     rows = []
-    worst = 0.0
     for j in range(n0):
-        args = operator_arguments(
-            float(part.time_points[j]), part, base.stacks(base.V, j), {}, spec.n, -1
-        )
-        J0 = evaluate_diffusion_driver(spec, args)
-        J_stack = difference_stack_arrays(
-            J0, base.M, part, batch_ndim=1, paper_literal=base.config.paper_literal_stencil
-        )
-        Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(malliavin[j].D_V, j)
-        for c in range(base.M + 1):
-            for idx in enumerate_multi_indices(c, p).indices:
-                lhs_full = Vbar[(c, idx)]
-                rhs_full = D_V[(c, idx)] + J_stack[(c, idx)]
-                S = lhs_full.shape[0]
-                lhs_flat = lhs_full.reshape(S, -1, spec.q * spec.d)
-                rhs_flat = rhs_full.reshape(S, -1, spec.q * spec.d)
-                for g in range(lhs_flat.shape[1]):
-                    for comp in range(spec.q * spec.d):
-                        m_l, m_r, v_l, v_r, z = _moment_z(
-                            lhs_flat[:, g, comp], rhs_flat[:, g, comp]
-                        )
-                        rows.append(
-                            IdentityRow(
-                                time_index=j,
-                                t=float(part.time_points[j]),
-                                x=tuple(float(v) for v in coords[g]),
-                                c=c,
-                                multi_index=idx,
-                                component=(comp // spec.d, comp % spec.d),
-                                mean_lhs=m_l,
-                                mean_rhs=m_r,
-                                var_lhs=v_l,
-                                var_rhs=v_r,
-                                zscore=z,
-                            )
-                        )
-                        worst = max(worst, abs(z))
-    return IdentityReport(rows=tuple(rows), max_abs_z=worst)
+        rows += _identity_rows_at(spec, base, j, _next_lattice(pairs, j, n0))
+    _next_lattice(pairs, n0, n0)
+    return IdentityReport(tuple(rows), max([0.0] + [abs(row.zscore) for row in rows]))

@@ -241,7 +241,7 @@ def test_criterion_7_property_battery(tmp_path):
 
     # Malliavin zero block before the branch time
     base = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=1), paths)
-    mall = build_malliavin_lattices(spec, base, [2])
+    mall = dict(build_malliavin_lattices(spec, base, [2]))
     checks["malliavin_zero_block"] = bool(
         np.all(mall[2].D_V[(0, (0,))][:, :2] == 0.0)
         and np.all(mall[2].D_Vbar[(0, (0,))][:, :2] == 0.0)

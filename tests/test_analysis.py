@@ -1,5 +1,6 @@
 
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from bspde import (
+    CapacityError,
     DivergenceError,
+    EstimatorSpec,
     InvalidPartitionError,
     ProblemSpec,
     ReferenceRequiredError,
@@ -24,12 +27,14 @@ from bspde import (
     discrete_error,
     enumerate_multi_indices,
     increment_regularity,
+    reference_step_residual,
     simulate_increments,
     solve_algorithm_one,
     solve_algorithm_two,
     solve_malliavin_system,
 )
-from bspde.analysis import ErrorReport, fit_loglog
+from bspde.analysis import ErrorReport, IdentityRow, fit_loglog
+from bspde.model import evaluate_diffusion_driver, operator_arguments
 
 
 def ladder(edge=0.03, count=1, levels=(4, 8, 16, 32)):
@@ -391,6 +396,14 @@ def test_compare_algorithms_zero_discrepancy_on_exact_fixture():
     assert report.total == 0.0
 
 
+@pytest.mark.parametrize("study", [compare_algorithms, reference_step_residual])
+def test_path_simulation_respects_the_capacity_budget(study):
+    # 100 samples x 4 steps x 1 component = 400 path entries, one over the budget
+    part = build_partition(1.0, 4, [0.5], [1])
+    with pytest.raises(CapacityError, match=r"S\*n0\*d"):
+        study(lin_spec(), part, SolverConfig(samples=100, max_entries=399))
+
+
 def test_compare_algorithms_discrepancy_shrinks():
     pts = []
     for part in ladder(levels=(4, 8, 16)):
@@ -435,7 +448,7 @@ def test_malliavin_zero_block_before_theta():
     spec = lin_spec()
     part = build_partition(1.0, 6, [0.5], [1])
     base = solve_algorithm_one(spec, part, SolverConfig(samples=300, seed=16))
-    mall = build_malliavin_lattices(spec, base, [3])
+    mall = dict(build_malliavin_lattices(spec, base, [3]))
     for key in mall[3].D_V:
         assert np.array_equal(mall[3].D_V[key][:, :3], np.zeros_like(mall[3].D_V[key][:, :3]))
         assert np.array_equal(mall[3].D_Vbar[key][:, :3], np.zeros_like(mall[3].D_Vbar[key][:, :3]))
@@ -445,7 +458,7 @@ def test_malliavin_linear_scalar_matches_closed_form():
     spec = lin_spec()
     part = build_partition(1.0, 16, [0.5], [1])
     base = solve_algorithm_one(spec, part, SolverConfig(samples=500, seed=17))
-    mall = build_malliavin_lattices(spec, base, [0])
+    mall = dict(build_malliavin_lattices(spec, base, [0]))
     t = part.time_points
     x = 0.5
     expect = np.exp(1.0 - t) * x
@@ -467,9 +480,9 @@ def test_representation_identity_requires_all_thetas():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [0.5], [1])
     base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=19))
-    partial = build_malliavin_lattices(spec, base, [0, 1])
+    partial = dict(build_malliavin_lattices(spec, base, [0, 1]))
     with pytest.raises(InvalidPartitionError, match="missing"):
-        check_representation_identity(spec, base, partial)
+        check_representation_identity(spec, base, partial.items())
 
 
 def test_malliavin_non_finite_terminal_gradient_raises():
@@ -503,3 +516,156 @@ def test_malliavin_theta_validation():
     base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=20))
     with pytest.raises(InvalidPartitionError):
         build_malliavin_system(spec, base, theta_index=9)
+
+
+def _moment_z_oracle(lhs, rhs):
+    """Per-node moment comparison of two strided sample vectors, as the
+    identity check computed it node by node."""
+    S = lhs.shape[0]
+    m_l, m_r = float(lhs.mean()), float(rhs.mean())
+    v_l = float(lhs.var(ddof=1)) if S > 1 else 0.0
+    v_r = float(rhs.var(ddof=1)) if S > 1 else 0.0
+    scale = max(abs(m_l), abs(m_r), math.sqrt(v_l), math.sqrt(v_r), 1e-12)
+    se_mean = math.sqrt((v_l + v_r) / S)
+    dm = m_l - m_r
+    if abs(dm) <= 1e-10 * scale:
+        z_mean = 0.0
+    elif se_mean == 0.0:
+        z_mean = math.inf
+    else:
+        z_mean = dm / se_mean
+
+    def var_se(x, v):
+        if S < 2:
+            return 0.0
+        m4 = float(((x - x.mean()) ** 4).mean())
+        return math.sqrt(max(m4 - v**2, 0.0) / S)
+
+    se_var = math.hypot(var_se(lhs, v_l), var_se(rhs, v_r))
+    dv = v_l - v_r
+    if abs(dv) <= 1e-10 * scale**2:
+        z_var = 0.0
+    elif se_var == 0.0:
+        z_var = math.inf
+    else:
+        z_var = dv / se_var
+    return m_l, m_r, v_l, v_r, max(abs(z_mean), abs(z_var))
+
+
+def _identity_oracle(spec, base):
+    """(rows, max |z|) of the per-node loop over every held per-theta lattice."""
+    part, p = base.partition, spec.p
+    qd = spec.q * spec.d
+    malliavin = dict(build_malliavin_lattices(spec, base))
+    coords = part.points.reshape(-1, p)
+    rows, worst = [], 0.0
+    for j in range(part.n0):
+        t = float(part.time_points[j])
+        args = operator_arguments(t, part, base.stacks(base.V, j), {}, spec.n, -1)
+        J_stack = difference_stack_arrays(
+            evaluate_diffusion_driver(spec, args), base.M, part, batch_ndim=1,
+            paper_literal=base.config.paper_literal_stencil,
+        )
+        Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(malliavin[j].D_V, j)
+        for c in range(base.M + 1):
+            for idx in enumerate_multi_indices(c, p).indices:
+                S = Vbar[(c, idx)].shape[0]
+                lhs = Vbar[(c, idx)].reshape(S, -1, qd)
+                rhs = (D_V[(c, idx)] + J_stack[(c, idx)]).reshape(S, -1, qd)
+                for g in range(lhs.shape[1]):
+                    for comp in range(qd):
+                        *moments, z = _moment_z_oracle(lhs[:, g, comp], rhs[:, g, comp])
+                        x = tuple(float(v) for v in coords[g])
+                        component = (comp // spec.d, comp % spec.d)
+                        rows.append(IdentityRow(j, t, x, c, idx, component, *moments, z))
+                        worst = max(worst, abs(z))
+    return rows, worst
+
+
+def _identity_case(name, S):
+    if name == "p2q2d2":
+        spec, part, M = _p2q2d2_spec(), build_partition(1.0, 3, [1.0, 0.5], [2, 2]), 2
+    elif name == "heat_M2":
+        spec, part, M = builtin_problem("heat", {"a": 1.0}), build_partition(1.0, 3, [1.0], [2]), 2
+    else:
+        spec, part, M = builtin_problem(name), build_partition(1.0, 4, [0.5], [1]), None
+    # below the default basis size, the degree-0 basis (the sample mean) still solves
+    estimator = EstimatorSpec(degree=3 if S >= 10 else 0)
+    config = SolverConfig(samples=S, seed=31, M=M, estimator=estimator)
+    return spec, solve_algorithm_one(spec, part, config)
+
+
+@pytest.mark.parametrize("S", [1, 2, 500])
+@pytest.mark.parametrize("name", ["martingale", "linear_scalar", "heat_M2", "p2q2d2"])
+def test_vectorised_identity_check_matches_per_node_loop(name, S):
+    spec, base = _identity_case(name, S)
+    rows, worst = _identity_oracle(spec, base)
+    report = check_representation_identity(spec, base)
+    assert len(report.rows) == len(rows)
+    for got, want in zip(report.rows, rows):
+        for field in IdentityRow.__dataclass_fields__:
+            assert getattr(got, field) == getattr(want, field), (field, got, want)
+    assert report.max_abs_z == worst
+
+
+def test_identity_check_holds_one_malliavin_lattice_at_a_time(monkeypatch):
+    spec = lin_spec()
+    part = build_partition(1.0, 6, [0.5], [1])
+    base = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=32))
+    held, alive_at_start = [], []
+    solve_system = analysis.solve_malliavin_system
+
+    def tracking(system, base):
+        # an earlier lattice counts as alive while it, or a view of its buffers, is
+        alive_at_start.append(sum(any(r() is not None for r in refs) for refs in held))
+        lattice = solve_system(system, base)
+        arrays = (*lattice.D_V.values(), *lattice.D_Vbar.values())
+        held.append([weakref.ref(lattice), *(weakref.ref(arr.base) for arr in arrays)])
+        return lattice
+
+    monkeypatch.setattr(analysis, "solve_malliavin_system", tracking)
+    check_representation_identity(spec, base)
+    assert len(alive_at_start) == part.n0
+    assert max(alive_at_start) <= 1
+
+
+@pytest.mark.parametrize("thetas, message", [
+    ([1, 0, 2, 3], "theta index 1 where 0 was due"),
+    ([0, 2, 3], "theta index 2 where 1 was due"),
+    ([0, 1, 1, 2, 3], "duplicate Malliavin solve for theta index 1"),
+    ([0, 1, 2, 3, 3], "duplicate Malliavin solve for theta index 3"),
+    ([0, 1, 2], r"missing Malliavin solves for theta indices \[3\]"),
+    ([0, 1, 2, 3, 4], r"theta index 4 outside 0..3"),
+])
+def test_identity_check_rejects_theta_streams_out_of_order(thetas, message):
+    spec = builtin_problem("martingale")
+    part = build_partition(1.0, 4, [0.5], [1])
+    base = solve_algorithm_one(spec, part, SolverConfig(samples=50, seed=33))
+    with pytest.raises(InvalidPartitionError, match=message):
+        check_representation_identity(spec, base, build_malliavin_lattices(spec, base, thetas))
+
+
+def test_malliavin_stream_rejects_a_theta_off_the_time_grid():
+    spec = builtin_problem("martingale")
+    base = solve_algorithm_one(spec, build_partition(1.0, 4, [0.5], [1]), SolverConfig(samples=50))
+    stream = build_malliavin_lattices(spec, base, [0, 9])
+    assert next(stream)[0] == 0
+    with pytest.raises(InvalidPartitionError, match="outside the time grid"):
+        next(stream)
+
+
+def _identity_check_peak(n0):
+    spec = lin_spec()
+    part = build_partition(1.0, n0, [0.5], [1])
+    base = solve_algorithm_one(spec, part, SolverConfig(samples=2000, seed=34))
+    tracemalloc.start()
+    try:
+        check_representation_identity(spec, base)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_check_memory_grows_linearly_in_n0():
+    # n0 held per-theta lattices would grow the peak about fourfold
+    assert _identity_check_peak(16) < 2.5 * _identity_check_peak(8)

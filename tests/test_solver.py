@@ -146,7 +146,7 @@ def test_lattices_store_order_zero_only():
     part = build_partition(1.0, 2, [2.0], [4])
     lat = solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1, M=2))
     assert list(lat.V) == list(lat.Vbar) == [(0, (0,))]
-    mall = build_malliavin_lattices(spec, lat, [0])[0]
+    mall = dict(build_malliavin_lattices(spec, lat, [0]))[0]
     assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
     assert [c for c, _ in lat.stacks(lat.V)] == [0, 1, 2]
 
@@ -156,7 +156,7 @@ def test_every_time_slice_is_contiguous(algorithm):
     spec = builtin_problem("linear_scalar")
     part = small_partition(n0=4)
     lat = solve(spec, part, SolverConfig(algorithm=algorithm, samples=20, seed=2, M=1))
-    mall = build_malliavin_lattices(spec, lat, [2])[2]
+    mall = dict(build_malliavin_lattices(spec, lat, [2]))[2]
     families = [lat.V, lat.Vbar, mall.D_V, mall.D_Vbar]
     shapes = [(20, 5, 3, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1, 1)]
     for family, shape in zip(families, shapes):
