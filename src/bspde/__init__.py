@@ -51,9 +51,6 @@ from .model import (
     evaluate_diffusion_driver,
     evaluate_driver,
     operator_jacobians,
-    probe_lipschitz,
-    random_argument_bundles,
-    time_homogenize,
 )
 from .solver import (
     SolutionLattice,
@@ -68,7 +65,6 @@ from .stochastics import (
     BrownianPaths,
     EstimatorSpec,
     condexp_nested,
-    condexp_regression,
     permute_future_increments,
     simulate_increments,
 )

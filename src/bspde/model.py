@@ -21,18 +21,12 @@ arguments; specs are immutable and shareable across workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidPartitionError, OperatorEvaluationError
-from .grid import (
-    Partition,
-    StackKey,
-    ck_norm,
-    difference_stack_arrays,
-    enumerate_multi_indices,
-)
+from .grid import Partition, StackKey
 
 BUILTIN_NAMES = ("zero", "martingale", "linear_scalar", "heat")
 
@@ -53,8 +47,6 @@ class ProblemSpec:
     terminal_w_gradient: callable | None = None
     driver_jacobian: callable | None = None
     diffusion_jacobian: callable | None = None
-    terminal_time: float | None = None
-    params: dict | None = None
 
     @property
     def M(self) -> int:
@@ -196,7 +188,6 @@ def _zero_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        params={"value": value, "slope": slope},
     )
 
 
@@ -224,7 +215,6 @@ def _martingale_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        params={},
     )
 
 
@@ -262,8 +252,6 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=terminal_grad,
         driver_jacobian=jac_driver,
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        terminal_time=T,
-        params={"terminal_time": T},
     )
 
 
@@ -299,83 +287,6 @@ def _heat_problem(params: dict) -> ProblemSpec:
         terminal_w_gradient=lambda x, w: np.zeros(terminal(x, w).shape + (1,)),
         driver_jacobian=jac_driver,
         diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-        terminal_time=T,
-        params={"a": a, "terminal_time": T},
-    )
-
-
-# ---------------------------------------------------------------------------
-# Time homogenization
-# ---------------------------------------------------------------------------
-
-
-def time_homogenize(spec: ProblemSpec) -> ProblemSpec:
-    """Augment the state with a clock component solving V^0(t,x) = t.
-
-    Component 0 has terminal value T, drift -1 and zero diffusion row; the
-    remaining components evaluate the original operators with the time
-    argument replaced by the clock value.  Applying this to an already
-    autonomous problem is harmless: component 0 decouples exactly.
-    """
-    if spec.terminal_time is None:
-        raise InvalidPartitionError(
-            "time_homogenize needs spec.terminal_time to set the clock terminal value"
-        )
-    T = spec.terminal_time
-    q = spec.q
-
-    def split_v(v):
-        inner = {key: arr[..., 1:] for key, arr in v.items()}
-        clock = v[zero_key(spec.p)][..., 0]
-        return clock, inner
-
-    def driver(t, x, v, vbar):
-        clock, inner_v = split_v(v)
-        inner_vbar = {key: arr[..., 1:, :] for key, arr in vbar.items()}
-        inner = spec.driver(clock, x, inner_v, inner_vbar)
-        minus_one = np.full(inner.shape[:-1] + (1,), -1.0)
-        return np.concatenate([minus_one, inner], axis=-1)
-
-    def diffusion(t, x, v):
-        clock, inner_v = split_v(v)
-        inner = spec.diffusion(clock, x, inner_v)
-        zero_row = np.zeros(inner.shape[:-2] + (1, spec.d))
-        return np.concatenate([zero_row, inner], axis=-2)
-
-    def terminal(x, w):
-        inner = spec.terminal(x, w)
-        clock = np.full(inner.shape[:-1] + (1,), T)
-        return np.concatenate([clock, inner], axis=-1)
-
-    reference = None
-    if spec.analytic_reference is not None:
-        def reference(t, x, w):
-            V, Vbar = spec.analytic_reference(t, x, w)
-            clock = np.full(V.shape[:-1] + (1,), float(t))
-            clock_bar = np.zeros(Vbar.shape[:-2] + (1, spec.d))
-            return (
-                np.concatenate([clock, V], axis=-1),
-                np.concatenate([clock_bar, Vbar], axis=-2),
-            )
-
-    terminal_grad = None
-    if spec.terminal_w_gradient is not None:
-        def terminal_grad(x, w):
-            g = spec.terminal_w_gradient(x, w)
-            zero_row = np.zeros(g.shape[:-2] + (1, spec.d))
-            return np.concatenate([zero_row, g], axis=-2)
-
-    return replace(
-        spec,
-        name=f"{spec.name}+clock",
-        q=q + 1,
-        driver=driver,
-        diffusion=diffusion,
-        terminal=terminal,
-        analytic_reference=reference,
-        terminal_w_gradient=terminal_grad,
-        driver_jacobian=None,  # finite differences cover the augmented system
-        diffusion_jacobian=None,
     )
 
 
@@ -459,74 +370,3 @@ def operator_jacobians(
         dJ_dv[key] = jac
 
     return OperatorJacobians(dL_dv=dL_dv, dL_dvbar=dL_dvbar, dJ_dv=dJ_dv)
-
-
-# ---------------------------------------------------------------------------
-# Empirical Lipschitz probe
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LipschitzReport:
-    """Max observed ratio |delta driver| / argument-norm gap, per order c."""
-
-    ratios: dict[int, float]
-    pairs_used: int
-
-
-def random_argument_bundles(
-    spec: ProblemSpec,
-    partition: Partition,
-    count: int,
-    bound: float,
-    seed: int,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Random (field, integrand-field) bases bounded by `bound`, for probing."""
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    shape = partition.grid_shape
-    out = []
-    for _ in range(count):
-        u = bound * (2.0 * rng.random(shape + (spec.q,)) - 1.0)
-        ubar = bound * (2.0 * rng.random(shape + (spec.q, spec.d)) - 1.0)
-        out.append((u, ubar))
-    return out
-
-
-def probe_lipschitz(
-    spec: ProblemSpec,
-    partition: Partition,
-    trial_pairs,
-    c_max: int,
-    t: float = 0.0,
-) -> LipschitzReport:
-    """Empirical check of the driver's generalized Lipschitz behaviour.
-
-    For bundle pairs (u, ubar), (v, vbar), reports per order c the largest
-    ratio of the max-abs order-c entry of the driver-field difference to
-    ||u - v||_{C^{k+c}} + ||ubar - vbar||_{C^{m+c}}.  Purely diagnostic; never
-    gates solving.
-    """
-    order = max(spec.k, spec.m) + c_max
-    ratios = {c: 0.0 for c in range(c_max + 1)}
-    used = 0
-    for (u, ubar), (v, vbar) in trial_pairs:
-        u_stack = difference_stack_arrays(u, order, partition)
-        v_stack = difference_stack_arrays(v, order, partition)
-        ubar_stack = difference_stack_arrays(ubar, order, partition)
-        vbar_stack = difference_stack_arrays(vbar, order, partition)
-        args_u = operator_arguments(t, partition, u_stack, ubar_stack, spec.k, spec.m)
-        args_v = operator_arguments(t, partition, v_stack, vbar_stack, spec.k, spec.m)
-        delta_field = evaluate_driver(spec, args_u) - evaluate_driver(spec, args_v)
-        delta_stack = difference_stack_arrays(delta_field, c_max, partition)
-        du = difference_stack_arrays(u - v, order, partition)
-        dubar = difference_stack_arrays(ubar - vbar, order, partition)
-        for c in range(c_max + 1):
-            num = max(
-                float(np.max(np.abs(delta_stack[(c, idx)])))
-                for idx in enumerate_multi_indices(c, spec.p).indices
-            )
-            den = ck_norm(du, spec.k + c) + ck_norm(dubar, spec.m + c)
-            if den > 0:
-                ratios[c] = max(ratios[c], num / den)
-        used += 1
-    return LipschitzReport(ratios=ratios, pairs_used=used)

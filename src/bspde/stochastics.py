@@ -343,7 +343,8 @@ class ConditionalEstimator:
     # -- regression kind ----------------------------------------------------
 
     def _regress(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
-        """Projection coefficients of flat on the basis at W(t_{j0-1}); a fit is recorded."""
+        """Projection coefficients of flat on the basis at W(t_{j0-1}), from the
+        ridge-regularized normal equations; a fit is recorded."""
         w_prev = self.paths.W[:, j0 - 1, :]
         if np.all(w_prev == w_prev[0:1, :]):
             # all states coincide (j0 = 1): the sample mean, on the constant monomial (row 0)
@@ -351,61 +352,20 @@ class ConditionalEstimator:
             coef[0] = flat.mean(axis=0)
             return coef
         ridge = 1e-8 * flat.shape[0] if self.spec.ridge is None else self.spec.ridge
-        coef = ridge_solve(self._basis(j0 - 1), flat, ridge)
+        phi = self._basis(j0 - 1)
+        gram = phi.T @ phi
+        if ridge > 0:
+            gram += ridge * np.eye(gram.shape[0])
+        elif np.linalg.matrix_rank(gram) < gram.shape[0]:
+            raise SingularDesignError("regression design is rank deficient; set ridge > 0")
+        try:
+            coef = np.linalg.solve(gram, phi.T @ flat)
+        except np.linalg.LinAlgError as exc:
+            raise SingularDesignError(
+                "regression normal equations are singular; set ridge > 0"
+            ) from exc
         self._record(j0, op, coef, const, labels)
         return coef
-
-
-def ridge_solve(phi: np.ndarray, y: np.ndarray, ridge: float) -> np.ndarray:
-    """Solve the (possibly ridge-regularized) normal equations."""
-    gram = phi.T @ phi
-    rhs = phi.T @ y
-    if ridge > 0:
-        gram = gram + ridge * np.eye(gram.shape[0])
-    else:
-        if np.linalg.matrix_rank(gram) < gram.shape[0]:
-            raise SingularDesignError(
-                "regression design is rank deficient; set ridge > 0"
-            )
-    try:
-        return np.linalg.solve(gram, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(
-            "regression normal equations are singular; set ridge > 0"
-        ) from exc
-
-
-def condexp_regression(
-    targets: np.ndarray,
-    states: np.ndarray,
-    spec: EstimatorSpec,
-) -> np.ndarray:
-    """Least-squares projection of targets onto polynomials of the states.
-
-    Returns the fitted value at each sample's own state.  With all states
-    equal (conditioning on trivial information) the fit degenerates to the
-    plain sample mean.
-    """
-    targets = np.asarray(targets, dtype=float)
-    states = np.asarray(states, dtype=float)
-    if states.ndim == 1:
-        states = states[:, None]
-    if targets.shape[0] != states.shape[0]:
-        raise InvalidPartitionError("targets and states must have matching sample counts")
-    B = spec.basis_size(states.shape[1])
-    if targets.shape[0] < B:
-        raise InvalidPartitionError(
-            f"need at least {B} samples for a degree-{spec.degree} basis"
-        )
-    if np.all(states == states[0:1, :]):
-        flat = targets.reshape(targets.shape[0], -1)
-        mean = flat.mean(axis=0)
-        return np.broadcast_to(mean, flat.shape).reshape(targets.shape).copy()
-    phi = _design_matrix(states, monomial_exponents(spec.degree, states.shape[1]))
-    flat = targets.reshape(targets.shape[0], -1)
-    ridge = 1e-8 * targets.shape[0] if spec.ridge is None else spec.ridge
-    coef = ridge_solve(phi, flat, ridge)
-    return (phi @ coef).reshape(targets.shape)
 
 
 def condexp_nested(

@@ -15,6 +15,7 @@ import time
 import numpy as np
 
 from bspde import (
+    EstimatorSpec,
     NormWeights,
     SolverConfig,
     build_malliavin_lattices,
@@ -34,7 +35,7 @@ from bspde import (
     terminal_stage,
 )
 from bspde.analysis import fit_loglog
-from bspde.stochastics import _design_matrix, monomial_exponents
+from bspde.stochastics import ConditionalEstimator, _design_matrix, monomial_exponents
 
 
 def report(num, label, ok, detail=""):
@@ -136,12 +137,13 @@ def test_criterion_3b_heat_value_accuracy():
 
 
 def test_criterion_4_estimator_oracle_equivalence():
-    """Cross-sectional regression agrees with brute-force branching."""
+    """The shipped regression estimator agrees with brute-force branching."""
     S = 100_000
     part = build_partition(1.0, 2, [1.0], [1])
     paths = simulate_increments(part, 1, S, seed=42)
     w1, w2 = paths.W[:, 1, 0], paths.W[:, 2, 0]
     rng = np.random.Generator(np.random.Philox(key=777))
+    est = ConditionalEstimator(EstimatorSpec(kind="regression", degree=3, ridge=0.0), paths)
     exps = monomial_exponents(3, 1)
     phi = _design_matrix(w1[:, None], exps)
     gram_inv = np.linalg.inv(phi.T @ phi)
@@ -156,8 +158,7 @@ def test_criterion_4_estimator_oracle_equivalence():
             return coeffs[0] + coeffs[1] * w + coeffs[2] * w**2 + coeffs[3] * w**3
 
         targets = g(w2)
-        beta = np.linalg.lstsq(phi, targets, rcond=None)[0]
-        fitted = phi @ beta
+        fitted = est.cond_mean(targets, 2)
         resid_var = float(np.var(targets - fitted, ddof=exps.shape[0]))
         var_reg_mean = float(phi_probe_mean @ gram_inv @ phi_probe_mean) * resid_var
 

@@ -1,6 +1,4 @@
-
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,15 +7,9 @@ from bspde import (
     InvalidPartitionError,
     OperatorEvaluationError,
     ProblemSpec,
-    SolverConfig,
     build_partition,
     builtin_problem,
     operator_jacobians,
-    probe_lipschitz,
-    random_argument_bundles,
-    simulate_increments,
-    solve_algorithm_one,
-    time_homogenize,
 )
 from bspde.model import OperatorArguments, evaluate_diffusion_driver, evaluate_driver
 
@@ -96,10 +88,6 @@ def test_terminal_gradient_matches_copying_formula_bitwise(name, edges, counts):
     want = np.broadcast_to(x[..., 0:1, None], (x[..., 0:1] * w[..., 0:1]).shape + (1,)).copy()
     got = spec.terminal_w_gradient(x, w)
     assert got.shape == want.shape and np.array_equal(got, want)
-    # the clock-augmented gradient concatenates into a fresh array
-    clocked = time_homogenize(replace(spec, terminal_time=1.0)).terminal_w_gradient(x, w)
-    assert clocked.flags.writeable
-    assert np.array_equal(clocked[..., 1:, :], want) and not clocked[..., 0, :].any()
 
 
 def test_evaluate_driver_examples():
@@ -186,96 +174,3 @@ def test_finite_differences_match_analytic_on_builtins():
         approx = operator_jacobians(spec, use, use_analytic=False)
         for key in exact.dL_dv:
             assert np.allclose(exact.dL_dv[key], approx.dL_dv[key], atol=1e-6), name
-
-
-# ---------------------------------------------------------------------------
-# Lipschitz probe
-# ---------------------------------------------------------------------------
-
-
-def test_probe_lipschitz_zero_driver():
-    spec = builtin_problem("zero")
-    part = build_partition(1.0, 2, [1.0], [4])
-    pairs = list(zip(
-        random_argument_bundles(spec, part, 4, 2.0, seed=1),
-        random_argument_bundles(spec, part, 4, 2.0, seed=2),
-    ))
-    report = probe_lipschitz(spec, part, pairs, c_max=2)
-    assert all(r == 0.0 for r in report.ratios.values())
-
-
-def test_probe_lipschitz_identity_driver_bounded_by_one():
-    spec = builtin_problem("linear_scalar")
-    part = build_partition(1.0, 2, [1.0], [4])
-    pairs = list(zip(
-        random_argument_bundles(spec, part, 6, 2.0, seed=3),
-        random_argument_bundles(spec, part, 6, 2.0, seed=4),
-    ))
-    report = probe_lipschitz(spec, part, pairs, c_max=2)
-    assert report.pairs_used == 6
-    for c, ratio in report.ratios.items():
-        assert ratio <= 1.0 + 1e-12
-
-
-def test_probe_lipschitz_quadratic_driver_mean_value_bound():
-    bound = 1.5
-    spec = ProblemSpec(
-        name="square", p=1, q=1, d=1, k=0, m=0, n=0,
-        driver=lambda t, x, v, vbar: v[(0, (0,))] ** 2,
-        diffusion=lambda t, x, v: np.zeros(v[(0, (0,))].shape + (1,)),
-        terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
-    )
-    part = build_partition(1.0, 2, [1.0], [4])
-    pairs = list(zip(
-        random_argument_bundles(spec, part, 8, bound, seed=5),
-        random_argument_bundles(spec, part, 8, bound, seed=6),
-    ))
-    report = probe_lipschitz(spec, part, pairs, c_max=0)
-    assert report.ratios[0] <= 2.0 * bound + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# time homogenization
-# ---------------------------------------------------------------------------
-
-
-def test_homogenized_clock_solves_to_time_exactly():
-    spec = time_homogenize(builtin_problem("linear_scalar", {"terminal_time": 1.0}))
-    assert spec.q == 2
-    part = build_partition(1.0, 4, [0.5], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=17))
-    clock = lat.v_base()[..., 0]
-    for j, t in enumerate(part.time_points):
-        assert np.max(np.abs(clock[:, j] - t)) < 1e-12
-    clock_bar = lat.vbar_base()[..., 0, :]
-    assert np.max(np.abs(clock_bar[:, :-1])) < 1e-12
-
-
-def test_homogenized_projection_reproduces_original():
-    from dataclasses import replace
-
-    base_spec = builtin_problem("martingale")
-    part = build_partition(1.0, 4, [0.5], [1])
-    cfg = SolverConfig(samples=300, seed=19)
-    paths = simulate_increments(part, 1, 300, seed=19)
-    plain = solve_algorithm_one(base_spec, part, cfg, paths)
-
-    aug_spec = time_homogenize(replace(base_spec, terminal_time=1.0))
-    aug = solve_algorithm_one(aug_spec, part, cfg, paths)
-    assert np.max(np.abs(aug.v_base()[..., 1:] - plain.v_base())) < 1e-12
-    assert np.max(np.abs(aug.vbar_base()[..., 1:, :] - plain.vbar_base())) < 1e-12
-
-
-def test_homogenize_requires_terminal_time():
-    with pytest.raises(InvalidPartitionError):
-        time_homogenize(builtin_problem("martingale"))
-
-
-def test_homogenized_reference_and_terminal_agree():
-    spec = time_homogenize(builtin_problem("linear_scalar", {"terminal_time": 1.0}))
-    part = build_partition(1.0, 2, [1.0], [2])
-    w = np.random.default_rng(5).normal(size=(8, 1, 1))
-    V, Vbar = spec.analytic_reference(1.0, part.points, w)
-    H = spec.terminal(part.points, w)
-    assert np.max(np.abs(V - H)) < 1e-12
-    assert V.shape[-1] == 2 and Vbar.shape[-2] == 2

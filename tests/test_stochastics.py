@@ -10,7 +10,6 @@ from bspde import (
     SingularDesignError,
     build_partition,
     condexp_nested,
-    condexp_regression,
     permute_future_increments,
     simulate_increments,
 )
@@ -72,62 +71,64 @@ def test_paths_invalid_args():
 # ---------------------------------------------------------------------------
 
 
-def two_step_states(S, seed=0, t2=1.0):
-    # uniform two-step grid puts W(t2/2), W(t2) at indices 1, 2
-    paths = simulate_increments(build_partition(t2, 2, [1.0], [1]), 1, S, seed)
-    return paths.W[:, 1, 0], paths.W[:, 2, 0]
+def two_step_paths(S, seed=0):
+    # uniform two-step grid puts W(1/2), W(1) at indices 1, 2
+    paths = simulate_increments(build_partition(1.0, 2, [1.0], [1]), 1, S, seed)
+    return paths, paths.W[:, 1, 0], paths.W[:, 2, 0]
+
+
+def regression(paths, degree, ridge=None):
+    # cond_mean(targets, j0) projects on polynomials of W(t_{j0-1})
+    spec = EstimatorSpec(kind="regression", degree=degree, ridge=ridge)
+    return ConditionalEstimator(spec, paths)
 
 
 def test_regression_recovers_martingale_projection():
-    w1, w2 = two_step_states(40_000, seed=3)
-    fitted = condexp_regression(w2, w1, EstimatorSpec(kind="regression", degree=1))
+    paths, w1, w2 = two_step_paths(40_000, seed=3)
+    fitted = regression(paths, 1).cond_mean(w2, 2)
     assert np.max(np.abs(fitted - w1)) < 0.1
     assert abs(np.mean(fitted - w1)) < 0.02
 
 
 def test_regression_constant_targets():
-    w1, _ = two_step_states(5000, seed=4)
+    paths, w1, _ = two_step_paths(5000, seed=4)
     targets = np.full_like(w1, 3.7)
-    fitted = condexp_regression(targets, w1, EstimatorSpec(kind="regression", degree=3, ridge=0.0))
-    assert np.allclose(fitted, 3.7, atol=1e-10)
-    shrunk = condexp_regression(targets, w1, EstimatorSpec(kind="regression", degree=3))
-    assert np.allclose(shrunk, 3.7, atol=1e-5)  # default ridge shrinks at the 1e-8 scale
+    for ridge in (0.0, None):
+        assert np.array_equal(regression(paths, 3, ridge).cond_mean(targets, 2), targets)
+    # the default ridge (1e-8 * S) is applied, and shrinks at that scale
+    exact = regression(paths, 2, 0.0).cond_mean(w1**2, 2)
+    shrunk = regression(paths, 2).cond_mean(w1**2, 2)
+    assert not np.array_equal(shrunk, exact)
+    assert np.max(np.abs(shrunk - exact)) < 1e-5
 
 
 def test_regression_in_span_reproduction():
-    w1, _ = two_step_states(5000, seed=5)
+    paths, w1, _ = two_step_paths(5000, seed=5)
     targets = w1**2
-    fitted = condexp_regression(targets, w1, EstimatorSpec(kind="regression", degree=2, ridge=0.0))
+    fitted = regression(paths, 2, 0.0).cond_mean(targets, 2)
     assert np.max(np.abs(fitted - targets)) < 1e-8
-
-
-def test_regression_degenerate_states_give_sample_mean():
-    targets = np.array([1.0, 2.0, 3.0, 6.0])
-    states = np.zeros(4)
-    fitted = condexp_regression(targets, states, EstimatorSpec(kind="regression", degree=3))
-    assert np.allclose(fitted, 3.0)
 
 
 def test_regression_singular_design_advises_ridge():
     # two distinct state values cannot support a quadratic basis
-    states = np.tile([0.0, 1.0], 50)
+    w = np.zeros((100, 3, 1))
+    w[:, 1, 0] = np.tile([0.0, 1.0], 50)
+    paths = BrownianPaths(
+        partition=build_partition(1.0, 2, [1.0], [1]), d=1, seed=0,
+        increments=np.diff(w, axis=1), W=w,
+    )
     targets = np.arange(100.0)
     with pytest.raises(SingularDesignError, match="ridge"):
-        condexp_regression(targets, states, EstimatorSpec(kind="regression", degree=2, ridge=0.0))
-    fitted = condexp_regression(targets, states, EstimatorSpec(kind="regression", degree=2))
+        regression(paths, 2, 0.0).cond_mean(targets, 2)
+    fitted = regression(paths, 2).cond_mean(targets, 2)
     assert fitted.shape == targets.shape
 
 
-def test_regression_needs_enough_samples():
-    with pytest.raises(InvalidPartitionError):
-        condexp_regression(np.zeros(2), np.zeros(2), EstimatorSpec(kind="regression", degree=3))
-
-
 def test_projection_idempotence():
-    w1, w2 = two_step_states(5000, seed=6)
-    spec = EstimatorSpec(kind="regression", degree=3, ridge=0.0)
-    once = condexp_regression(w2**2, w1, spec)
-    twice = condexp_regression(once, w1, spec)
+    paths, _, w2 = two_step_paths(5000, seed=6)
+    est = regression(paths, 3, 0.0)
+    once = est.cond_mean(w2**2, 2)
+    twice = est.cond_mean(once, 2)
     assert np.max(np.abs(twice - once)) < 1e-10
 
 
@@ -136,11 +137,11 @@ def test_tower_property_in_mean():
     # exactly because regression residuals are orthogonal to the intercept
     part = build_partition(1.0, 3, [1.0], [1])
     paths = simulate_increments(part, 1, 30_000, seed=7)
-    w1, w2, w3 = paths.W[:, 1, 0], paths.W[:, 2, 0], paths.W[:, 3, 0]
-    spec = EstimatorSpec(kind="regression", degree=2, ridge=0.0)
-    stage2 = condexp_regression(w3**2, w2, spec)
-    twice = condexp_regression(stage2, w1, spec)
-    once = condexp_regression(w3**2, w1, spec)
+    w3 = paths.W[:, 3, 0]
+    est = regression(paths, 2, 0.0)
+    stage2 = est.cond_mean(w3**2, 3)
+    twice = est.cond_mean(stage2, 2)
+    once = est.cond_mean(w3**2, 2)
     diff = twice - once
     assert abs(diff.mean()) < 1e-10
     z = diff.mean() / (diff.std(ddof=1) / math.sqrt(diff.size) + 1e-300)
@@ -195,7 +196,7 @@ def test_oracle_consistency_regression_vs_nested():
     paths = simulate_increments(part, 1, S, seed=21)
     w1, w2 = paths.W[:, 1, 0], paths.W[:, 2, 0]
     targets = 0.3 * w2**2 - 1.2 * w2 + 0.5
-    fitted = condexp_regression(targets, w1, EstimatorSpec(kind="regression", degree=3))
+    fitted = regression(paths, 3).cond_mean(targets, 2)
     probes = slice(0, 64)
     nested, se = condexp_nested(
         lambda w: 0.3 * w[..., 0] ** 2 - 1.2 * w[..., 0] + 0.5,
