@@ -5,21 +5,29 @@ The error criterion sums, over derivative orders c, the worst grid point's
 worst-in-time mean squared deviation of the lattice from a reference, for the
 solution and its martingale integrand separately.  "Worst in time" probes the
 piecewise-constant extension of the lattice everywhere on [0, T): at each grid
-time the stored slice is compared against the reference, and just before each
-grid time the *previous* stored slice is compared against the reference there.
+time the slice there is compared against the reference, and just before each
+grid time the *previous* slice is compared against the reference there.
 The second family of read points is what resolves the within-interval drift of
 the true solution; against a stochastic reference it contributes the Brownian
 modulus of continuity, which is exactly the first-order term the criterion is
 designed to expose.  The terminal integrand slice (identically zero by
 construction) lies outside the extension and is never read.
 
-The criterion is computed in one pass over grid times: the reference at t_j
-is built once and serves both read points there, "at t_j" against the stored
-slice j and "just before t_j" against slice j-1.  The per-sample deviation is
-the squared difference, reduced over components with max.  The sample means
-of both read points are taken together, in cache-sized chunks of samples
-whose running sums add the samples one after another, exactly as a mean over
-the sample axis does, so the report is bit-identical to a per-read-point loop.
+The criterion is an accumulator fed the lattice one slice at a time, in
+either time order.  Grid time j reads slices j-1 and j only, so it is
+evaluated as soon as both have arrived, and the accumulator holds a two-slice
+window.  `discrete_error` feeds it the stored slices of a lattice; the
+convergence study and the scheme comparison feed it each slice as the
+backward march makes it (`solve(..., observe=...)`), so no lattice of the
+solve they measure is ever stored.  The reference at t_j is built once and
+serves both read points there, "at t_j" against slice j and "just before
+t_j" against slice j-1.  The per-sample deviation is the squared difference,
+reduced over components with max.  The sample means of both read points are
+taken together, in cache-sized chunks of samples whose running sums add the
+samples one after another, exactly as a mean over the sample axis does, and
+each term is attained at the first worst read point in a fixed numbering;
+so the report is bit-identical to a per-read-point loop, whichever order the
+slices come in.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .solver import (
     SolverConfig,
     _explicit_step,
     _march,
+    _resolve_order,
     _restenciler,
     _terminal_stacks,
     solve,
@@ -76,30 +85,26 @@ def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: boo
 
 
 class _AnalyticReference:
-    """Continuous-time reference evaluated along the lattice's own paths.
+    """Continuous-time reference evaluated along the solve's own paths.
 
     `key(j, left)` names the reference slice read at grid time j (just before
     it when left is true) and `derive(key)` builds that slice's V and Vbar
-    stacks; reads that share a key share one derivation.
+    stacks, with the solve's order M and stencil; reads that share a key
+    share one derivation.
     """
 
-    def __init__(self, spec: ProblemSpec, lattice: SolutionLattice):
+    def __init__(self, spec: ProblemSpec, partition: Partition, paths, M: int, paper_literal):
         if spec.analytic_reference is None:
             raise ReferenceRequiredError(
                 f"problem {spec.name!r} does not supply an analytic reference"
             )
-        self.spec = spec
-        self.lattice = lattice
+        self.derive = partial(
+            _reference_stacks, spec, partition, paths, M=M, paper_literal=paper_literal
+        )
 
     def key(self, j: int, left: bool) -> int:
         # the reference is continuous in time: its left limit is its value
         return j
-
-    def derive(self, j: int):
-        lat = self.lattice
-        return _reference_stacks(
-            self.spec, lat.partition, lat.paths, j, lat.M, lat.config.paper_literal_stencil
-        )
 
 
 class _LatticeReference:
@@ -107,12 +112,12 @@ class _LatticeReference:
     with the same `key`/`derive` reads as `_AnalyticReference`.
     """
 
-    def __init__(self, reference: SolutionLattice, lattice: SolutionLattice):
-        if reference.partition.grid_shape != lattice.partition.grid_shape:
+    def __init__(self, reference: SolutionLattice, partition: Partition):
+        if reference.partition.grid_shape != partition.grid_shape:
             raise InvalidPartitionError("reference lattice must share the spatial grid")
         ref_times = reference.partition.time_points
         self.index_map = []
-        for t in lattice.partition.time_points:
+        for t in partition.time_points:
             hits = np.where(np.isclose(ref_times, t, rtol=0, atol=1e-12))[0]
             if hits.size != 1:
                 raise InvalidPartitionError(
@@ -130,11 +135,11 @@ class _LatticeReference:
         return ref.stacks(ref.V, ref_j), ref.stacks(ref.Vbar, ref_j)
 
 
-def _as_reference(reference, lattice: SolutionLattice):
+def _as_reference(reference, partition: Partition, paths, M: int, paper_literal: bool):
     if isinstance(reference, SolutionLattice):
-        return _LatticeReference(reference, lattice)
+        return _LatticeReference(reference, partition)
     if isinstance(reference, ProblemSpec):
-        return _AnalyticReference(reference, lattice)
+        return _AnalyticReference(reference, partition, paths, M, paper_literal)
     raise InvalidPartitionError(
         "reference must be a SolutionLattice or a ProblemSpec with analytic_reference"
     )
@@ -229,62 +234,125 @@ def _sample_means(term_pairs, S: int, G: int) -> np.ndarray:
     return (block[0] / S).T
 
 
-def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) -> ErrorReport:
-    """Discrete squared-error criterion of the lattice against a reference.
+class _Criterion:
+    """The discrete error criterion, fed the lattice one slice at a time.
 
-    reference: a ProblemSpec carrying an analytic reference (evaluated along
-    the lattice's sample paths) or another SolutionLattice on the same spatial
-    grid whose time grid contains this lattice's grid times.
-
-    One pass over grid times j = 0..n0 reads the reference at t_j once, for
-    the read point "left_limit j" (lattice slice j-1) and "at j" (slice j);
-    lattice and reference slices are each derived once.  Read points are
-    numbered all "at" first, then all "left_limit", and each term is attained
-    at the first worst read point in that order.
+    `feed(j, v_stack, vbar_stack)` takes the difference stacks of the slice
+    at grid time j.  Slices come one grid time apart, in either time order;
+    the terminal slice n0, which is never read, may be fed or left out.
+    Grid time j reads slices j-1 and j (those in 0..n0-1) and is evaluated as
+    soon as both have arrived, so only the last slice fed is kept for the
+    next: a two-slice window.  The reference slices of one grid time are kept
+    for the next, which shares at most those.  Read points are numbered all
+    "at t_j" first, then all "just before t_j", and each term is attained at
+    the first worst read point in that order whatever order the slices come
+    in.  `report()` needs every grid time evaluated.
     """
-    M = lattice.M if M is None else M
-    if M > lattice.M:
-        raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice.M}")
-    ref = _as_reference(reference, lattice)
-    p = lattice.spec.p
-    n0 = lattice.partition.n0
-    G = lattice.partition.num_points
-    S = lattice.sample_count
-    orders = range(M + 1)
-    terms = [(f, c) for f in range(2) for c in orders]  # f: 0 for V, 1 for Vbar
 
-    ref_slice = lru_cache(maxsize=1)(ref.derive)
-    lat_slice = lru_cache(maxsize=1)(
-        lambda j: (lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
-    )
-    # per term: (worst mean, -read point, stderr); the first worst read point wins
-    best = {term: (-1.0, 0, None) for term in terms}
-    for j in range(n0 + 1):
-        reads = []  # (read point, its entry pairs per term)
-        for r, left, j_st in ((n0 + j - 1, True, j - 1), (j, False, j)):
-            if 0 <= j_st < n0:
-                ref_sl, lat_sl = ref_slice(ref.key(j, left)), lat_slice(j_st)
-                reads.append((r, [_entry_pairs(ref_sl[f], lat_sl[f], c, p, G) for f, c in terms]))
-        means = _sample_means([pairs for _, per_term in reads for pairs in per_term], S, G)
-        for (r, per_term), read_means in zip(reads, means.reshape(len(reads), len(terms), G)):
-            for term, pairs, mean in zip(terms, per_term, read_means):
+    def __init__(self, reference, partition: Partition, paths: BrownianPaths,
+                 lattice_M: int, paper_literal: bool, M: int | None = None):
+        M = lattice_M if M is None else M
+        if M > lattice_M:
+            raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice_M}")
+        self.ref = _as_reference(reference, partition, paths, lattice_M, paper_literal)
+        self.partition = partition
+        self.S = paths.sample_count
+        self.orders = range(M + 1)
+        self.terms = [(f, c) for f in range(2) for c in self.orders]  # f: 0 for V, 1 for Vbar
+        # per term: (worst mean, -read point, stderr); the first worst read point wins
+        self.best = {term: (-1.0, 0, None) for term in self.terms}
+        self.pending = set(range(partition.n0 + 1))  # grid times not yet evaluated
+        self.window = {}  # slice index -> (V stack, Vbar stack)
+        self.refs = {}  # reference key -> (V stack, Vbar stack)
+
+    def feed(self, j: int, v_stack, vbar_stack) -> None:
+        n0 = self.partition.n0
+        if j == n0:
+            return
+        self.window[j] = (v_stack, vbar_stack)
+        for g in (j, j + 1):
+            if g in self.pending and all(
+                s in self.window for s in (g - 1, g) if 0 <= s < n0
+            ):
+                self._evaluate(g)
+                self.pending.remove(g)
+        self.window = {j: self.window[j]}
+
+    def _evaluate(self, j: int) -> None:
+        """Both read points of grid time j: "just before t_j" against slice j-1
+        and "at t_j" against slice j, their sample means taken together."""
+        part, S = self.partition, self.S
+        n0, p, G = part.n0, part.p, part.num_points
+        reads = [
+            (r, self.ref.key(j, left), j_st)
+            for r, left, j_st in ((n0 + j - 1, True, j - 1), (j, False, j))
+            if 0 <= j_st < n0
+        ]
+        keys = dict.fromkeys(key for _, key, _ in reads)
+        self.refs = {k: self.refs[k] if k in self.refs else self.ref.derive(k) for k in keys}
+        per_read = []  # (read point, its entry pairs per term)
+        for r, key, j_st in reads:
+            ref_sl, lat_sl = self.refs[key], self.window[j_st]
+            per_read.append((r, [_entry_pairs(ref_sl[f], lat_sl[f], c, p, G) for f, c in self.terms]))
+        means = _sample_means([pairs for _, per_term in per_read for pairs in per_term], S, G)
+        for (r, per_term), read_means in zip(per_read, means.reshape(len(reads), -1, G)):
+            for term, pairs, mean in zip(self.terms, per_term, read_means):
                 worst = float(mean.max())
-                if (worst, -r) > best[term][:2]:
+                if (worst, -r) > self.best[term][:2]:
                     gx = int(np.argmax(mean))
                     column = np.empty((S, 1))
                     at_gx = [(a[:, gx : gx + 1], b[:, gx : gx + 1]) for a, b in pairs]
                     _squared_deviation_into(column, at_gx)
                     se = float(column[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
-                    best[term] = (worst, -r, se)
+                    self.best[term] = (worst, -r, se)
 
-    return ErrorReport(
-        err_V_sq={c: best[0, c][0] for c in orders},
-        err_Vbar_sq={c: best[1, c][0] for c in orders},
-        stderr_V={c: best[0, c][2] for c in orders},
-        stderr_Vbar={c: best[1, c][2] for c in orders},
-        mesh_size=lattice.partition.mesh_size,
-        samples=S,
+    def report(self) -> ErrorReport:
+        if self.pending:
+            raise InvalidPartitionError(
+                f"the criterion was not fed the slices of grid times {sorted(self.pending)}"
+            )
+        best, orders = self.best, self.orders
+        return ErrorReport(
+            err_V_sq={c: best[0, c][0] for c in orders},
+            err_Vbar_sq={c: best[1, c][0] for c in orders},
+            stderr_V={c: best[0, c][2] for c in orders},
+            stderr_Vbar={c: best[1, c][2] for c in orders},
+            mesh_size=self.partition.mesh_size,
+            samples=self.S,
+        )
+
+
+def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) -> ErrorReport:
+    """Discrete squared-error criterion of the lattice against a reference.
+
+    reference: a ProblemSpec carrying an analytic reference (evaluated along
+    the lattice's sample paths) or another SolutionLattice on the same spatial
+    grid whose time grid contains this lattice's grid times.  The stored
+    slices 0..n0-1 are fed to the criterion in time order, each derived once.
+    """
+    criterion = _Criterion(
+        reference, lattice.partition, lattice.paths, lattice.M,
+        lattice.config.paper_literal_stencil, M,
     )
+    for j in range(lattice.partition.n0):
+        criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
+    return criterion.report()
+
+
+def _streamed_error(spec, partition, config, reference, paths=None) -> ErrorReport:
+    """Criterion of a solve against the reference, fed each slice as the
+    backward march makes it, so no slice is stored; without paths the
+    solve's own are simulated.
+    """
+    if paths is None:
+        paths = simulate_increments(
+            partition, spec.d, config.samples, config.seed, config.max_entries
+        )
+    criterion = _Criterion(
+        reference, partition, paths, _resolve_order(spec, config), config.paper_literal_stencil
+    )
+    solve(spec, partition, config, paths, observe=criterion.feed)
+    return criterion.report()
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +391,11 @@ def convergence_study(
     partitions,
     config: SolverConfig,
 ) -> ConvergenceFit:
-    """Solve on each partition (same samples and seed) and fit the error rate."""
+    """Solve on each partition (same samples and seed) and fit the error rate.
+
+    Each level simulates its paths, and its criterion against the analytic
+    reference is fed by the backward march, so no level's lattice is stored.
+    """
     partitions = list(partitions)
     if len(partitions) < 3:
         raise InvalidPartitionError("need at least 3 partition levels for a rate fit")
@@ -334,13 +406,8 @@ def convergence_study(
         raise ReferenceRequiredError(
             f"convergence_study needs an analytic reference; {spec.name!r} has none"
         )
-    reports = []
-    points = []
-    for part in partitions:
-        # the lattice is dropped before the next level solves
-        report = discrete_error(solve(spec, part, config), spec)
-        reports.append(report)
-        points.append((part.mesh_size, report.total))
+    reports = [_streamed_error(spec, part, config, spec) for part in partitions]
+    points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
     slope, intercept, resid, degenerate = fit_loglog(points)
     return ConvergenceFit(
         points=tuple(points),
@@ -358,12 +425,14 @@ def compare_algorithms(
     config: SolverConfig,
     paths: BrownianPaths | None = None,
 ) -> ErrorReport:
-    """Criterion-style discrepancy between the two schemes on shared paths."""
+    """Criterion-style discrepancy between the two schemes on shared paths:
+    algorithm two's lattice is stored, and algorithm one's slices are fed to
+    the criterion against it as they are made.
+    """
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
-    lat_one = solve(spec, partition, replace(config, algorithm="one"), paths)
     lat_two = solve(spec, partition, replace(config, algorithm="two"), paths)
-    return discrete_error(lat_one, lat_two)
+    return _streamed_error(spec, partition, replace(config, algorithm="one"), lat_two, paths)
 
 
 def reference_step_residual(

@@ -82,7 +82,8 @@ class SolutionLattice:
     Each array has the logical shape (S, n0+1) + grid + components, indexed
     V[:, j] for the slice at grid time j, but is stored time-major: it is a
     view of a (n0+1, S, ...) buffer (see `_allocate`), so every time slice is
-    one contiguous block, and a whole-lattice `reshape` copies.
+    one contiguous block, and a whole-lattice `reshape` copies.  A solve
+    with an observer (see `solve`) stores nothing, and V and Vbar are empty.
     """
 
     spec: ProblemSpec
@@ -195,19 +196,28 @@ def _allocate(n0: int, arr: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.zeros((n0 + 1,) + arr.shape), 0, 1)
 
 
-def _march(partition: Partition, stop: int, terminal, step):
-    """Store the terminal order-zero fields at n0, then those of
-    step(j0, stacks at j0) at j0-1 for j0 = n0..stop+1; slices before stop
-    stay zero.
+def _march(partition: Partition, stop: int, terminal, step, observe=None):
+    """Hand observe(j, v_stack, vbar_stack) the terminal stacks at j = n0,
+    then those of step(j0, stacks at j0) at j0-1 for j0 = n0..stop+1.
+
+    Returns the order-zero V and Vbar families that the default observer
+    stores, in zeroed lattices whose slices before stop stay zero; with an
+    observer of the caller's, both are empty.
     """
-    n0, zkey = partition.n0, zero_key(partition.p)
+    V, Vbar = {}, {}
+    if observe is None:
+        zkey = zero_key(partition.p)
+        V[zkey], Vbar[zkey] = (_allocate(partition.n0, stack[zkey]) for stack in terminal)
+
+        def observe(j, v_stack, vbar_stack):
+            V[zkey][:, j], Vbar[zkey][:, j] = v_stack[zkey], vbar_stack[zkey]
+
     v_stack, vbar_stack = terminal
-    V, Vbar = _allocate(n0, v_stack[zkey]), _allocate(n0, vbar_stack[zkey])
-    V[:, n0], Vbar[:, n0] = v_stack[zkey], vbar_stack[zkey]
-    for j0 in range(n0, stop, -1):
+    observe(partition.n0, v_stack, vbar_stack)
+    for j0 in range(partition.n0, stop, -1):
         v_stack, vbar_stack = step(j0, v_stack, vbar_stack)
-        V[:, j0 - 1], Vbar[:, j0 - 1] = v_stack[zkey], vbar_stack[zkey]
-    return {zkey: V}, {zkey: Vbar}
+        observe(j0 - 1, v_stack, vbar_stack)
+    return V, Vbar
 
 
 def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vbar_stack):
@@ -276,15 +286,17 @@ def solve_algorithm_one(
     partition: Partition,
     config: SolverConfig,
     paths: BrownianPaths | None = None,
+    *,
+    observe=None,
 ) -> SolutionLattice:
     """Explicit backward scheme: every step is :func:`_explicit_step` with the
-    problem's own drivers.
+    problem's own drivers.  See :func:`solve` for observe.
     """
     if config.algorithm != "one":
         raise InvalidPartitionError("config.algorithm must be 'one' for solve_algorithm_one")
     M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
     step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
-    V, Vbar = _march(partition, 0, terminal, step)
+    V, Vbar = _march(partition, 0, terminal, step, observe)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, coefficient_records=est.records,
@@ -296,8 +308,10 @@ def solve_algorithm_two(
     partition: Partition,
     config: SolverConfig,
     paths: BrownianPaths | None = None,
+    *,
+    observe=None,
 ) -> SolutionLattice:
-    """Implicit backward scheme.
+    """Implicit backward scheme.  See :func:`solve` for observe.
 
     V(t_{j0-1}) solves V = E[V(t_j0)|F] + L(t_{j0-1}, x, V) * dt by fixed-point
     iteration started from the conditional mean; derivative stacks (and the
@@ -345,7 +359,7 @@ def solve_algorithm_two(
         _require_finite(vbar0, j0, "integrand field")
         return v_stack_prev, restencil(vbar0)
 
-    V, Vbar = _march(partition, 0, terminal, implicit_step)
+    V, Vbar = _march(partition, 0, terminal, implicit_step, observe)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,
@@ -357,10 +371,20 @@ def solve(
     partition: Partition,
     config: SolverConfig,
     paths: BrownianPaths | None = None,
+    *,
+    observe=None,
 ) -> SolutionLattice:
+    """Solve with the configured scheme and store every slice's order zero.
+
+    With observe, nothing is stored: observe(j, v_stack, vbar_stack) is
+    called with the difference stacks (orders 0..M) of each slice as the
+    backward march makes it, j = n0, n0-1, ..., 0, and the returned lattice's
+    V and Vbar are empty.  The stacks are not written afterwards, so the
+    observer may keep them.
+    """
     if config.algorithm == "one":
-        return solve_algorithm_one(spec, partition, config, paths)
-    return solve_algorithm_two(spec, partition, config, paths)
+        return solve_algorithm_one(spec, partition, config, paths, observe=observe)
+    return solve_algorithm_two(spec, partition, config, paths, observe=observe)
 
 
 # ---------------------------------------------------------------------------

@@ -216,11 +216,12 @@ class ConditionalEstimator:
     A column constant over the samples is then overwritten with its exact
     value (c, or 0 for the dW form) and records no coefficients.  A backward
     step from t_j0 fits at index j0 and applies at j0-1, and the next step
-    fits at j0-1.  The estimator holds one slot for a polynomial basis and
-    one for the thin QR factor Q R of the analytic kind's fit basis;
-    factoring index j empties the basis slot, because no later step applies
-    there.  Each index's basis is built once per backward march, and its
-    factor once per fit index.
+    fits at j0-1.  The estimator holds one slot for a polynomial basis, one
+    for the thin QR factor Q R of the analytic kind's fit basis, and one for
+    the regression kind's normal matrix; factoring index j empties the basis
+    slot, because no later step applies there.  Each index's basis is built
+    once per backward march, and its factor or normal matrix once per fit
+    index.
     """
 
     def __init__(
@@ -236,6 +237,7 @@ class ConditionalEstimator:
         self._transfer_cache: dict[tuple[int, int], np.ndarray] = {}
         self._basis_slot: tuple[int | None, np.ndarray | None] = (None, None)
         self._factor_slot: tuple[int | None, tuple[np.ndarray, np.ndarray] | None] = (None, None)
+        self._gram_slot: tuple[int | None, np.ndarray | None] = (None, None)
 
     # -- shared helpers -----------------------------------------------------
 
@@ -342,6 +344,23 @@ class ConditionalEstimator:
 
     # -- regression kind ----------------------------------------------------
 
+    def _gram(self, j: int) -> np.ndarray:
+        """Read-only normal matrix of the basis at W(t_j), which it replaces:
+        the ridge added, or with ridge 0 the full rank checked.
+        """
+        if self._gram_slot[0] != j:
+            S = self.paths.sample_count
+            ridge = 1e-8 * S if self.spec.ridge is None else self.spec.ridge
+            phi = self._basis(j)
+            gram = phi.T @ phi
+            if ridge > 0:
+                gram += ridge * np.eye(gram.shape[0])
+            elif np.linalg.matrix_rank(gram) < gram.shape[0]:
+                raise SingularDesignError("regression design is rank deficient; set ridge > 0")
+            gram.setflags(write=False)
+            self._gram_slot = (j, gram)
+        return self._gram_slot[1]
+
     def _regress(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
         """Projection coefficients of flat on the basis at W(t_{j0-1}), from the
         ridge-regularized normal equations; a fit is recorded."""
@@ -351,15 +370,9 @@ class ConditionalEstimator:
             coef = np.zeros((self.exponents.shape[0], flat.shape[1]))
             coef[0] = flat.mean(axis=0)
             return coef
-        ridge = 1e-8 * flat.shape[0] if self.spec.ridge is None else self.spec.ridge
         phi = self._basis(j0 - 1)
-        gram = phi.T @ phi
-        if ridge > 0:
-            gram += ridge * np.eye(gram.shape[0])
-        elif np.linalg.matrix_rank(gram) < gram.shape[0]:
-            raise SingularDesignError("regression design is rank deficient; set ridge > 0")
         try:
-            coef = np.linalg.solve(gram, phi.T @ flat)
+            coef = np.linalg.solve(self._gram(j0 - 1), phi.T @ flat)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError(
                 "regression normal equations are singular; set ridge > 0"

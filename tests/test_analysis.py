@@ -331,6 +331,64 @@ def test_reference_lattice_slices_derived_once():
     assert sorted(read) == sorted(list(range(part.n0)) * 2)
 
 
+def _assert_same_report(got, want):
+    for name in ErrorReport.__dataclass_fields__:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+def _stream_case(name):
+    """(spec, partition, config) of a small solve of the named problem."""
+    if name == "p2q2d2":
+        return _p2q2d2_spec(), build_partition(1.0, 4, [1.0, 0.5], [2, 2]), SolverConfig(
+            samples=60, seed=41, M=2
+        )
+    params = {"value": 3.0, "slope": 1.0} if name == "zero" else {}
+    # edge 1 keeps the heat driver's fixed point a contraction at dt = 1/6
+    part = build_partition(1.0, 6, [1.0], [2])
+    return builtin_problem(name, params), part, SolverConfig(samples=150, seed=42)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "regression"])
+@pytest.mark.parametrize("algorithm", ["one", "two"])
+@pytest.mark.parametrize("name", ["zero", "martingale", "linear_scalar", "heat", "p2q2d2"])
+def test_streamed_error_equals_stored(name, algorithm, kind, monkeypatch):
+    # the criterion fed by the backward march, slice n0 first, against the
+    # criterion fed from the stored lattice in time order; 50 chunk entries
+    # take a few samples per chunk and leave a partial last chunk
+    monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", 50)
+    spec, part, config = _stream_case(name)
+    config = replace(config, algorithm=algorithm, estimator=EstimatorSpec(kind=kind))
+    paths = simulate_increments(part, spec.d, config.samples, config.seed)
+    want = discrete_error(analysis.solve(spec, part, config, paths), spec)
+    _assert_same_report(analysis._streamed_error(spec, part, config, spec, paths), want)
+
+
+def test_solve_with_an_observer_stores_nothing():
+    spec, part, config = _stream_case("linear_scalar")
+    stored = analysis.solve(spec, part, config)
+    seen = []
+    streamed = analysis.solve(
+        spec, part, config, observe=lambda j, v, vbar: seen.append((j, v, vbar))
+    )
+    assert streamed.V == {} and streamed.Vbar == {}
+    assert [j for j, _, _ in seen] == list(range(part.n0, -1, -1))
+    for j, v, vbar in seen:
+        for key, arr in stored.stacks(stored.V, j).items():
+            assert np.array_equal(v[key], arr)
+        for key, arr in stored.stacks(stored.Vbar, j).items():
+            assert np.array_equal(vbar[key], arr)
+
+
+def test_criterion_needs_every_grid_time():
+    spec, part, config = _stream_case("linear_scalar")
+    lattice = analysis.solve(spec, part, config)
+    criterion = analysis._Criterion(spec, part, lattice.paths, lattice.M, False)
+    for j in (5, 4, 2, 1, 0):  # slice 3 is skipped, so grid times 3 and 4 are never read
+        criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
+    with pytest.raises(InvalidPartitionError, match=r"grid times \[3, 4\]"):
+        criterion.report()
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 # ---------------------------------------------------------------------------
@@ -387,6 +445,73 @@ def test_convergence_study_frees_each_level_before_the_next_solve(monkeypatch):
     monkeypatch.setattr(analysis, "solve", tracking)
     convergence_study(lin_spec(), ladder(levels=(2, 4, 8)), SolverConfig(samples=200, seed=27))
     assert alive_at_start == [[], [False], [False, False]]
+
+
+@pytest.mark.parametrize("chunk_entries", [50, None])
+def test_convergence_study_reports_equal_stored_criteria(chunk_entries, monkeypatch):
+    if chunk_entries is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", chunk_entries)
+    spec, config = lin_spec(), SolverConfig(samples=500, seed=28)
+    parts = ladder(levels=(2, 4, 8))
+    fit = convergence_study(spec, parts, config)
+    for part, report in zip(parts, fit.reports):
+        _assert_same_report(report, discrete_error(analysis.solve(spec, part, config), spec))
+
+
+def _convergence_study_peak(finest):
+    # the paths grow with n0 whatever the criterion does (S*n0*d entries); on
+    # 17 grid points a march step's slices outweigh them, while a stored
+    # lattice would add 2 x 17 entries per sample and time step
+    spec, config = lin_spec(), SolverConfig(samples=2000, seed=40)
+    parts = [build_partition(1.0, n0, [0.03], [16]) for n0 in (4, 8, 16, 32) if n0 <= finest]
+    tracemalloc.start()
+    try:
+        convergence_study(spec, parts, config)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_convergence_study_memory_does_not_grow_with_the_finest_level():
+    # a stored finest lattice would grow the peak about 1.7-fold
+    assert _convergence_study_peak(32) < 1.3 * _convergence_study_peak(16)
+
+
+@pytest.mark.parametrize("chunk_entries", [50, None])
+@pytest.mark.parametrize("name", ["zero", "martingale", "linear_scalar", "heat", "p2q2d2"])
+def test_compare_algorithms_equals_stored_criterion(name, chunk_entries, monkeypatch):
+    if chunk_entries is not None:
+        monkeypatch.setattr(analysis, "_CHUNK_ENTRIES", chunk_entries)
+    spec, part, config = _stream_case(name)
+    paths = simulate_increments(part, spec.d, config.samples, config.seed)
+    one = analysis.solve(spec, part, replace(config, algorithm="one"), paths)
+    two = analysis.solve(spec, part, replace(config, algorithm="two"), paths)
+    want = discrete_error(one, two)
+    got = compare_algorithms(spec, part, config, paths)
+    _assert_same_report(got, want)
+    if name == "zero":
+        assert got.total == 0.0
+
+
+def test_compare_algorithms_holds_one_stored_lattice(monkeypatch):
+    held, alive_at_start = [], []
+    solve = analysis.solve
+
+    def tracking(*args, **kwargs):
+        # a lattice counts as alive while it, or a buffer of its V or Vbar, is
+        alive_at_start.append(sum(any(r() is not None for r in refs) for refs in held))
+        lattice = solve(*args, **kwargs)
+        arrays = (*lattice.V.values(), *lattice.Vbar.values())
+        if arrays:
+            held.append([weakref.ref(lattice), *(weakref.ref(arr.base) for arr in arrays)])
+        return lattice
+
+    monkeypatch.setattr(analysis, "solve", tracking)
+    part = build_partition(1.0, 6, [0.5], [1])
+    compare_algorithms(lin_spec(), part, SolverConfig(samples=200, seed=29))
+    assert len(alive_at_start) == 2
+    assert len(held) == 1  # only one of the two solves stores its slices
+    assert max(alive_at_start) <= 1
 
 
 def test_compare_algorithms_zero_discrepancy_on_exact_fixture():

@@ -8,10 +8,13 @@ from bspde import (
     EstimatorSpec,
     InvalidPartitionError,
     SingularDesignError,
+    SolverConfig,
     build_partition,
+    builtin_problem,
     condexp_nested,
     permute_future_increments,
     simulate_increments,
+    solve_algorithm_one,
 )
 from bspde.stochastics import (
     BrownianPaths,
@@ -514,6 +517,27 @@ def test_analytic_fit_makes_one_lstsq_call(monkeypatch):
     assert len(calls) == 1
     est.cond_mean_times_dw(mixed, 2)  # one fit serves both components
     assert len(calls) == 2
+
+
+def test_regression_checks_each_index_rank_once(monkeypatch):
+    # without ridge the normal matrix of each fit index is formed and its rank
+    # checked once, though each explicit step makes three regression fits on it
+    calls = []
+    matrix_rank = np.linalg.matrix_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return matrix_rank(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    part = build_partition(1.0, 8, [0.5], [1])
+    spec = EstimatorSpec(kind="regression", degree=3, ridge=0.0)
+    lattice = solve_algorithm_one(
+        builtin_problem("linear_scalar"), part, SolverConfig(samples=500, seed=38, estimator=spec)
+    )
+    # steps j0 = 8..2 fit on W(t_{j0-1}); the step from j0 = 1 takes the sample mean
+    assert len(calls) == part.n0 - 1
+    assert np.all(np.isfinite(lattice.v_base()))
 
 
 def test_nested_kind_rejected_inside_schemes():
