@@ -42,6 +42,7 @@ _COMMANDS = {
     "heat_one_step": "solve",
     "linear_scalar_converge": "converge",
     "malliavin_linear": "check-malliavin",
+    "regression_solve": "solve",
     "zero_solve": "solve",
 }
 

@@ -451,12 +451,12 @@ def reference_step_residual(
     """
     if spec.analytic_reference is None:
         raise ReferenceRequiredError(f"{spec.name!r} has no analytic reference")
+    M = _resolve_order(spec, config)
     j0 = partition.n0 if j0 is None else j0
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     est = ConditionalEstimator(config.estimator, paths)
     lit = config.paper_literal_stencil
-    M = spec.M if config.M is None else config.M
     v_next, _ = _reference_stacks(spec, partition, paths, j0, M, lit)
     v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, M, lit)
     zkey = zero_key(spec.p)

@@ -111,6 +111,8 @@ class SolutionLattice:
         stored on it (V, Vbar, or a Malliavin lattice's D_V/D_Vbar): of the
         slice at grid time j, or of every slice when j is None.
         """
+        if not family:
+            raise InvalidPartitionError("the lattice stores no slices: it was solved with observe=")
         base = family[zero_key(self.spec.p)]
         lit = self.config.paper_literal_stencil
         if j is None:

@@ -5,15 +5,17 @@ pass fills the (sample, step, component) array of uniforms, which are mapped
 to Gaussians by the inverse CDF.  Regenerating with the same seed is therefore
 bit-identical no matter how the surrounding computation is scheduled.
 
-Estimators realize E[. | F_{t_{j0-1}}] for the backward schemes:
+Estimators realize E[. | F_{t_{j0-1}}] for the backward schemes in the
+space-time Hermite basis He_a(W(t), t) = prod_i t^(a_i/2) He_{a_i}(W_i / sqrt(t)),
+which spans the polynomials of total degree <= degree; each is a martingale.
 
-* ``analytic`` fits the target cross-section as a polynomial in the *next*
-  Brownian state W(t_j0) and then integrates the fitted polynomial against the
-  Gaussian increment law in closed form.  For targets that are exactly
-  polynomial in W(t_j0) (every built-in test problem) the conditional
-  expectation is exact up to linear-algebra roundoff.
-* ``regression`` is the usual cross-sectional least-squares projection on a
-  polynomial basis of the *current* state W(t_{j0-1}), with optional ridge.
+* ``analytic`` fits the target cross-section in the basis at the *next*
+  state W(t_j0).  The conditional mean is the same coefficients on the basis
+  at t_{j0-1}, and E[He_a dW_i | F] = a_i dt He_{a-e_i} (Stein's identity) is
+  a coefficient shift.  For targets exactly polynomial in W(t_j0) (every
+  built-in test problem) it is exact up to linear-algebra roundoff.
+* ``regression`` is the usual cross-sectional least-squares projection on
+  the basis at the *current* state W(t_{j0-1}), with optional ridge.
 
 :func:`condexp_nested` brute-forces the expectation by branching fresh inner
 paths.  It needs the target as a functional of the continuation, so it is an
@@ -50,6 +52,16 @@ class BrownianPaths:
         return self.increments.shape[0]
 
 
+def _standard_normals(seed: int, shape) -> np.ndarray:
+    """Inverse-CDF standard normals of the Philox stream of seed.  ndtri writes
+    a new array, so the uniforms' block is freed on return; a free that large
+    lets glibc serve later temporaries from its heap (in place: ~2.5x the faults)."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random(shape)
+    # uniforms are multiples of 2^-53: this lifts only u == 0, where ndtri is -inf
+    np.maximum(u, 2.0**-54, out=u)
+    return ndtri(u)
+
+
 def simulate_increments(
     partition: Partition,
     d: int,
@@ -67,12 +79,8 @@ def simulate_increments(
         raise CapacityError(
             f"S*n0*d = {S * n0 * d} exceeds the capacity budget {max_entries}"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((S, n0, d))
-    # guard the measure-zero u == 0 draw; ndtri(0) would be -inf
-    u = np.where(u == 0.0, 2.0**-54, u)
-    z = ndtri(u)
-    dw = z * np.sqrt(partition.time_increments)[None, :, None]
+    dw = _standard_normals(seed, (S, n0, d))
+    dw *= np.sqrt(partition.time_increments)[None, :, None]
     w = np.zeros((S, n0 + 1, d))
     np.cumsum(dw, axis=1, out=w[:, 1:, :])
     dw.setflags(write=False)
@@ -139,57 +147,41 @@ def monomial_exponents(degree: int, d: int) -> np.ndarray:
     return np.array(rows, dtype=int)
 
 
-def _design_matrix(states: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """Monomial basis (S, B) of states (S, d), column b = prod_i x_i^exponents[b, i].
+def _design_matrix(states: np.ndarray, exponents: np.ndarray, t: float) -> np.ndarray:
+    """Space-time Hermite basis (S, B) of states (S, d) = W(t): column b is
+    prod_i He_{exponents[b, i]}(x_i, t), He_0 = 1, He_1 = x, He_{k+1} = x He_k - k t He_{k-1}.
 
-    Multiplications only: each component's powers x^k = x^(k-1) * x go into
-    contiguous rows of a (d, degree, S) table, and each column multiplies its
-    nonzero-exponent powers in component order.  Columns of total degree 0
-    and 1 are exactly 1 and x; higher powers differ from `states ** exponents`
-    (libm pow) by a few ulp.  The result is column-major.
+    Multiplications only: each component's degrees go into contiguous rows of
+    a (d, degree, S) table, and each column multiplies its nonzero-degree
+    factors in component order.  At t = 0 these are the monomials x^k;
+    columns of total degree 0 and 1 are exactly 1 and x.  Column-major.
     """
     degree = int(exponents.max(initial=0))
-    powers = np.empty((states.shape[1], degree, states.shape[0]))
+    hermite = np.empty((states.shape[1], degree, states.shape[0]))
     if degree:
-        powers[:, 0] = states.T
+        hermite[:, 0] = states.T
     for k in range(1, degree):
-        np.multiply(powers[:, k - 1], powers[:, 0], out=powers[:, k])
+        np.multiply(hermite[:, k - 1], hermite[:, 0], out=hermite[:, k])
+        hermite[:, k] -= k * t * hermite[:, k - 2] if k > 1 else t
     out = np.empty((exponents.shape[0], states.shape[0]))
     for column, row in zip(out, exponents):
-        factors = [powers[i, e - 1] for i, e in enumerate(row) if e]
+        factors = [hermite[i, e - 1] for i, e in enumerate(row) if e]
         column[:] = factors[0] if factors else 1.0
         for factor in factors[1:]:
             column *= factor
     return out.T
 
 
-def _gaussian_moment(k: int, var: float) -> float:
-    """E[Z^k] for Z ~ N(0, var)."""
-    if k % 2 == 1:
-        return 0.0
-    half = k // 2
-    return var**half * math.prod(range(1, k, 2)) if k else 1.0
-
-
-def _transfer_matrix(exponents: np.ndarray, var: float, extra: np.ndarray) -> np.ndarray:
-    """T with E[m_alpha(w+Z) * Z^extra] = sum_beta T[beta, alpha] * m_beta(w).
-
-    Binomial expansion of (w+Z)^alpha against independent N(0, var) components.
-    """
-    B = exponents.shape[0]
-    T = np.zeros((B, B))
-    index_of = {tuple(row): i for i, row in enumerate(exponents)}
-    for a_i, alpha in enumerate(exponents):
-        for beta in np.ndindex(*(alpha + 1)):
-            b_i = index_of[tuple(beta)]
-            coeff = 1.0
-            for l in range(len(alpha)):
-                coeff *= math.comb(int(alpha[l]), int(beta[l]))
-                coeff *= _gaussian_moment(int(alpha[l] - beta[l] + extra[l]), var)
-                if coeff == 0.0:
-                    break
-            T[b_i, a_i] += coeff
-    return T
+def _lowering(exponents: np.ndarray) -> np.ndarray:
+    """(d, B, B) integer-valued matrices D_i, D_i[beta, alpha] = alpha_i where
+    beta = alpha - e_i: the coefficients of d/dx_i in the Hermite basis."""
+    index_of = {tuple(row): b for b, row in enumerate(exponents)}
+    B, d = exponents.shape
+    lowering = np.zeros((d, B, B))
+    for a, row in enumerate(exponents):
+        for i in np.flatnonzero(row):
+            lowering[i, index_of[tuple(row - (np.arange(d) == i))], a] = row[i]
+    return lowering
 
 
 @dataclass
@@ -216,12 +208,13 @@ class ConditionalEstimator:
     A column constant over the samples is then overwritten with its exact
     value (c, or 0 for the dW form) and records no coefficients.  A backward
     step from t_j0 fits at index j0 and applies at j0-1, and the next step
-    fits at j0-1.  The estimator holds one slot for a polynomial basis, one
-    for the thin QR factor Q R of the analytic kind's fit basis, and one for
-    the regression kind's normal matrix; factoring index j empties the basis
-    slot, because no later step applies there.  Each index's basis is built
-    once per backward march, and its factor or normal matrix once per fit
-    index.
+    fits at j0-1.  Each basis is the Hermite basis at (W(t_j), t_j), so the
+    recorded exponents are Hermite degrees.  The estimator holds one slot
+    for a basis, one for the thin QR factor Q R of the analytic kind's fit
+    basis, and one for the regression kind's normal matrix; factoring index
+    j empties the basis slot, because no later step applies there.  Each
+    index's basis is built once per backward march, and its factor or
+    normal matrix once per fit index.
     """
 
     def __init__(
@@ -233,8 +226,8 @@ class ConditionalEstimator:
         self.spec = spec
         self.paths = paths
         self.exponents = monomial_exponents(spec.degree, paths.d)
+        self._lowering = _lowering(self.exponents)
         self.records: list[CoefficientRecord] = [] if record_coefficients else None
-        self._transfer_cache: dict[tuple[int, int], np.ndarray] = {}
         self._basis_slot: tuple[int | None, np.ndarray | None] = (None, None)
         self._factor_slot: tuple[int | None, tuple[np.ndarray, np.ndarray] | None] = (None, None)
         self._gram_slot: tuple[int | None, np.ndarray | None] = (None, None)
@@ -242,10 +235,11 @@ class ConditionalEstimator:
     # -- shared helpers -----------------------------------------------------
 
     def _basis(self, j: int) -> np.ndarray:
-        """Read-only design matrix at W(t_j); replaces the one held before."""
+        """Read-only Hermite basis at (W(t_j), t_j); replaces the one held before."""
         if self._basis_slot[0] != j:
             self._basis_slot = (None, None)  # free the old basis before building
-            phi = _design_matrix(self.paths.W[:, j, :], self.exponents)
+            t = float(self.paths.partition.time_points[j])
+            phi = _design_matrix(self.paths.W[:, j, :], self.exponents, t)
             phi.setflags(write=False)
             self._basis_slot = (j, phi)
         return self._basis_slot[1]
@@ -274,31 +268,15 @@ class ConditionalEstimator:
             return
         for col in np.flatnonzero(~const):
             label = labels[col] if labels is not None else str(col)
-            for b, exps in enumerate(self.exponents):
-                self.records.append(
-                    CoefficientRecord(
-                        step=j0,
-                        operation=op,
-                        column=label,
-                        exponents=tuple(int(e) for e in exps),
-                        value=float(coef[b, col]),
-                    )
-                )
+            self.records.extend(
+                CoefficientRecord(j0, op, label, tuple(int(e) for e in exps), float(coef[b, col]))
+                for b, exps in enumerate(self.exponents)
+            )
 
     # -- analytic kind ------------------------------------------------------
 
-    def _transfer(self, j0: int, component: int) -> np.ndarray:
-        key = (j0, component)
-        if key not in self._transfer_cache:
-            var = float(self.paths.partition.time_increments[j0 - 1])
-            extra = np.zeros(self.paths.d, dtype=int)
-            if component >= 0:
-                extra[component] = 1
-            self._transfer_cache[key] = _transfer_matrix(self.exponents, var, extra)
-        return self._transfer_cache[key]
-
     def _analytic_fit(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
-        """Least-squares polynomial fit of the targets in W(t_j0), recorded as op.
+        """Least-squares Hermite fit of the targets in W(t_j0), recorded as op.
 
         With Phi = Q R and Q orthonormal, R has Phi's singular values, so the
         cutoff eps * max(S, B) of lstsq(Phi, flat) gives the same rank and the
@@ -315,7 +293,8 @@ class ConditionalEstimator:
         out = np.empty(flat.shape)
         if not const.all():
             if self.spec.kind == "analytic":
-                coef = self._transfer(j0, -1) @ self._analytic_fit(flat, j0, "mean", const, labels)
+                # He_a(W, t) is a martingale: the fitted coefficients apply unchanged at j0-1
+                coef = self._analytic_fit(flat, j0, "mean", const, labels)
             else:
                 coef = self._regress(flat, j0, "mean", const, labels)
             np.matmul(self._basis(j0 - 1), coef, out=out)
@@ -330,8 +309,10 @@ class ConditionalEstimator:
         out = np.empty((S, G, d))
         if not const.all():
             if self.spec.kind == "analytic":
+                # Stein: E[He_a(W_j0, t_j0) dW_i | F] = a_i dt He_{a-e_i}(W_j0-1, t_j0-1)
                 coef = self._analytic_fit(flat, j0, "dw", const, labels)
-                coefs = [self._transfer(j0, i) @ coef for i in range(d)]
+                dt = float(self.paths.partition.time_increments[j0 - 1])
+                coefs = [dt * self._lowering[i] @ coef for i in range(d)]
             else:
                 dw = self.paths.increments[:, j0 - 1, :, None]
                 coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const, labels) for i in range(d)]
@@ -366,7 +347,7 @@ class ConditionalEstimator:
         ridge-regularized normal equations; a fit is recorded."""
         w_prev = self.paths.W[:, j0 - 1, :]
         if np.all(w_prev == w_prev[0:1, :]):
-            # all states coincide (j0 = 1): the sample mean, on the constant monomial (row 0)
+            # all states coincide (j0 = 1): the sample mean, on He_0 = 1 (row 0)
             coef = np.zeros((self.exponents.shape[0], flat.shape[1]))
             coef[0] = flat.mean(axis=0)
             return coef
@@ -374,9 +355,7 @@ class ConditionalEstimator:
         try:
             coef = np.linalg.solve(self._gram(j0 - 1), phi.T @ flat)
         except np.linalg.LinAlgError as exc:
-            raise SingularDesignError(
-                "regression normal equations are singular; set ridge > 0"
-            ) from exc
+            raise SingularDesignError("regression normal equations are singular; set ridge > 0") from exc
         self._record(j0, op, coef, const, labels)
         return coef
 
@@ -408,10 +387,8 @@ def condexp_nested(
         raise CapacityError(
             f"S*inner*d = {S * inner_count * d} exceeds the capacity budget {max_entries}"
         )
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random((S, inner_count, d))
-    u = np.where(u == 0.0, 2.0**-54, u)
-    z = ndtri(u) * math.sqrt(variance)
+    z = _standard_normals(seed, (S, inner_count, d))
+    z *= math.sqrt(variance)
     branched = states[:, None, :] + z
     values = np.asarray(target_functional(branched), dtype=float)
     est = values.mean(axis=1)

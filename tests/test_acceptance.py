@@ -145,7 +145,7 @@ def test_criterion_4_estimator_oracle_equivalence():
     rng = np.random.Generator(np.random.Philox(key=777))
     est = ConditionalEstimator(EstimatorSpec(kind="regression", degree=3, ridge=0.0), paths)
     exps = monomial_exponents(3, 1)
-    phi = _design_matrix(w1[:, None], exps)
+    phi = _design_matrix(w1[:, None], exps, float(part.time_points[1]))
     gram_inv = np.linalg.inv(phi.T @ phi)
     probes = slice(0, 96)
     phi_probe_mean = phi[probes].mean(axis=0)

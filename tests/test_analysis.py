@@ -26,6 +26,7 @@ from bspde import (
     difference_stack_arrays,
     discrete_error,
     enumerate_multi_indices,
+    export_lattice_csv,
     increment_regularity,
     reference_step_residual,
     simulate_increments,
@@ -379,6 +380,25 @@ def test_solve_with_an_observer_stores_nothing():
             assert np.array_equal(vbar[key], arr)
 
 
+_STORED_LATTICE_READERS = {
+    "discrete_error": lambda spec, lat, tmp: discrete_error(lat, spec),
+    "export_lattice_csv": lambda spec, lat, tmp: export_lattice_csv(lat, tmp / "v", tmp / "vbar"),
+    "increment_regularity": lambda spec, lat, tmp: increment_regularity(lat),
+    "check_representation_identity": lambda spec, lat, tmp: check_representation_identity(spec, lat),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_STORED_LATTICE_READERS))
+def test_streamed_lattice_is_refused_by_every_reader(reader, tmp_path):
+    # a solve with an observer stores no slice; a reader of stored slices
+    # names that, rather than failing on the first missing key
+    spec, part, config = _stream_case("linear_scalar")
+    streamed = analysis.solve(spec, part, config, observe=lambda j, v, vbar: None)
+    with pytest.raises(InvalidPartitionError, match="observe="):
+        _STORED_LATTICE_READERS[reader](spec, streamed, tmp_path)
+    assert list(tmp_path.iterdir()) == []  # the export wrote no file
+
+
 def test_criterion_needs_every_grid_time():
     spec, part, config = _stream_case("linear_scalar")
     lattice = analysis.solve(spec, part, config)
@@ -519,6 +539,16 @@ def test_compare_algorithms_zero_discrepancy_on_exact_fixture():
     part = build_partition(1.0, 4, [1.0], [2])
     report = compare_algorithms(spec, part, SolverConfig(samples=50, seed=9))
     assert report.total == 0.0
+
+
+def test_reference_step_residual_checks_the_lattice_order():
+    # heat's operators need M = 2; a smaller M is refused as solve refuses it
+    part = build_partition(1.0, 4, [1.0], [2])
+    spec = builtin_problem("heat")
+    with pytest.raises(InvalidPartitionError, match="M=0"):
+        reference_step_residual(spec, part, SolverConfig(samples=50, M=0))
+    with pytest.raises(InvalidPartitionError, match="M=0"):
+        analysis.solve(spec, part, SolverConfig(samples=50, M=0))
 
 
 @pytest.mark.parametrize("study", [compare_algorithms, reference_step_residual])

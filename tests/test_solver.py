@@ -170,9 +170,9 @@ def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
     built = []
     design_matrix = stochastics._design_matrix
 
-    def counting(states, exponents):
+    def counting(states, exponents, t):
         built.append(states)
-        return design_matrix(states, exponents)
+        return design_matrix(states, exponents, t)
 
     monkeypatch.setattr(stochastics, "_design_matrix", counting)
     part = small_partition(n0=8)

@@ -1,7 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite_e import hermeval
 
 from bspde import (
     CapacityError,
@@ -20,7 +22,6 @@ from bspde.stochastics import (
     BrownianPaths,
     ConditionalEstimator,
     _design_matrix,
-    _transfer_matrix,
     monomial_exponents,
 )
 
@@ -53,6 +54,19 @@ def test_paths_moments_at_five_sigma():
     dw = simulate_increments(part, 1, S, seed=42).increments[:, 0, 0]
     assert abs(dw.mean()) < 5.0 / math.sqrt(S)
     assert abs(dw.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / (S - 1))
+
+
+def test_paths_hold_no_transient_beside_the_returned_arrays():
+    # the Gaussians are scaled in place into the increments, and the uniforms
+    # are freed before W is allocated: the peak is the returned arrays
+    part = build_partition(1.0, 32, [1.0], [1])
+    tracemalloc.start()
+    try:
+        paths = simulate_increments(part, 1, 20_000, seed=42)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * (paths.increments.nbytes + paths.W.nbytes)
 
 
 def test_paths_capacity_budget():
@@ -250,7 +264,7 @@ from hypothesis import strategies as st
 )
 def test_analytic_estimator_matches_hand_gaussian_identities(c0, c1, c2, c3):
     # independent oracle: E[(w+Z)^k] for Z ~ N(0, dt) expanded by hand up to
-    # cubic order, against the estimator's moment-transfer machinery
+    # cubic order, against the estimator's Hermite coefficients
     part = build_partition(1.0, 2, [1.0], [1])
     paths = simulate_increments(part, 1, 2000, seed=41)
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
@@ -301,7 +315,8 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
             assert np.array_equal(got, getattr(fresh, method)(target, j0))
             fresh_records += fresh.records
             j, phi = shared._basis_slot
-            assert np.array_equal(phi, _design_matrix(paths.W[:, j, :], shared.exponents))
+            want = _design_matrix(paths.W[:, j, :], shared.exponents, part.time_points[j])
+            assert np.array_equal(phi, want)
         # the apply index is held; the analytic kind holds its fit index's factor
         assert shared._basis_slot[0] == j0 - 1
         assert shared._factor_slot[0] == (j0 if kind == "analytic" else None)
@@ -314,8 +329,39 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
 
 
 def _pow_design_matrix(states, exponents):
-    # the libm-pow build that the multiplication-only build replaced
+    # the libm-pow monomial basis, which the Hermite basis equals at t = 0
     return np.prod(states[:, None, :] ** exponents[None, :, :], axis=2)
+
+
+def _gaussian_moment(k, var):
+    """E[Z^k] for Z ~ N(0, var)."""
+    if k % 2 == 1:
+        return 0.0
+    return var ** (k // 2) * math.prod(range(1, k, 2)) if k else 1.0
+
+
+def _transfer_matrix(exponents, var, extra):
+    """T with E[m_alpha(w+Z) * Z^extra] = sum_beta T[beta, alpha] * m_beta(w)
+    for monomials m: the binomial expansion of (w+Z)^alpha against independent
+    N(0, var) components, an oracle independent of the Hermite basis."""
+    B = exponents.shape[0]
+    T = np.zeros((B, B))
+    index_of = {tuple(row): i for i, row in enumerate(exponents)}
+    for a_i, alpha in enumerate(exponents):
+        for beta in np.ndindex(*(alpha + 1)):
+            coeff = 1.0
+            for l in range(len(alpha)):
+                coeff *= math.comb(int(alpha[l]), int(beta[l]))
+                coeff *= _gaussian_moment(int(alpha[l] - beta[l] + extra[l]), var)
+            T[index_of[tuple(beta)], a_i] += coeff
+    return T
+
+
+def _monomial_condexp(exponents, w_next, w_prev, targets, var, extra):
+    """E[targets * dW^extra | W(t_prev)] through a monomial least-squares fit
+    in W(t_next) and the Gaussian transfer matrix."""
+    coef = np.linalg.lstsq(_pow_design_matrix(w_next, exponents), targets, rcond=None)[0]
+    return _pow_design_matrix(w_prev, exponents) @ (_transfer_matrix(exponents, var, extra) @ coef)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -325,7 +371,7 @@ def test_design_matrix_matches_pow_build(d, degree):
     states = paths.W[:, 3, :]  # a strided view, as the estimator passes it
     assert not states.flags.c_contiguous
     exps = monomial_exponents(degree, d)
-    phi = _design_matrix(states, exps)
+    phi = _design_matrix(states, exps, 0.0)
     oracle = _pow_design_matrix(states, exps)
     assert phi.shape == oracle.shape == (2000, math.comb(degree + d, d))
     for b, row in enumerate(exps):
@@ -333,15 +379,38 @@ def test_design_matrix_matches_pow_build(d, degree):
             assert np.array_equal(phi[:, b], np.ones(2000))
         elif row.sum() == 1:
             assert np.array_equal(phi[:, b], states[:, np.argmax(row)])
-    # column b is the monomial of row b, within a few ulp of pow
+    # at t = 0, column b is the monomial of row b, within a few ulp of pow
     assert np.all(np.abs(phi - oracle) <= 1e-14 * np.abs(oracle))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5])
+def test_design_matrix_matches_hermeval(d, degree):
+    # He_n(x, t) = t^(n/2) He_n(x / sqrt(t)), with numpy's probabilists' He_n
+    part = build_partition(1.0, 4, [1.0], [1])
+    paths = simulate_increments(part, d, 2000, seed=23)
+    t = float(part.time_points[3])
+    states = paths.W[:, 3, :]
+    exps = monomial_exponents(degree, d)
+    phi = _design_matrix(states, exps, t)
+    oracle = np.ones(phi.shape)
+    for b, row in enumerate(exps):
+        for i, n in enumerate(row):
+            oracle[:, b] *= t ** (n / 2) * hermeval(states[:, i] / math.sqrt(t), np.eye(n + 1)[n])
+        if row.sum() == 1:  # x exactly
+            assert np.array_equal(phi[:, b], states[:, np.argmax(row)])
+    assert np.all(np.abs(phi - oracle) <= 1e-13 * np.max(np.abs(oracle), axis=0))
 
 
 def test_design_matrix_degree_zero_and_zero_states():
     states = np.zeros((5, 2))
-    assert np.array_equal(_design_matrix(states, monomial_exponents(0, 2)), np.ones((5, 1)))
-    phi = _design_matrix(states, monomial_exponents(2, 2))
+    for t in (0.0, 0.5):
+        assert np.array_equal(_design_matrix(states, monomial_exponents(0, 2), t), np.ones((5, 1)))
+    phi = _design_matrix(states, monomial_exponents(2, 2), 0.0)
     assert np.array_equal(phi, _pow_design_matrix(states, monomial_exponents(2, 2)))
+    # He_2(0, t) = -t, so the rows are [1, 0, 0, -t, 0, -t] in exponent order
+    phi = _design_matrix(states, monomial_exponents(2, 2), 0.5)
+    assert np.array_equal(phi, np.tile([1.0, 0.0, 0.0, -0.5, 0.0, -0.5], (5, 1)))
 
 
 def test_column_equal_in_first_rows_is_still_fitted():
@@ -355,12 +424,17 @@ def test_column_equal_in_first_rows_is_still_fitted():
     targets = np.stack([target, np.full_like(target, 2.0)], axis=1)
     got = est.cond_mean(targets, 2)
     # the estimator's factored fit of every column: lstsq on R of phi = Q R,
-    # with phi's cutoff, and one product over both columns
-    q, r = np.linalg.qr(_design_matrix(paths.W[:, 2, :], est.exponents))
+    # with phi's cutoff, and one product over both columns, applied unchanged
+    # on the Hermite basis at the previous time
+    q, r = np.linalg.qr(_design_matrix(paths.W[:, 2, :], est.exponents, 1.0))
     coef = np.linalg.lstsq(r, q.T @ targets, rcond=np.finfo(float).eps * 300)[0]
-    expected = _design_matrix(paths.W[:, 1, :], est.exponents) @ (est._transfer(2, -1) @ coef)
+    expected = _design_matrix(paths.W[:, 1, :], est.exponents, 0.5) @ coef
     assert np.array_equal(got[:, 0], expected[:, 0])
     assert np.array_equal(got[:, 1], np.full_like(target, 2.0))
+    # and the independent monomial oracle
+    w_next, w_prev = paths.W[:, 2, :], paths.W[:, 1, :]
+    oracle = _monomial_condexp(est.exponents, w_next, w_prev, target, 0.5, np.zeros(1, dtype=int))
+    assert np.max(np.abs(got[:, 0] - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def _targets(paths, j0, with_constant):
@@ -384,15 +458,16 @@ def test_factored_fit_matches_full_lstsq(d, with_constant):
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
     targets = _targets(paths, 2, with_constant)
     flat = targets.reshape(3000, -1)
-    phi = _design_matrix(paths.W[:, 2, :], est.exponents)
+    phi = _design_matrix(paths.W[:, 2, :], est.exponents, 1.0)
     full = np.linalg.lstsq(phi, flat, rcond=None)[0]
     coef = est._analytic_fit(flat, 2, "mean", None, None)
     assert np.max(np.abs(coef - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
     fitted = phi @ coef
     assert np.max(np.abs(fitted - phi @ full)) <= 1e-12 * np.max(np.abs(flat))
-    # the conditional mean through the full fit, to the same tolerance
-    T = _transfer_matrix(est.exponents, 0.5, np.zeros(d, dtype=int))
-    want = (_design_matrix(paths.W[:, 1, :], est.exponents) @ (T @ full)).reshape(targets.shape)
+    # the conditional mean through the monomial oracle, to the same tolerance
+    w_next, w_prev = paths.W[:, 2, :], paths.W[:, 1, :]
+    want = _monomial_condexp(est.exponents, w_next, w_prev, flat, 0.5, np.zeros(d, dtype=int))
+    want = want.reshape(targets.shape)
     assert np.max(np.abs(est.cond_mean(targets, 2) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -407,7 +482,7 @@ def test_factored_fit_rank_deficient_gives_minimum_norm():
     paths = BrownianPaths(partition=part, d=1, seed=0, increments=np.diff(w, axis=1), W=w)
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
-    phi = _design_matrix(w[:, 2, :], est.exponents)
+    phi = _design_matrix(w[:, 2, :], est.exponents, 1.0)
     assert np.linalg.matrix_rank(phi) == 2
     coef = est._analytic_fit(y, 2, "mean", None, None)
     min_norm = np.linalg.pinv(phi) @ y
@@ -428,12 +503,11 @@ def test_times_dw_matches_per_component_oracle(d, with_constant):
     got = est.cond_mean_times_dw(targets, 2)
     assert got.shape == targets.shape + (d,)
     flat = targets.reshape(3000, -1)
-    coef = np.linalg.lstsq(_design_matrix(paths.W[:, 2, :], est.exponents), flat, rcond=None)[0]
-    phi_prev = _design_matrix(paths.W[:, 1, :], est.exponents)
+    w_next, w_prev = paths.W[:, 2, :], paths.W[:, 1, :]
     var = float(part.time_increments[1])
     for i in range(d):
-        T = _transfer_matrix(est.exponents, var, np.eye(d, dtype=int)[i])
-        want = (phi_prev @ (T @ coef)).reshape(targets.shape)
+        want = _monomial_condexp(est.exponents, w_next, w_prev, flat, var, np.eye(d, dtype=int)[i])
+        want = want.reshape(targets.shape)
         assert np.max(np.abs(got[..., i] - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     if with_constant:
         for kind in ("analytic", "regression"):
@@ -448,7 +522,7 @@ def test_times_dw_matches_per_component_oracle(d, with_constant):
 
 def test_regression_first_step_is_the_sample_mean():
     # at j0 = 1 every state is W(0) = 0: the regression kind's projection is
-    # the sample mean, applied as the constant monomial's coefficient
+    # the sample mean, applied as the coefficient of He_0 = 1
     part = build_partition(1.0, 2, [1.0], [1])
     paths = simulate_increments(part, 2, 500, seed=41)
     est = ConditionalEstimator(EstimatorSpec(kind="regression"), paths, record_coefficients=True)
