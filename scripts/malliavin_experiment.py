@@ -15,7 +15,7 @@ from bspde import (
     build_partition,
     builtin_problem,
     check_representation_identity,
-    solve_algorithm_one,
+    solve,
 )
 
 
@@ -31,7 +31,7 @@ def main():
     params = {"terminal_time": 1.0} if args.problem == "linear_scalar" else {}
     spec = builtin_problem(args.problem, params)
     part = build_partition(1.0, args.steps, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=args.samples, seed=args.seed))
+    base = solve(spec, part, SolverConfig(samples=args.samples, seed=args.seed))
     lattices = build_malliavin_lattices(spec, base)
     report = check_representation_identity(spec, base, lattices)
 

@@ -57,8 +57,6 @@ from .solver import (
     SolverConfig,
     export_lattice_csv,
     solve,
-    solve_algorithm_one,
-    solve_algorithm_two,
     terminal_stage,
 )
 from .stochastics import (

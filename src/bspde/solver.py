@@ -4,6 +4,9 @@ Scheme one is explicit: each step conditions the sum of the next-time value
 and the drift contribution, then assembles the martingale integrand from
 increment moments plus the diffusion driver.  Scheme two makes the drift
 implicit at the left time point and resolves it by fixed-point iteration.
+The two share everything but that step: `solve` builds the paths, the
+estimator, the stencil and the terminal slice once, and marches backward with
+the step that `config.algorithm` names, `_explicit_step` or `_implicit_step`.
 
 Derivative stacks are rebuilt from the order-zero field after every update.
 Because every estimator here is a linear map across the sample cross-section
@@ -100,12 +103,6 @@ class SolutionLattice:
     def sample_count(self) -> int:
         return self.paths.sample_count
 
-    def v_base(self) -> np.ndarray:
-        return self.V[zero_key(self.spec.p)]
-
-    def vbar_base(self) -> np.ndarray:
-        return self.Vbar[zero_key(self.spec.p)]
-
     def stacks(self, family: dict[StackKey, np.ndarray], j: int | None = None):
         """Difference stack, orders 0..M with this lattice's stencil, of a family
         stored on it (V, Vbar, or a Malliavin lattice's D_V/D_Vbar): of the
@@ -129,12 +126,8 @@ def _resolve_order(spec: ProblemSpec, config: SolverConfig) -> int:
     return M
 
 
-def _stack_entry_count(M: int, p: int) -> int:
-    return sum(len(enumerate_multi_indices(c, p)) for c in range(M + 1))
-
-
 def _check_capacity(spec, partition, config, M):
-    entries = _stack_entry_count(M, spec.p)
+    entries = sum(len(enumerate_multi_indices(c, spec.p)) for c in range(M + 1))
     per_slot = config.samples * (partition.n0 + 1) * partition.num_points * spec.q
     total = entries * per_slot * (1 + spec.d)
     if total > config.max_entries:
@@ -244,28 +237,50 @@ def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vba
     return v_stack_prev, restencil(vbar0)
 
 
-def _setup(spec, partition, config, paths):
-    M = _resolve_order(spec, config)
-    _check_capacity(spec, partition, config, M)
-    if paths is None:
-        paths = simulate_increments(
-            partition, spec.d, config.samples, config.seed, config.max_entries
+def _implicit_step(
+    partition, est, restencil, drift, diffusion, config, fp_iterations, j0, v_stack, vbar_stack
+):
+    """One implicit backward step from t_j0 to t_{j0-1}; appends its
+    fixed-point iteration count to fp_iterations.
+
+    V(t_{j0-1}) solves V = E[V(t_j0)|F] + L(t_{j0-1}, x, V) * dt by fixed-point
+    iteration started from the conditional mean; derivative stacks (and the
+    integrand entering the driver) are refreshed every inner iterate.  Then
+      Vbar(t_{j0-1}) = E[ V(t_j0) dW' | F ] / dt + J(t_{j0-1}, x, V(t_{j0-1}))
+    with J evaluated at the converged V; there is no conditioned drift-times-
+    increment term in this scheme.
+    """
+    dt = float(partition.time_increments[j0 - 1])
+    zkey = zero_key(partition.p)
+    cond_mean = est.cond_mean(v_stack[zkey], j0)
+    v_dw = est.cond_mean_times_dw(v_stack[zkey], j0) / dt
+
+    def integrand(v):
+        v_stack_prev = restencil(v)
+        return v_stack_prev, v_dw + diffusion(j0 - 1, v_stack_prev)
+
+    v = cond_mean
+    for it in range(1, config.fp_max_iters + 1):
+        v_stack_prev, vbar0 = integrand(v)
+        v_new = cond_mean + dt * drift(j0 - 1, v_stack_prev, restencil(vbar0))
+        _require_finite(v_new, j0, "implicit-stage iterate")
+        residual = float(np.max(np.abs(v_new - v)))
+        v = v_new
+        if it == 1:
+            first_residual = residual
+        if residual < config.fp_tolerance or residual > 1e6 * max(first_residual, 1.0):
+            break
+    if residual >= config.fp_tolerance:
+        raise FixedPointDivergenceError(
+            f"implicit stage did not converge at step j0={j0}: last residual "
+            f"{residual:.3e} after {it} iterations; the iteration contracts "
+            f"only when (driver Lipschitz constant) * dt < 1, shrink dt"
         )
-    if paths.sample_count != config.samples:
-        raise InvalidPartitionError(
-            f"paths carry {paths.sample_count} samples, config expects {config.samples}"
-        )
-    basis = config.estimator.basis_size(spec.d)
-    if config.samples < basis:
-        raise InvalidPartitionError(
-            f"need samples >= basis size {basis} for the {config.estimator.kind} estimator"
-        )
-    estimator = ConditionalEstimator(
-        config.estimator, paths, record_coefficients=config.record_coefficients
-    )
-    lit = config.paper_literal_stencil
-    terminal = terminal_stage(spec, partition, paths, M, lit)
-    return M, paths, estimator, _restenciler(M, partition, lit), terminal
+    fp_iterations.append(it)
+
+    v_stack_prev, vbar0 = integrand(v)
+    _require_finite(vbar0, j0, "integrand field")
+    return v_stack_prev, restencil(vbar0)
 
 
 def _operators(spec: ProblemSpec, partition: Partition):
@@ -283,91 +298,6 @@ def _operators(spec: ProblemSpec, partition: Partition):
     return drift, diffusion
 
 
-def solve_algorithm_one(
-    spec: ProblemSpec,
-    partition: Partition,
-    config: SolverConfig,
-    paths: BrownianPaths | None = None,
-    *,
-    observe=None,
-) -> SolutionLattice:
-    """Explicit backward scheme: every step is :func:`_explicit_step` with the
-    problem's own drivers.  See :func:`solve` for observe.
-    """
-    if config.algorithm != "one":
-        raise InvalidPartitionError("config.algorithm must be 'one' for solve_algorithm_one")
-    M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
-    step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
-    V, Vbar = _march(partition, 0, terminal, step, observe)
-    return SolutionLattice(
-        spec=spec, partition=partition, paths=paths, config=config, M=M,
-        V=V, Vbar=Vbar, coefficient_records=est.records,
-    )
-
-
-def solve_algorithm_two(
-    spec: ProblemSpec,
-    partition: Partition,
-    config: SolverConfig,
-    paths: BrownianPaths | None = None,
-    *,
-    observe=None,
-) -> SolutionLattice:
-    """Implicit backward scheme.  See :func:`solve` for observe.
-
-    V(t_{j0-1}) solves V = E[V(t_j0)|F] + L(t_{j0-1}, x, V) * dt by fixed-point
-    iteration started from the conditional mean; derivative stacks (and the
-    integrand entering the driver) are refreshed every inner iterate.  Then
-      Vbar(t_{j0-1}) = E[ V(t_j0) dW' | F ] / dt + J(t_{j0-1}, x, V(t_{j0-1}))
-    with J evaluated at the converged V; there is no conditioned drift-times-
-    increment term in this scheme.
-    """
-    if config.algorithm != "two":
-        raise InvalidPartitionError("config.algorithm must be 'two' for solve_algorithm_two")
-    M, paths, est, restencil, terminal = _setup(spec, partition, config, paths)
-    drift, diffusion = _operators(spec, partition)
-    zkey = zero_key(spec.p)
-    fp_iterations = []
-
-    def implicit_step(j0, v_stack, vbar_stack):
-        dt = float(partition.time_increments[j0 - 1])
-        cond_mean = est.cond_mean(v_stack[zkey], j0)
-        v_dw = est.cond_mean_times_dw(v_stack[zkey], j0) / dt
-
-        def integrand(v):
-            v_stack_prev = restencil(v)
-            return v_stack_prev, v_dw + diffusion(j0 - 1, v_stack_prev)
-
-        v = cond_mean
-        for it in range(1, config.fp_max_iters + 1):
-            v_stack_prev, vbar0 = integrand(v)
-            v_new = cond_mean + dt * drift(j0 - 1, v_stack_prev, restencil(vbar0))
-            _require_finite(v_new, j0, "implicit-stage iterate")
-            residual = float(np.max(np.abs(v_new - v)))
-            v = v_new
-            if it == 1:
-                first_residual = residual
-            if residual < config.fp_tolerance or residual > 1e6 * max(first_residual, 1.0):
-                break
-        if residual >= config.fp_tolerance:
-            raise FixedPointDivergenceError(
-                f"implicit stage did not converge at step j0={j0}: last residual "
-                f"{residual:.3e} after {it} iterations; the iteration contracts "
-                f"only when (driver Lipschitz constant) * dt < 1, shrink dt"
-            )
-        fp_iterations.append(it)
-
-        v_stack_prev, vbar0 = integrand(v)
-        _require_finite(vbar0, j0, "integrand field")
-        return v_stack_prev, restencil(vbar0)
-
-    V, Vbar = _march(partition, 0, terminal, implicit_step, observe)
-    return SolutionLattice(
-        spec=spec, partition=partition, paths=paths, config=config, M=M,
-        V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,
-    )
-
-
 def solve(
     spec: ProblemSpec,
     partition: Partition,
@@ -376,17 +306,49 @@ def solve(
     *,
     observe=None,
 ) -> SolutionLattice:
-    """Solve with the configured scheme and store every slice's order zero.
+    """Solve with config.algorithm's backward step, :func:`_explicit_step` for
+    "one" and :func:`_implicit_step` for "two", and store every slice's order zero.
 
     With observe, nothing is stored: observe(j, v_stack, vbar_stack) is
     called with the difference stacks (orders 0..M) of each slice as the
     backward march makes it, j = n0, n0-1, ..., 0, and the returned lattice's
     V and Vbar are empty.  The stacks are not written afterwards, so the
-    observer may keep them.
+    observer may keep them.  The capacity budget is checked against the
+    lattice only when it is stored; the paths are checked either way.
     """
+    M = _resolve_order(spec, config)
+    if observe is None:
+        _check_capacity(spec, partition, config, M)
+    if paths is None:
+        paths = simulate_increments(
+            partition, spec.d, config.samples, config.seed, config.max_entries
+        )
+    if paths.sample_count != config.samples:
+        raise InvalidPartitionError(
+            f"paths carry {paths.sample_count} samples, config expects {config.samples}"
+        )
+    basis = config.estimator.basis_size(spec.d)
+    if config.samples < basis:
+        raise InvalidPartitionError(
+            f"need samples >= basis size {basis} for the {config.estimator.kind} estimator"
+        )
+    est = ConditionalEstimator(
+        config.estimator, paths, record_coefficients=config.record_coefficients
+    )
+    lit = config.paper_literal_stencil
+    restencil = _restenciler(M, partition, lit)
+    fp_iterations = []
+    kernel = (partition, est, restencil, *_operators(spec, partition))
     if config.algorithm == "one":
-        return solve_algorithm_one(spec, partition, config, paths, observe=observe)
-    return solve_algorithm_two(spec, partition, config, paths, observe=observe)
+        step = partial(_explicit_step, *kernel)
+    else:
+        step = partial(_implicit_step, *kernel, config, fp_iterations)
+    terminal = terminal_stage(spec, partition, paths, M, lit)
+    V, Vbar = _march(partition, 0, terminal, step, observe)
+    return SolutionLattice(
+        spec=spec, partition=partition, paths=paths, config=config, M=M,
+        V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,7 @@ class CoefficientRecord:
     # call and "dw" per cond_mean_times_dw call (one fit serves every
     # component); the regression kind writes "mean" and "dw{i}" per component
     operation: str
-    column: str  # the target's flattened column index, or its label
+    column: str  # the target's flattened column index
     exponents: tuple[int, ...]
     value: float
 
@@ -263,19 +263,18 @@ class ConditionalEstimator:
             const[const] = np.all(flat[:, const] == flat[0:1, const], axis=0)
         return flat, const
 
-    def _record(self, j0: int, op: str, coef: np.ndarray, const: np.ndarray, labels) -> None:
+    def _record(self, j0: int, op: str, coef: np.ndarray, const: np.ndarray) -> None:
         if self.records is None:
             return
         for col in np.flatnonzero(~const):
-            label = labels[col] if labels is not None else str(col)
             self.records.extend(
-                CoefficientRecord(j0, op, label, tuple(int(e) for e in exps), float(coef[b, col]))
+                CoefficientRecord(j0, op, str(col), tuple(int(e) for e in exps), float(coef[b, col]))
                 for b, exps in enumerate(self.exponents)
             )
 
     # -- analytic kind ------------------------------------------------------
 
-    def _analytic_fit(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
+    def _analytic_fit(self, flat: np.ndarray, j0: int, op: str, const) -> np.ndarray:
         """Least-squares Hermite fit of the targets in W(t_j0), recorded as op.
 
         With Phi = Q R and Q orthonormal, R has Phi's singular values, so the
@@ -285,37 +284,37 @@ class ConditionalEstimator:
         q, r = self._factor(j0)
         rcond = np.finfo(float).eps * max(q.shape[0], r.shape[1])
         coef, *_ = np.linalg.lstsq(r, q.T @ flat, rcond=rcond)
-        self._record(j0, op, coef, const, labels)
+        self._record(j0, op, coef, const)
         return coef
 
-    def cond_mean(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
+    def cond_mean(self, targets: np.ndarray, j0: int) -> np.ndarray:
         flat, const = self._split(targets)
         out = np.empty(flat.shape)
         if not const.all():
             if self.spec.kind == "analytic":
                 # He_a(W, t) is a martingale: the fitted coefficients apply unchanged at j0-1
-                coef = self._analytic_fit(flat, j0, "mean", const, labels)
+                coef = self._analytic_fit(flat, j0, "mean", const)
             else:
-                coef = self._regress(flat, j0, "mean", const, labels)
+                coef = self._regress(flat, j0, "mean", const)
             np.matmul(self._basis(j0 - 1), coef, out=out)
         # E[c | F] = c, exactly; keeps noise-free problems bit-deterministic
         for col in np.flatnonzero(const):
             out[:, col] = flat[0, col]
         return out.reshape(np.shape(targets))
 
-    def cond_mean_times_dw(self, targets: np.ndarray, j0: int, labels=None) -> np.ndarray:
+    def cond_mean_times_dw(self, targets: np.ndarray, j0: int) -> np.ndarray:
         flat, const = self._split(targets)
         (S, G), d = flat.shape, self.paths.d
         out = np.empty((S, G, d))
         if not const.all():
             if self.spec.kind == "analytic":
                 # Stein: E[He_a(W_j0, t_j0) dW_i | F] = a_i dt He_{a-e_i}(W_j0-1, t_j0-1)
-                coef = self._analytic_fit(flat, j0, "dw", const, labels)
+                coef = self._analytic_fit(flat, j0, "dw", const)
                 dt = float(self.paths.partition.time_increments[j0 - 1])
                 coefs = [dt * self._lowering[i] @ coef for i in range(d)]
             else:
                 dw = self.paths.increments[:, j0 - 1, :, None]
-                coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const, labels) for i in range(d)]
+                coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const) for i in range(d)]
             # one product for all d: (B, G, d) coefficients into the (S, G, d) output
             coef = np.stack(coefs, axis=-1).reshape(-1, G * d)
             np.matmul(self._basis(j0 - 1), coef, out=out.reshape(S, G * d))
@@ -342,7 +341,7 @@ class ConditionalEstimator:
             self._gram_slot = (j, gram)
         return self._gram_slot[1]
 
-    def _regress(self, flat: np.ndarray, j0: int, op: str, const, labels) -> np.ndarray:
+    def _regress(self, flat: np.ndarray, j0: int, op: str, const) -> np.ndarray:
         """Projection coefficients of flat on the basis at W(t_{j0-1}), from the
         ridge-regularized normal equations; a fit is recorded."""
         w_prev = self.paths.W[:, j0 - 1, :]
@@ -356,7 +355,7 @@ class ConditionalEstimator:
             coef = np.linalg.solve(self._gram(j0 - 1), phi.T @ flat)
         except np.linalg.LinAlgError as exc:
             raise SingularDesignError("regression normal equations are singular; set ridge > 0") from exc
-        self._record(j0, op, coef, const, labels)
+        self._record(j0, op, coef, const)
         return coef
 
 

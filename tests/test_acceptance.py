@@ -31,10 +31,11 @@ from bspde import (
     multi_index_key,
     permute_future_increments,
     simulate_increments,
-    solve_algorithm_one,
+    solve,
     terminal_stage,
 )
 from bspde.analysis import fit_loglog
+from bspde.model import zero_key
 from bspde.stochastics import ConditionalEstimator, _design_matrix, monomial_exponents
 
 
@@ -66,10 +67,11 @@ def test_criterion_2_martingale_exactness():
     """No time-discretization error when both operators vanish."""
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 8, [1.0], [2])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=100_000, seed=42))
+    lat = solve(spec, part, SolverConfig(samples=100_000, seed=42))
     x = part.points[..., 0]
-    v_err = float(np.max(np.abs(lat.v_base() - x[None, None, :, None] * lat.paths.W[:, :, None, :])))
-    vbar_err = float(np.max(np.abs(lat.vbar_base()[:, : part.n0, ..., 0] - x[None, None, :, None])))
+    V, Vbar = lat.V[zero_key(1)], lat.Vbar[zero_key(1)]
+    v_err = float(np.max(np.abs(V - x[None, None, :, None] * lat.paths.W[:, :, None, :])))
+    vbar_err = float(np.max(np.abs(Vbar[:, : part.n0, ..., 0] - x[None, None, :, None])))
     ok = v_err < 1e-10 and vbar_err < 1e-10
     assert report(2, "martingale exactness", ok, f"|V-xW|={v_err:.2e} |Vbar-x|={vbar_err:.2e}")
 
@@ -80,9 +82,10 @@ def test_criterion_3a_deterministic_reduction_spread():
     for name, params in (("zero", {"value": 7.0}), ("heat", {"a": 1.0})):
         spec = builtin_problem(name, params)
         part = build_partition(1.0, 32, [1.0], [8])
-        lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=42))
-        spread = float(np.max(lat.v_base().max(axis=0) - lat.v_base().min(axis=0)))
-        spread = max(spread, float(np.max(lat.vbar_base().max(axis=0) - lat.vbar_base().min(axis=0))))
+        lat = solve(spec, part, SolverConfig(samples=100, seed=42))
+        V, Vbar = lat.V[zero_key(1)], lat.Vbar[zero_key(1)]
+        spread = float(np.max(V.max(axis=0) - V.min(axis=0)))
+        spread = max(spread, float(np.max(Vbar.max(axis=0) - Vbar.min(axis=0))))
         spreads[name] = spread
     ok = all(s == 0.0 for s in spreads.values())
     assert report(3, "deterministic reduction (spread)", ok, f"spreads={spreads}")
@@ -111,7 +114,7 @@ def test_criterion_3b_heat_value_accuracy():
     a, T, n0, n1 = 1.0, 1.0, 32, 8
     spec = builtin_problem("heat", {"a": a, "terminal_time": T})
     part = build_partition(T, n0, [1.0], [n1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=42))
+    lat = solve(spec, part, SolverConfig(samples=100, seed=42))
 
     h, dt = 1.0 / n1, T / n0
     D = (np.eye(n1 + 1, k=1) - np.eye(n1 + 1)) / h
@@ -122,9 +125,9 @@ def test_criterion_3b_heat_value_accuracy():
     for j in range(n0, 0, -1):
         ref[j - 1] = step @ ref[j]
 
-    V = lat.v_base()[..., 0]
+    V = lat.V[zero_key(1)][..., 0]
     rel = float(np.max(np.abs(V - ref) / np.abs(ref)))
-    vbar_max = float(np.max(np.abs(lat.vbar_base()[:, :n0])))
+    vbar_max = float(np.max(np.abs(lat.Vbar[zero_key(1)][:, :n0])))
     value = float(V[0, 0, 0])
     target = math.exp(0.5 * a * a * T)
     ok = bool(np.all(np.abs(V - ref) <= 1e-10 * np.abs(ref))) and vbar_max == 0.0
@@ -180,7 +183,7 @@ def test_criterion_5_malliavin_identity():
     for name, params in (("martingale", {}), ("linear_scalar", {"terminal_time": 1.0})):
         spec = builtin_problem(name, params)
         part = build_partition(1.0, 16, [0.5], [1])
-        base = solve_algorithm_one(spec, part, SolverConfig(samples=10_000, seed=42))
+        base = solve(spec, part, SolverConfig(samples=10_000, seed=42))
         rep = check_representation_identity(spec, base)
         worst[name] = rep.max_abs_z
     ok = all(z < 3.0 for z in worst.values())
@@ -233,7 +236,7 @@ def test_criterion_7_property_battery(tmp_path):
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [1.0], [2])
     paths = simulate_increments(part, 1, 200, seed=1)
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=1), paths)
+    lat = solve(spec, part, SolverConfig(samples=200, seed=1), paths)
     v_stack, vbar_stack = terminal_stage(spec, part, paths)
     lat_v, lat_vbar = lat.stacks(lat.V, part.n0), lat.stacks(lat.Vbar, part.n0)
     checks["terminal_consistency"] = all(
@@ -241,7 +244,7 @@ def test_criterion_7_property_battery(tmp_path):
     ) and all(np.array_equal(lat_vbar[k], v) for k, v in vbar_stack.items())
 
     # Malliavin zero block before the branch time
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=1), paths)
+    base = solve(spec, part, SolverConfig(samples=200, seed=1), paths)
     mall = dict(build_malliavin_lattices(spec, base, [2]))
     checks["malliavin_zero_block"] = bool(
         np.all(mall[2].D_V[(0, (0,))][:, :2] == 0.0)
@@ -253,11 +256,11 @@ def test_criterion_7_property_battery(tmp_path):
     part6 = build_partition(1.0, 6, [0.5], [1])
     cfg = SolverConfig(samples=2000, seed=23)
     base_paths = simulate_increments(part6, 1, 2000, seed=23)
-    a = solve_algorithm_one(lin, part6, cfg, base_paths)
+    a = solve(lin, part6, cfg, base_paths)
     perm = np.random.default_rng(1).permutation(2000)
-    b = solve_algorithm_one(lin, part6, cfg, permute_future_increments(base_paths, 3, perm))
+    b = solve(lin, part6, cfg, permute_future_increments(base_paths, 3, perm))
     checks["adaptedness"] = float(
-        np.max(np.abs(a.v_base()[:, :4] - b.v_base()[:, :4]))
+        np.max(np.abs(a.V[zero_key(1)][:, :4] - b.V[zero_key(1)][:, :4]))
     ) < 1e-10
 
     # bit determinism: two runs of the same config
@@ -285,7 +288,7 @@ def test_criterion_8_time_increment_regularity():
     """Squared solution increments grow at most linearly in the lag."""
     spec = builtin_problem("linear_scalar", {"terminal_time": 1.0})
     part = build_partition(1.0, 16, [0.5], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=20_000, seed=42))
+    lat = solve(spec, part, SolverConfig(samples=20_000, seed=42))
     _, _, slope = increment_regularity(lat)
     ok = slope is not None and slope <= 1.3
     assert report(8, "time-increment regularity", ok, f"slope={slope:.3f}")

@@ -30,8 +30,7 @@ from bspde import (
     increment_regularity,
     reference_step_residual,
     simulate_increments,
-    solve_algorithm_one,
-    solve_algorithm_two,
+    solve,
     solve_malliavin_system,
 )
 from bspde.analysis import ErrorReport, IdentityRow, fit_loglog
@@ -54,7 +53,7 @@ def lin_spec():
 def test_discrete_error_self_is_zero():
     spec = lin_spec()
     part = build_partition(1.0, 4, [0.5], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=1))
+    lat = solve(spec, part, SolverConfig(samples=200, seed=1))
     report = discrete_error(lat, lat)
     assert report.total == 0.0
 
@@ -63,13 +62,11 @@ def test_discrete_error_symmetric_between_lattices():
     spec = lin_spec()
     part = build_partition(1.0, 4, [0.5], [1])
     paths = simulate_increments(part, 1, 400, seed=2)
-    a = solve_algorithm_one(spec, part, SolverConfig(samples=400, seed=2), paths)
-    b = solve_algorithm_one(
+    a = solve(spec, part, SolverConfig(samples=400, seed=2), paths)
+    b = solve(
         spec, part, SolverConfig(samples=400, seed=2, estimator=a.config.estimator), paths
     )
-    from bspde import solve_algorithm_two
-
-    c = solve_algorithm_two(
+    c = solve(
         spec, part, SolverConfig(algorithm="two", samples=400, seed=2), paths
     )
     assert discrete_error(a, c).total == pytest.approx(discrete_error(c, a).total, rel=1e-12)
@@ -78,7 +75,7 @@ def test_discrete_error_symmetric_between_lattices():
 def test_discrete_error_zero_problem_is_exact():
     spec = builtin_problem("zero", {"value": 7.0})
     part = build_partition(1.0, 4, [1.0], [2])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=3))
+    lat = solve(spec, part, SolverConfig(samples=100, seed=3))
     report = discrete_error(lat, spec)
     assert report.total == 0.0
 
@@ -86,7 +83,7 @@ def test_discrete_error_zero_problem_is_exact():
 def test_discrete_error_martingale_is_float_exact():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 8, [1.0], [2])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=1000, seed=4))
+    lat = solve(spec, part, SolverConfig(samples=1000, seed=4))
     # the martingale fixture's integrand is constant in time, so even the
     # within-interval read points agree; only V picks up the Brownian motion
     # between read points
@@ -98,7 +95,7 @@ def test_discrete_error_martingale_is_float_exact():
 def test_discrete_error_report_structure():
     spec = lin_spec()
     part = build_partition(1.0, 8, [0.03], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=2000, seed=5))
+    lat = solve(spec, part, SolverConfig(samples=2000, seed=5))
     report = discrete_error(lat, spec)
     assert report.total == pytest.approx(
         sum(report.err_V_sq.values()) + sum(report.err_Vbar_sq.values()), rel=1e-12
@@ -114,7 +111,7 @@ def test_discrete_error_regression_fixture():
     # drift (seeded, deterministic)
     spec = lin_spec()
     part = build_partition(1.0, 8, [0.03], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=20000, seed=11))
+    lat = solve(spec, part, SolverConfig(samples=20000, seed=11))
     report = discrete_error(lat, spec)
     assert report.total == pytest.approx(6.649427e-04, rel=1e-4)
 
@@ -122,7 +119,7 @@ def test_discrete_error_regression_fixture():
 def test_discrete_error_requires_usable_reference():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [1.0], [2])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=50, seed=6))
+    lat = solve(spec, part, SolverConfig(samples=50, seed=6))
     with pytest.raises(InvalidPartitionError):
         discrete_error(lat, "not a reference")
 
@@ -134,8 +131,8 @@ def test_fine_time_lattice_as_reference():
     coarse = build_partition(1.0, 4, [1.0], [2])
     fine = build_partition(1.0, 16, [1.0], [2])
     cfg = SolverConfig(samples=20, seed=7)
-    lat_c = solve_algorithm_one(spec, coarse, cfg)
-    lat_f = solve_algorithm_one(spec, fine, cfg)
+    lat_c = solve(spec, coarse, cfg)
+    lat_f = solve(spec, fine, cfg)
     report = discrete_error(lat_c, lat_f)
     assert report.total == 0.0  # scheme exact on this fixture at any grid
 
@@ -233,12 +230,12 @@ def _oracle_cases():
     part = build_partition(1.0, 8, [0.5], [2])
     cfg = SolverConfig(samples=300, seed=21, M=2)
     paths = simulate_increments(part, 1, 300, seed=21)
-    one = solve_algorithm_one(lin, part, cfg, paths)
-    two = solve_algorithm_two(lin, part, replace(cfg, algorithm="two"), paths)
-    fine = solve_algorithm_one(lin, build_partition(1.0, 32, [0.5], [2]), cfg)
+    one = solve(lin, part, cfg, paths)
+    two = solve(lin, part, replace(cfg, algorithm="two"), paths)
+    fine = solve(lin, build_partition(1.0, 32, [0.5], [2]), cfg)
     p2 = build_partition(1.0, 4, [1.0, 0.5], [2, 2])
     spec2 = _p2q2d2_spec()
-    lat2 = solve_algorithm_one(spec2, p2, SolverConfig(samples=40, seed=22, M=2))
+    lat2 = solve(spec2, p2, SolverConfig(samples=40, seed=22, M=2))
     zero = builtin_problem("zero", {"value": 3.0, "slope": 1.0})
     mart = builtin_problem("martingale")
     tie = build_partition(1.0, 4, [1.0], [2])
@@ -248,8 +245,8 @@ def _oracle_cases():
         "one_against_two": (one, two),
         "coarse_against_fine": (one, fine),
         "p2q2d2_M2_analytic": (lat2, spec2),
-        "zero_ties": (solve_algorithm_one(zero, tie, SolverConfig(samples=30, seed=23)), zero),
-        "martingale_ties": (solve_algorithm_one(mart, tie, SolverConfig(samples=30, seed=24)), mart),
+        "zero_ties": (solve(zero, tie, SolverConfig(samples=30, seed=23)), zero),
+        "martingale_ties": (solve(mart, tie, SolverConfig(samples=30, seed=24)), mart),
     }
 
 
@@ -285,7 +282,7 @@ def test_tied_read_points_keep_the_first_in_read_order():
     # points of "at t_1", each with a different spread: the report must take
     # the spread of "at t_1" at the first grid point
     spec = builtin_problem("zero", {"value": 0.0})
-    lat = solve_algorithm_one(spec, build_partition(1.0, 2, [1.0], [1]), SolverConfig(samples=4))
+    lat = solve(spec, build_partition(1.0, 2, [1.0], [1]), SolverConfig(samples=4))
     lat.V[(0, (0,))][:, 0] = np.array([3.0, 4.0, 3.0, 4.0])[:, None, None]
     lat.V[(0, (0,))][:, 1] = np.array([[5.0, 3.0], [0.0, 4.0], [5.0, 3.0], [0.0, 4.0]])[..., None]
     levels = {0.0: 3.5, 0.5: 0.0, 1.0: 4.5}
@@ -313,7 +310,7 @@ def test_analytic_reference_evaluated_once_per_grid_time():
 
     spec = replace(spec, analytic_reference=counting)
     part = build_partition(1.0, 8, [0.5], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=25, M=1))
+    lat = solve(spec, part, SolverConfig(samples=100, seed=25, M=1))
     discrete_error(lat, spec)
     assert sorted(calls) == list(part.time_points)  # n0 + 1 calls, one per grid time
 
@@ -322,8 +319,8 @@ def test_reference_lattice_slices_derived_once():
     spec = lin_spec()
     part = build_partition(1.0, 8, [0.5], [1])
     cfg = SolverConfig(samples=100, seed=26)
-    lat = solve_algorithm_one(spec, part, cfg)
-    ref = solve_algorithm_one(spec, part, cfg)
+    lat = solve(spec, part, cfg)
+    ref = solve(spec, part, cfg)
     read = []
     derive = ref.stacks
     ref.stacks = lambda family, j=None: read.append(j) or derive(family, j)
@@ -576,7 +573,7 @@ def test_compare_algorithms_discrepancy_shrinks():
 def test_increment_regularity_slope():
     spec = lin_spec()
     part = build_partition(1.0, 16, [0.5], [1])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=5000, seed=13))
+    lat = solve(spec, part, SolverConfig(samples=5000, seed=13))
     lags, moments, slope = increment_regularity(lat)
     assert len(lags) == 15 * 14 // 2 + 15
     assert slope is not None and slope <= 1.3
@@ -590,7 +587,7 @@ def test_increment_regularity_slope():
 def test_malliavin_zero_driver_propagates_terminal_gradient():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 6, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=500, seed=15))
+    base = solve(spec, part, SolverConfig(samples=500, seed=15))
     system = build_malliavin_system(spec, base, theta_index=2)
     mall = solve_malliavin_system(system, base)
     x = part.points[..., 0]
@@ -602,7 +599,7 @@ def test_malliavin_zero_driver_propagates_terminal_gradient():
 def test_malliavin_zero_block_before_theta():
     spec = lin_spec()
     part = build_partition(1.0, 6, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=300, seed=16))
+    base = solve(spec, part, SolverConfig(samples=300, seed=16))
     mall = dict(build_malliavin_lattices(spec, base, [3]))
     for key in mall[3].D_V:
         assert np.array_equal(mall[3].D_V[key][:, :3], np.zeros_like(mall[3].D_V[key][:, :3]))
@@ -612,7 +609,7 @@ def test_malliavin_zero_block_before_theta():
 def test_malliavin_linear_scalar_matches_closed_form():
     spec = lin_spec()
     part = build_partition(1.0, 16, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=500, seed=17))
+    base = solve(spec, part, SolverConfig(samples=500, seed=17))
     mall = dict(build_malliavin_lattices(spec, base, [0]))
     t = part.time_points
     x = 0.5
@@ -625,7 +622,7 @@ def test_representation_identity_on_builtins():
     for name, params in (("martingale", {}), ("linear_scalar", {"terminal_time": 1.0})):
         spec = builtin_problem(name, params)
         part = build_partition(1.0, 8, [0.5], [1])
-        base = solve_algorithm_one(spec, part, SolverConfig(samples=1000, seed=18))
+        base = solve(spec, part, SolverConfig(samples=1000, seed=18))
         report = check_representation_identity(spec, base)
         assert report.passed(3.0), (name, report.max_abs_z)
         assert report.max_abs_z == 0.0  # both sides coincide exactly here
@@ -634,7 +631,7 @@ def test_representation_identity_on_builtins():
 def test_representation_identity_requires_all_thetas():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=19))
+    base = solve(spec, part, SolverConfig(samples=100, seed=19))
     partial = dict(build_malliavin_lattices(spec, base, [0, 1]))
     with pytest.raises(InvalidPartitionError, match="missing"):
         check_representation_identity(spec, base, partial.items())
@@ -643,7 +640,7 @@ def test_representation_identity_requires_all_thetas():
 def test_malliavin_non_finite_terminal_gradient_raises():
     spec = lin_spec()
     part = build_partition(1.0, 4, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=21))
+    base = solve(spec, part, SolverConfig(samples=100, seed=21))
     system = build_malliavin_system(spec, base, theta_index=0)
     terminal = system.terminal.copy()
     terminal[7, 1, 0, 0] = np.inf
@@ -657,7 +654,7 @@ def test_terminal_gradient_is_a_writeable_owned_array(name):
     # condition must still be an array of its own
     spec = builtin_problem(name)
     part = build_partition(1.0, 4, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=30, seed=22))
+    base = solve(spec, part, SolverConfig(samples=30, seed=22))
     assert not spec.terminal_w_gradient(part.points, base.paths.W[:, -1, None, :]).flags.writeable
     grad = analysis._terminal_gradient(spec, base)
     assert grad.shape == (30,) + part.grid_shape + (1, 1)
@@ -668,7 +665,7 @@ def test_terminal_gradient_is_a_writeable_owned_array(name):
 def test_malliavin_theta_validation():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=20))
+    base = solve(spec, part, SolverConfig(samples=100, seed=20))
     with pytest.raises(InvalidPartitionError):
         build_malliavin_system(spec, base, theta_index=9)
 
@@ -747,7 +744,7 @@ def _identity_case(name, S):
     # below the default basis size, the degree-0 basis (the sample mean) still solves
     estimator = EstimatorSpec(degree=3 if S >= 10 else 0)
     config = SolverConfig(samples=S, seed=31, M=M, estimator=estimator)
-    return spec, solve_algorithm_one(spec, part, config)
+    return spec, solve(spec, part, config)
 
 
 @pytest.mark.parametrize("S", [1, 2, 500])
@@ -766,7 +763,7 @@ def test_vectorised_identity_check_matches_per_node_loop(name, S):
 def test_identity_check_holds_one_malliavin_lattice_at_a_time(monkeypatch):
     spec = lin_spec()
     part = build_partition(1.0, 6, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=200, seed=32))
+    base = solve(spec, part, SolverConfig(samples=200, seed=32))
     held, alive_at_start = [], []
     solve_system = analysis.solve_malliavin_system
 
@@ -795,14 +792,14 @@ def test_identity_check_holds_one_malliavin_lattice_at_a_time(monkeypatch):
 def test_identity_check_rejects_theta_streams_out_of_order(thetas, message):
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=50, seed=33))
+    base = solve(spec, part, SolverConfig(samples=50, seed=33))
     with pytest.raises(InvalidPartitionError, match=message):
         check_representation_identity(spec, base, build_malliavin_lattices(spec, base, thetas))
 
 
 def test_malliavin_stream_rejects_a_theta_off_the_time_grid():
     spec = builtin_problem("martingale")
-    base = solve_algorithm_one(spec, build_partition(1.0, 4, [0.5], [1]), SolverConfig(samples=50))
+    base = solve(spec, build_partition(1.0, 4, [0.5], [1]), SolverConfig(samples=50))
     stream = build_malliavin_lattices(spec, base, [0, 9])
     assert next(stream)[0] == 0
     with pytest.raises(InvalidPartitionError, match="outside the time grid"):
@@ -812,7 +809,7 @@ def test_malliavin_stream_rejects_a_theta_off_the_time_grid():
 def _identity_check_peak(n0):
     spec = lin_spec()
     part = build_partition(1.0, n0, [0.5], [1])
-    base = solve_algorithm_one(spec, part, SolverConfig(samples=2000, seed=34))
+    base = solve(spec, part, SolverConfig(samples=2000, seed=34))
     tracemalloc.start()
     try:
         check_representation_identity(spec, base)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bspde import (
+    CapacityError,
     DivergenceError,
     EstimatorSpec,
     FixedPointDivergenceError,
@@ -16,11 +17,10 @@ from bspde import (
     reference_step_residual,
     simulate_increments,
     solve,
-    solve_algorithm_one,
-    solve_algorithm_two,
     stochastics,
     terminal_stage,
 )
+from bspde.model import zero_key
 
 
 def small_partition(n0=4, edge=1.0, count=2, T=1.0):
@@ -32,13 +32,14 @@ def small_partition(n0=4, edge=1.0, count=2, T=1.0):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("algorithm,solver", [("one", solve_algorithm_one), ("two", solve_algorithm_two)])
-def test_zero_problem_exact_every_step(algorithm, solver):
+@pytest.mark.parametrize("algorithm", ["one", "two"])
+def test_zero_problem_exact_every_step(algorithm):
     spec = builtin_problem("zero", {"value": 7.0})
     part = small_partition()
-    lat = solver(spec, part, SolverConfig(algorithm=algorithm, samples=50, seed=1))
-    assert np.array_equal(lat.v_base(), np.full_like(lat.v_base(), 7.0))
-    assert np.array_equal(lat.vbar_base(), np.zeros_like(lat.vbar_base()))
+    lat = solve(spec, part, SolverConfig(algorithm=algorithm, samples=50, seed=1))
+    V, Vbar = lat.V[zero_key(1)], lat.Vbar[zero_key(1)]
+    assert np.array_equal(V, np.full_like(V, 7.0))
+    assert np.array_equal(Vbar, np.zeros_like(Vbar))
     if algorithm == "two":
         assert lat.fp_iterations == [1] * part.n0  # nothing to iterate on
 
@@ -46,18 +47,18 @@ def test_zero_problem_exact_every_step(algorithm, solver):
 def test_martingale_exact_values_and_integrand():
     spec = builtin_problem("martingale")
     part = small_partition()
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=2000, seed=7))
+    lat = solve(spec, part, SolverConfig(samples=2000, seed=7))
     x = part.points[..., 0]
     ref = x[None, None, :, None] * lat.paths.W[:, :, None, :]
-    assert np.max(np.abs(lat.v_base() - ref)) < 1e-12
-    computed = lat.vbar_base()[:, : part.n0, ..., 0]
+    assert np.max(np.abs(lat.V[zero_key(1)] - ref)) < 1e-12
+    computed = lat.Vbar[zero_key(1)][:, : part.n0, ..., 0]
     assert np.max(np.abs(computed - x[None, None, :, None])) < 1e-12
 
 
 def test_linear_scalar_algorithm_two_contracts():
     spec = builtin_problem("linear_scalar")
     part = small_partition(n0=4, edge=0.5, count=1)
-    lat = solve_algorithm_two(spec, part, SolverConfig(algorithm="two", samples=500, seed=3))
+    lat = solve(spec, part, SolverConfig(algorithm="two", samples=500, seed=3))
     # the inner map has contraction factor dt = 0.25; convergence is geometric
     # (the very first backward step from a conditionally centered state can
     # land on the fixed point immediately)
@@ -68,7 +69,7 @@ def test_linear_scalar_algorithm_two_contracts():
     alpha = np.array([(1.0 / (1.0 - dt)) ** (part.n0 - j) for j in range(part.n0 + 1)])
     x = part.points[..., 0]
     expect = alpha[None, :, None, None] * x[None, None, :, None] * lat.paths.W[:, :, None, :]
-    assert np.max(np.abs(lat.v_base() - expect)) < 1e-8
+    assert np.max(np.abs(lat.V[zero_key(1)] - expect)) < 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +113,7 @@ def test_lattice_terminal_slice_matches_terminal_stage_bitwise():
     part = small_partition()
     paths = simulate_increments(part, 1, 100, seed=11)
     cfg = SolverConfig(samples=100, seed=11)
-    lat = solve_algorithm_one(spec, part, cfg, paths)
+    lat = solve(spec, part, cfg, paths)
     v_stack, vbar_stack = terminal_stage(spec, part, paths)
     for key, arr in v_stack.items():
         assert np.array_equal(lat.stacks(lat.V, part.n0)[key], arr)
@@ -130,10 +131,10 @@ def test_stored_stacks_satisfy_stencil_recursion():
 
     spec = builtin_problem("heat", {"a": 1.0})
     part = build_partition(1.0, 2, [2.0], [4])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1))
+    lat = solve(spec, part, SolverConfig(samples=8, seed=1))
     whole = lat.stacks(lat.V)
     for j in range(part.n0 + 1):
-        rebuilt = difference_stack_arrays(lat.v_base()[:, j], lat.M, part, batch_ndim=1)
+        rebuilt = difference_stack_arrays(lat.V[zero_key(1)][:, j], lat.M, part, batch_ndim=1)
         derived = lat.stacks(lat.V, j)
         assert derived.keys() == whole.keys() == rebuilt.keys()
         for key, arr in rebuilt.items():
@@ -144,7 +145,7 @@ def test_stored_stacks_satisfy_stencil_recursion():
 def test_lattices_store_order_zero_only():
     spec = builtin_problem("heat", {"a": 1.0})
     part = build_partition(1.0, 2, [2.0], [4])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1, M=2))
+    lat = solve(spec, part, SolverConfig(samples=8, seed=1, M=2))
     assert list(lat.V) == list(lat.Vbar) == [(0, (0,))]
     mall = dict(build_malliavin_lattices(spec, lat, [0]))[0]
     assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
@@ -206,8 +207,9 @@ def test_deterministic_problems_have_zero_sample_spread():
     for name, params in (("zero", {"value": 3.0}), ("heat", {"a": 1.0})):
         spec = builtin_problem(name, params)
         part = build_partition(1.0, 4, [2.0], [2])
-        lat = solve_algorithm_one(spec, part, SolverConfig(samples=100, seed=9))
-        spread = lat.v_base().max(axis=0) - lat.v_base().min(axis=0)
+        lat = solve(spec, part, SolverConfig(samples=100, seed=9))
+        V = lat.V[zero_key(1)]
+        spread = V.max(axis=0) - V.min(axis=0)
         assert np.max(spread) == 0.0
 
 
@@ -221,14 +223,14 @@ def test_adaptedness_under_future_increment_shuffle():
     S = 3000
     cfg = SolverConfig(samples=S, seed=23)
     paths = simulate_increments(part, 1, S, seed=23)
-    base = solve_algorithm_one(spec, part, cfg, paths)
+    base = solve(spec, part, cfg, paths)
     j_star = 3
     perm = np.random.default_rng(1).permutation(S)
-    shuffled = solve_algorithm_one(
+    shuffled = solve(
         spec, part, cfg, permute_future_increments(paths, j_star, perm)
     )
     for j in range(j_star + 1):
-        diff = np.max(np.abs(base.v_base()[:, j] - shuffled.v_base()[:, j]))
+        diff = np.max(np.abs(base.V[zero_key(1)][:, j] - shuffled.V[zero_key(1)][:, j]))
         assert diff < 1e-10, f"step {j} changed by {diff}"
 
 
@@ -236,10 +238,10 @@ def test_solver_determinism_bitwise():
     spec = builtin_problem("linear_scalar")
     part = small_partition()
     cfg = SolverConfig(samples=500, seed=31)
-    a = solve_algorithm_one(spec, part, cfg)
-    b = solve_algorithm_one(spec, part, cfg)
-    assert np.array_equal(a.v_base(), b.v_base())
-    assert np.array_equal(a.vbar_base(), b.vbar_base())
+    a = solve(spec, part, cfg)
+    b = solve(spec, part, cfg)
+    assert np.array_equal(a.V[zero_key(1)], b.V[zero_key(1)])
+    assert np.array_equal(a.Vbar[zero_key(1)], b.Vbar[zero_key(1)])
 
 
 def test_solve_dispatch_and_config_validation():
@@ -250,14 +252,26 @@ def test_solve_dispatch_and_config_validation():
     with pytest.raises(InvalidPartitionError):
         SolverConfig(algorithm="three")
     with pytest.raises(InvalidPartitionError):
-        solve_algorithm_two(spec, part, SolverConfig(algorithm="one", samples=20))
-    with pytest.raises(InvalidPartitionError):
         # 3 samples cannot support the degree-3 default basis
-        solve_algorithm_one(spec, part, SolverConfig(samples=3))
+        solve(spec, part, SolverConfig(samples=3))
     heat = builtin_problem("heat")
     with pytest.raises(InvalidPartitionError):
         # M below the operators' requirement
-        solve_algorithm_one(heat, part, SolverConfig(samples=20, M=1))
+        solve(heat, part, SolverConfig(samples=20, M=1))
+
+
+def test_capacity_budget_counts_only_the_stored_lattice():
+    # 100 samples x 5 times x 2 points x (V + Vbar) = 2 000 lattice entries,
+    # against 100 x 4 = 400 path entries
+    spec = builtin_problem("linear_scalar")
+    part = small_partition(n0=4, edge=0.5, count=1)
+    cfg = SolverConfig(samples=100, seed=1, max_entries=1000)
+    with pytest.raises(CapacityError, match="lattice would hold 2000"):
+        solve(spec, part, cfg)
+    slices = []
+    lat = solve(spec, part, cfg, observe=lambda j, v, vbar: slices.append(j))
+    assert slices == list(range(part.n0, -1, -1))
+    assert lat.V == lat.Vbar == {}
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +285,7 @@ def test_fixed_point_divergence_for_large_steps():
     spec = builtin_problem("linear_scalar", {"terminal_time": 4.0})
     part = build_partition(4.0, 2, [0.5], [1])
     with pytest.raises(FixedPointDivergenceError, match="shrink dt"):
-        solve_algorithm_two(spec, part, SolverConfig(algorithm="two", samples=50, seed=2))
+        solve(spec, part, SolverConfig(algorithm="two", samples=50, seed=2))
 
 
 def test_heat_fixed_point_stalls_at_marginal_contraction():
@@ -280,7 +294,7 @@ def test_heat_fixed_point_stalls_at_marginal_contraction():
     spec = builtin_problem("heat", {"a": 1.0})
     part = build_partition(1.0, 32, [1.0], [8])
     with pytest.raises(FixedPointDivergenceError):
-        solve_algorithm_two(spec, part, SolverConfig(algorithm="two", samples=10, seed=2))
+        solve(spec, part, SolverConfig(algorithm="two", samples=10, seed=2))
 
 
 def test_divergence_error_names_the_step():
@@ -296,7 +310,7 @@ def test_divergence_error_names_the_step():
     )
     part = small_partition(n0=2)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="j0=1"):
-        solve_algorithm_one(spec, part, SolverConfig(samples=8, seed=1))
+        solve(spec, part, SolverConfig(samples=8, seed=1))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +347,7 @@ def test_reference_single_step_residual_shrinks(name, params):
 def test_export_lattice_csv(tmp_path):
     spec = builtin_problem("zero", {"value": 7.0})
     part = small_partition(n0=2)
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=4, seed=1))
+    lat = solve(spec, part, SolverConfig(samples=4, seed=1))
     v_path = tmp_path / "v.csv"
     vbar_path = tmp_path / "vbar.csv"
     export_lattice_csv(lat, v_path, vbar_path)
@@ -408,7 +422,7 @@ def test_export_matches_row_by_row_writer_p2_q2_d2(tmp_path):
         driver=driver, diffusion=diffusion, terminal=terminal,
     )
     part = build_partition(1.0, 2, [1.0, 0.5], [2, 2])
-    lat = solve_algorithm_one(spec, part, SolverConfig(samples=12, seed=4, M=2))
+    lat = solve(spec, part, SolverConfig(samples=12, seed=4, M=2))
     export_lattice_csv(lat, tmp_path / "v.csv", tmp_path / "vbar.csv")
     _export_row_by_row(lat, tmp_path / "v_ref.csv", tmp_path / "vbar_ref.csv")
     for name in ("v", "vbar"):

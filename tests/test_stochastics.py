@@ -16,8 +16,9 @@ from bspde import (
     condexp_nested,
     permute_future_increments,
     simulate_increments,
-    solve_algorithm_one,
+    solve,
 )
+from bspde.model import zero_key
 from bspde.stochastics import (
     BrownianPaths,
     ConditionalEstimator,
@@ -460,7 +461,7 @@ def test_factored_fit_matches_full_lstsq(d, with_constant):
     flat = targets.reshape(3000, -1)
     phi = _design_matrix(paths.W[:, 2, :], est.exponents, 1.0)
     full = np.linalg.lstsq(phi, flat, rcond=None)[0]
-    coef = est._analytic_fit(flat, 2, "mean", None, None)
+    coef = est._analytic_fit(flat, 2, "mean", None)
     assert np.max(np.abs(coef - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
     fitted = phi @ coef
     assert np.max(np.abs(fitted - phi @ full)) <= 1e-12 * np.max(np.abs(flat))
@@ -484,7 +485,7 @@ def test_factored_fit_rank_deficient_gives_minimum_norm():
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
     phi = _design_matrix(w[:, 2, :], est.exponents, 1.0)
     assert np.linalg.matrix_rank(phi) == 2
-    coef = est._analytic_fit(y, 2, "mean", None, None)
+    coef = est._analytic_fit(y, 2, "mean", None)
     min_norm = np.linalg.pinv(phi) @ y
     assert np.max(np.abs(coef - min_norm)) <= 1e-12 * np.max(np.abs(min_norm))
     assert np.max(np.abs(coef - np.linalg.lstsq(phi, y, rcond=None)[0])) <= 1e-12 * np.max(np.abs(min_norm))
@@ -554,16 +555,15 @@ def test_coefficient_labels_use_original_columns(kind):
     targets = np.stack([np.full_like(w, 4.0), w, w**2], axis=1)  # column 0 constant
     spec = EstimatorSpec(kind=kind)
     est = ConditionalEstimator(spec, paths, record_coefficients=True)
-    for method, labels in (("cond_mean", None), ("cond_mean_times_dw", ["a", "b", "c"])):
+    for method in ("cond_mean", "cond_mean_times_dw"):
         est.records.clear()
-        getattr(est, method)(targets, 2, labels=labels)
-        names = labels or ["0", "1", "2"]
+        getattr(est, method)(targets, 2)
         got = _record_values(est.records)
-        assert {column for _, column in got} == set(names[1:])
-        # each labelled column's coefficients are those of a fit of it alone
+        assert {column for _, column in got} == {"1", "2"}
+        # each column's coefficients are those of a fit of it alone
         for (op, column), values in got.items():
             alone = ConditionalEstimator(spec, paths, record_coefficients=True)
-            getattr(alone, method)(targets[:, [names.index(column)]], 2)
+            getattr(alone, method)(targets[:, [int(column)]], 2)
             want = _record_values(alone.records)[(op, "0")]
             assert np.max(np.abs(values - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
@@ -606,12 +606,12 @@ def test_regression_checks_each_index_rank_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "matrix_rank", counting)
     part = build_partition(1.0, 8, [0.5], [1])
     spec = EstimatorSpec(kind="regression", degree=3, ridge=0.0)
-    lattice = solve_algorithm_one(
+    lattice = solve(
         builtin_problem("linear_scalar"), part, SolverConfig(samples=500, seed=38, estimator=spec)
     )
     # steps j0 = 8..2 fit on W(t_{j0-1}); the step from j0 = 1 takes the sample mean
     assert len(calls) == part.n0 - 1
-    assert np.all(np.isfinite(lattice.v_base()))
+    assert np.all(np.isfinite(lattice.V[zero_key(1)]))
 
 
 def test_nested_kind_rejected_inside_schemes():
