@@ -11,7 +11,6 @@ import argparse
 
 from bspde import (
     SolverConfig,
-    build_malliavin_lattices,
     build_partition,
     builtin_problem,
     check_representation_identity,
@@ -32,8 +31,7 @@ def main():
     spec = builtin_problem(args.problem, params)
     part = build_partition(1.0, args.steps, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=args.samples, seed=args.seed))
-    lattices = build_malliavin_lattices(spec, base)
-    report = check_representation_identity(spec, base, lattices)
+    report = check_representation_identity(spec, base)
 
     print(f"{'t':>8} {'x':>6} {'mean lhs':>12} {'mean rhs':>12} {'var lhs':>11} {'var rhs':>11} {'z':>8}")
     for row in report.rows:

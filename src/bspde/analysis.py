@@ -602,14 +602,15 @@ def _linear_diffusion(jac: OperatorJacobians, u_stack) -> np.ndarray:
 
 
 def solve_malliavin_system(
-    system: MalliavinSystem,
-    base: SolutionLattice,
+    system: MalliavinSystem, base: SolutionLattice, *, observe=None
 ) -> MalliavinLattice:
     """Backward solve of the frozen linear system with the explicit scheme.
 
     Reuses the base solve's paths and estimator configuration; coefficients
     enter as per-sample exogenous data.  Values at grid times before the
-    branch time are exactly zero.
+    branch time are exactly zero.  With observe, nothing is stored, as in
+    `solve`: observe(j, u_stack, ubar_stack) is handed the difference stacks
+    of D_V and D_Vbar at j = n0, n0-1, ..., theta, and D_V and D_Vbar are empty.
     """
     part = base.partition
     coeffs = system.coefficients
@@ -623,7 +624,7 @@ def solve_malliavin_system(
         lambda j, u_stack: _linear_diffusion(coeffs[j], u_stack),
     )
     terminal = _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil)
-    D_V, D_Vbar = _march(part, system.theta_index, terminal, step)
+    D_V, D_Vbar = _march(part, system.theta_index, terminal, step, observe)
     return MalliavinLattice(
         theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar
     )
@@ -701,42 +702,34 @@ def _z(diff: float, se: float, tol: float) -> float:
     return diff / se if se != 0.0 else math.inf
 
 
-def _moment_z(S: int, lhs: tuple, rhs: tuple) -> float:
+def _moment_scale(lhs: tuple, rhs: tuple) -> float:
+    (m_l, v_l, _), (m_r, v_r, _) = lhs, rhs
+    return max(abs(m_l), abs(m_r), math.sqrt(v_l), math.sqrt(v_r), 1e-12)
+
+
+def _moment_z(S: int, lhs: tuple, rhs: tuple, floor: float) -> float:
     """Conservative |z| of a first-two-moment comparison of two samples of
     size S, each given as (mean, ddof=1 variance, fourth central moment).
+    Differences below 1e-10 of the samples' scale, floored at `floor`, count
+    as float jitter.
     """
     (m_l, v_l, _), (m_r, v_r, _) = lhs, rhs
-    scale = max(abs(m_l), abs(m_r), math.sqrt(v_l), math.sqrt(v_r), 1e-12)
+    scale = max(_moment_scale(lhs, rhs), floor)
     z_mean = _z(m_l - m_r, math.sqrt((v_l + v_r) / S), 1e-10 * scale)
     var_se = [math.sqrt(max(m4 - v**2, 0.0) / S) if S > 1 else 0.0 for _, v, m4 in (lhs, rhs)]
     z_var = _z(v_l - v_r, math.hypot(*var_se), 1e-10 * scale**2)
     return max(abs(z_mean), abs(z_var))
 
 
-def _next_lattice(pairs, j: int, n0: int) -> MalliavinLattice | None:
-    """Lattice of the next (theta, lattice) pair, which must have theta = j;
-    at j = n0 the pairs must be exhausted, and None is returned.
-    """
-    theta, lattice = next(pairs, (None, None))
-    if theta == (j if j < n0 else None):
-        return lattice
-    if theta is None:
-        raise InvalidPartitionError(f"missing Malliavin solves for theta indices {list(range(j, n0))}")
-    if theta < j:
-        raise InvalidPartitionError(f"duplicate Malliavin solve for theta index {theta}")
-    if theta >= n0:
-        raise InvalidPartitionError(f"Malliavin solve for theta index {theta} outside 0..{n0 - 1}")
-    raise InvalidPartitionError(
-        f"Malliavin solve for theta index {theta} where {j} was due (missing or out of order)"
-    )
-
-
-def _identity_rows_at(spec, base: SolutionLattice, j: int, lattice: MalliavinLattice) -> list:
-    """The IdentityRows of grid time j, read from slice j of the theta = j lattice.
+def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
+    """The IdentityRows of grid time j, read from D_V, the difference stack of
+    slice j of the theta = j Malliavin solve.
 
     Each (c, multi_index) entry's two sides are copied into C-contiguous
-    (nodes, S) blocks, nodes ordered grid point first, then component, so no
-    view of the lattice outlives the call.
+    (nodes, S) blocks, nodes ordered grid point first, then component.  A
+    difference of multi-index idx amplifies the roundoff of the order-zero
+    values by 1 / prod_l h_l^{idx_l}, so its rows' jitter scale is floored by
+    the same node's order-zero scale times that factor.
     """
     part, t, S = base.partition, float(base.partition.time_points[j]), base.sample_count
     args = operator_arguments(t, part, base.stacks(base.V, j), {}, spec.n, -1)
@@ -744,42 +737,44 @@ def _identity_rows_at(spec, base: SolutionLattice, j: int, lattice: MalliavinLat
     J_stack = difference_stack_arrays(
         evaluate_diffusion_driver(spec, args), base.M, part, batch_ndim=1, paper_literal=lit
     )
-    Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(lattice.D_V, j)
+    Vbar = base.stacks(base.Vbar, j)
     coords = [tuple(x) for x in part.points.reshape(-1, spec.p).tolist()]
     rows = []
-    for key, J in J_stack.items():
-        lhs = _node_moments(np.ascontiguousarray(Vbar[key].reshape(S, -1).T))
-        rhs = _node_moments(np.ascontiguousarray((D_V[key] + J).reshape(S, -1).T))
+    for (c, idx), J in J_stack.items():
+        lhs = _node_moments(np.ascontiguousarray(Vbar[c, idx].reshape(S, -1).T))
+        rhs = _node_moments(np.ascontiguousarray((D_V[c, idx] + J).reshape(S, -1).T))
+        if c == 0:  # the stack's first entry
+            scale0 = [_moment_scale(left, right) for left, right in zip(lhs, rhs)]
+        h_idx = math.prod(h**i for h, i in zip(part.spacings, idx))
         for node, (left, right) in enumerate(zip(lhs, rhs)):
             g, comp = divmod(node, spec.q * spec.d)
-            moments = (left[0], right[0], left[1], right[1], _moment_z(S, left, right))
-            rows.append(IdentityRow(j, t, coords[g], *key, divmod(comp, spec.d), *moments))
+            z = _moment_z(S, left, right, scale0[node] / h_idx)
+            moments = (left[0], right[0], left[1], right[1], z)
+            rows.append(IdentityRow(j, t, coords[g], c, idx, divmod(comp, spec.d), *moments))
     return rows
 
 
-def check_representation_identity(
-    spec: ProblemSpec,
-    base: SolutionLattice,
-    malliavin=None,
-) -> IdentityReport:
+def check_representation_identity(spec: ProblemSpec, base: SolutionLattice) -> IdentityReport:
     """Moment comparison of Vbar against the diagonal Malliavin derivative
     plus the diffusion driver, at every grid time and grid point.
 
-    malliavin: (theta, MalliavinLattice) pairs for theta = 0..n0-1 in order,
-    as `build_malliavin_lattices` yields them (the default).  Grid time j
-    reads slice j of the theta = j lattice and drops it before the next pair
-    is pulled, so a stream holds one per-theta lattice at a time.  Missing,
-    duplicate, out-of-order or out-of-range theta indices raise
-    InvalidPartitionError.
+    Grid time j reads slice j of the theta = j solve, the last slice that
+    solve's march hands over; the solves share one theta = 0 system, as in
+    `build_malliavin_lattices`, and run with an observer that keeps only that
+    slice's D_V stack, so no Malliavin lattice is stored.
 
     Only the first two moments are compared; the underlying statement is an
     equality in distribution, and matching means and variances at every node
     already rules out sign and scaling mistakes at Monte Carlo resolution.
     """
-    n0 = base.partition.n0
-    pairs = iter(build_malliavin_lattices(spec, base) if malliavin is None else malliavin)
+    system = build_malliavin_system(spec, base, 0)
+    system.terminal.flags.writeable = False
     rows = []
-    for j in range(n0):
-        rows += _identity_rows_at(spec, base, j, _next_lattice(pairs, j, n0))
-    _next_lattice(pairs, n0, n0)
+    for j in range(base.partition.n0):
+        last = {}
+        solve_malliavin_system(
+            replace(system, theta_index=j), base,
+            observe=lambda i, u_stack, ubar_stack: last.update(D_V=u_stack),
+        )
+        rows += _identity_rows_at(spec, base, j, last["D_V"])
     return IdentityReport(tuple(rows), max([0.0] + [abs(row.zscore) for row in rows]))

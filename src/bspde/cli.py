@@ -4,8 +4,8 @@ Subcommands: solve | converge | compare | check-malliavin.
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 
 Every run echoes the fully resolved configuration (all defaults materialized)
-and a manifest with seed, wall time, and library version.  Data artifacts are
-deterministic functions of (config, seed, library version).
+and a manifest with seed, wall time, peak RSS and library version.  Data
+artifacts are deterministic functions of (config, seed, library version).
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -20,6 +21,8 @@ import jsonschema
 
 from . import __version__
 from .analysis import (
+    # unused here, but perfbench/tracer.py binds its analysis.study span to
+    # this name in bspde.cli (tests/test_tracer_bindings.py checks it resolves)
     build_malliavin_lattices,
     check_representation_identity,
     compare_algorithms,
@@ -221,6 +224,7 @@ def _emit_run_records(outdir, config, started, command) -> None:
         os.path.join(outdir, "manifest.json"),
         {
             "command": command,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "seed": config["seed"],
             "wall_time_s": round(time.perf_counter() - started, 6),
             "version": __version__,
@@ -310,8 +314,7 @@ def cmd_check_malliavin(config: dict, args, outdir: str) -> int:
     if len(partitions) != 1:
         raise ConfigError("check-malliavin expects a single partition")
     base = solve(spec, partitions[0], solver_config)
-    lattices = build_malliavin_lattices(spec, base)
-    report = check_representation_identity(spec, base, lattices)
+    report = check_representation_identity(spec, base)
     header_x = ",".join(f"x{l+1}" for l in range(spec.p))
     with open(os.path.join(outdir, "malliavin.csv"), "w") as fh:
         fh.write(f"t,{header_x},c,multi_index,mean_lhs,mean_rhs,var_lhs,var_rhs,zscore\n")

@@ -112,16 +112,18 @@ def zero_key(p: int) -> StackKey:
     return (0, (0,) * p)
 
 
+# The built-ins' analytic Jacobians are constants, handed out as read-only
+# broadcasts of one scalar each: freezing them along a solve allocates nothing.
 def _zero_jac_v(v: dict, q: int) -> dict:
-    return {key: np.zeros(arr.shape + (q,)) for key, arr in v.items()}
+    return {key: np.broadcast_to(0.0, arr.shape + (q,)) for key, arr in v.items()}
 
 
 def _zero_jac_vbar(vbar: dict, q: int, d: int) -> dict:
-    return {key: np.zeros(arr.shape[:-2] + (q, q, d)) for key, arr in vbar.items()}
+    return {key: np.broadcast_to(0.0, arr.shape[:-2] + (q, q, d)) for key, arr in vbar.items()}
 
 
 def _zero_jac_diffusion(v: dict, q: int, d: int) -> dict:
-    return {key: np.zeros(arr.shape[:-1] + (q, d, q)) for key, arr in v.items()}
+    return {key: np.broadcast_to(0.0, arr.shape[:-1] + (q, d, q)) for key, arr in v.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
         return np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
     def jac_driver(t, x, v, vbar):
-        jv = {key: (np.ones if key == (0, (0,)) else np.zeros)(arr.shape + (1,)) for key, arr in v.items()}
+        jv = {key: np.broadcast_to(float(key == (0, (0,))), arr.shape + (1,)) for key, arr in v.items()}
         return jv, _zero_jac_vbar(vbar, 1, 1)
 
     return ProblemSpec(
@@ -272,9 +274,7 @@ def _heat_problem(params: dict) -> ProblemSpec:
         return V, np.zeros(V.shape + (1,))
 
     def jac_driver(t, x, v, vbar):
-        jv = {}
-        for key, arr in v.items():
-            jv[key] = (0.5 * np.ones(arr.shape + (1,))) if key == (2, (2,)) else np.zeros(arr.shape + (1,))
+        jv = {key: np.broadcast_to(0.5 * (key == (2, (2,))), arr.shape + (1,)) for key, arr in v.items()}
         return jv, _zero_jac_vbar(vbar, 1, 1)
 
     return ProblemSpec(

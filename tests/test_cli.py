@@ -1,4 +1,5 @@
 import json
+import resource
 
 import pytest
 
@@ -41,6 +42,9 @@ def test_solve_zero_exit_and_artifacts(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 42
     assert "version" in manifest and "wall_time_s" in manifest
+    # the peak RSS of this process at the time of writing, which the peak now bounds
+    peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert 0 < manifest["peak_rss_mb"] <= peak_now
 
 
 def test_rerunning_emitted_config_reproduces_artifacts(tmp_path):
