@@ -41,7 +41,9 @@ _COMMANDS = {
     "compare_linear": "compare",
     "heat_one_step": "solve",
     "linear_scalar_converge": "converge",
+    "linear_scalar_converge_literal": "converge",
     "malliavin_linear": "check-malliavin",
+    "malliavin_linear_literal": "check-malliavin",
     "malliavin_martingale_m2": "check-malliavin",
     "regression_solve": "solve",
     "zero_solve": "solve",

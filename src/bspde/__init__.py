@@ -45,7 +45,6 @@ from .grid import (
     refine_partition,
 )
 from .model import (
-    OperatorArguments,
     ProblemSpec,
     builtin_problem,
     evaluate_diffusion_driver,

@@ -46,7 +46,6 @@ from .model import (
     ProblemSpec,
     evaluate_diffusion_driver,
     evaluate_driver,
-    operator_arguments,
     operator_jacobians,
     zero_key,
 )
@@ -64,12 +63,13 @@ from .stochastics import BrownianPaths, ConditionalEstimator, simulate_increment
 
 
 # ---------------------------------------------------------------------------
-# Reference adapters
+# References
 # ---------------------------------------------------------------------------
 
 
-def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: bool):
-    """Analytic reference at grid time j along the paths, with difference stacks."""
+def _reference_stacks(spec, partition, paths, j: int, restencil):
+    """Analytic reference at grid time j along the paths, with the run's
+    difference stacks."""
     S = paths.sample_count
     w = paths.W[:, j, :].reshape(S, *([1] * partition.p), spec.d)
     V, Vbar = spec.analytic_reference(float(partition.time_points[j]), partition.points, w)
@@ -80,69 +80,49 @@ def _reference_stacks(spec, partition, paths, j: int, M: int, paper_literal: boo
         V = np.broadcast_to(V, shape).copy()
     if Vbar.shape != shape + (spec.d,):
         Vbar = np.broadcast_to(Vbar, shape + (spec.d,)).copy()
-    restencil = _restenciler(M, partition, paper_literal)
     return restencil(V), restencil(Vbar)
 
 
-class _AnalyticReference:
-    """Continuous-time reference evaluated along the solve's own paths.
+def _reference_reader(reference, partition: Partition, paths, restencil):
+    """(key, derive) reads of a reference: `key(j, left)` names the reference
+    slice read at grid time j (just before it when left is true) and
+    `derive(key)` builds that slice's V and Vbar stacks; reads that share a
+    key share one derivation.
 
-    `key(j, left)` names the reference slice read at grid time j (just before
-    it when left is true) and `derive(key)` builds that slice's V and Vbar
-    stacks, with the solve's order M and stencil; reads that share a key
-    share one derivation.
+    A ProblemSpec's continuous-time reference is evaluated along the run's own
+    paths and differenced with the run's stencil; another SolutionLattice
+    (same spatial grid, compatible time grid) is read through its own stacks.
     """
-
-    def __init__(self, spec: ProblemSpec, partition: Partition, paths, M: int, paper_literal):
-        if spec.analytic_reference is None:
-            raise ReferenceRequiredError(
-                f"problem {spec.name!r} does not supply an analytic reference"
-            )
-        self.derive = partial(
-            _reference_stacks, spec, partition, paths, M=M, paper_literal=paper_literal
-        )
-
-    def key(self, j: int, left: bool) -> int:
-        # the reference is continuous in time: its left limit is its value
-        return j
-
-
-class _LatticeReference:
-    """Another lattice (same spatial grid, compatible time grid) as reference,
-    with the same `key`/`derive` reads as `_AnalyticReference`.
-    """
-
-    def __init__(self, reference: SolutionLattice, partition: Partition):
-        if reference.partition.grid_shape != partition.grid_shape:
-            raise InvalidPartitionError("reference lattice must share the spatial grid")
-        ref_times = reference.partition.time_points
-        self.index_map = []
-        for t in partition.time_points:
-            hits = np.where(np.isclose(ref_times, t, rtol=0, atol=1e-12))[0]
-            if hits.size != 1:
-                raise InvalidPartitionError(
-                    f"reference time grid does not contain t={t}; refine by integer factors"
-                )
-            self.index_map.append(int(hits[0]))
-        self.reference = reference
-
-    def key(self, j: int, left: bool) -> int:
-        # piecewise-constant extension: value just before t_j is the previous slice
-        return self.index_map[j] - left
-
-    def derive(self, ref_j: int):
-        ref = self.reference
-        return ref.stacks(ref.V, ref_j), ref.stacks(ref.Vbar, ref_j)
-
-
-def _as_reference(reference, partition: Partition, paths, M: int, paper_literal: bool):
-    if isinstance(reference, SolutionLattice):
-        return _LatticeReference(reference, partition)
     if isinstance(reference, ProblemSpec):
-        return _AnalyticReference(reference, partition, paths, M, paper_literal)
-    raise InvalidPartitionError(
-        "reference must be a SolutionLattice or a ProblemSpec with analytic_reference"
-    )
+        if reference.analytic_reference is None:
+            raise ReferenceRequiredError(
+                f"problem {reference.name!r} does not supply an analytic reference"
+            )
+        # the reference is continuous in time: its left limit is its value
+        return (lambda j, left: j), partial(
+            _reference_stacks, reference, partition, paths, restencil=restencil
+        )
+    if not isinstance(reference, SolutionLattice):
+        raise InvalidPartitionError(
+            "reference must be a SolutionLattice or a ProblemSpec with analytic_reference"
+        )
+    if reference.partition.grid_shape != partition.grid_shape:
+        raise InvalidPartitionError("reference lattice must share the spatial grid")
+    ref_times = reference.partition.time_points
+    index_map = []
+    for t in partition.time_points:
+        hits = np.where(np.isclose(ref_times, t, rtol=0, atol=1e-12))[0]
+        if hits.size != 1:
+            raise InvalidPartitionError(
+                f"reference time grid does not contain t={t}; refine by integer factors"
+            )
+        index_map.append(int(hits[0]))
+
+    def derive(ref_j: int):
+        return reference.stacks(reference.V, ref_j), reference.stacks(reference.Vbar, ref_j)
+
+    # piecewise-constant extension: value just before t_j is the previous slice
+    return (lambda j, left: index_map[j] - left), derive
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +226,13 @@ class _Criterion:
     for the next, which shares at most those.  Read points are numbered all
     "at t_j" first, then all "just before t_j", and each term is attained at
     the first worst read point in that order whatever order the slices come
-    in.  `report()` needs every grid time evaluated.
+    in.  `report()` needs every grid time evaluated.  The terms are orders
+    0..M, and an analytic reference is differenced with `restencil`, the
+    run's own stencil map.
     """
 
-    def __init__(self, reference, partition: Partition, paths: BrownianPaths,
-                 lattice_M: int, paper_literal: bool, M: int | None = None):
-        M = lattice_M if M is None else M
-        if M > lattice_M:
-            raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice_M}")
-        self.ref = _as_reference(reference, partition, paths, lattice_M, paper_literal)
+    def __init__(self, reference, partition: Partition, paths: BrownianPaths, restencil, M: int):
+        self.ref_key, self.derive = _reference_reader(reference, partition, paths, restencil)
         self.partition = partition
         self.S = paths.sample_count
         self.orders = range(M + 1)
@@ -284,12 +262,12 @@ class _Criterion:
         part, S = self.partition, self.S
         n0, p, G = part.n0, part.p, part.num_points
         reads = [
-            (r, self.ref.key(j, left), j_st)
+            (r, self.ref_key(j, left), j_st)
             for r, left, j_st in ((n0 + j - 1, True, j - 1), (j, False, j))
             if 0 <= j_st < n0
         ]
         keys = dict.fromkeys(key for _, key, _ in reads)
-        self.refs = {k: self.refs[k] if k in self.refs else self.ref.derive(k) for k in keys}
+        self.refs = {k: self.refs[k] if k in self.refs else self.derive(k) for k in keys}
         per_read = []  # (read point, its entry pairs per term)
         for r, key, j_st in reads:
             ref_sl, lat_sl = self.refs[key], self.window[j_st]
@@ -329,11 +307,12 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     the lattice's sample paths) or another SolutionLattice on the same spatial
     grid whose time grid contains this lattice's grid times.  The stored
     slices 0..n0-1 are fed to the criterion in time order, each derived once.
+    The criterion sums orders 0..M, at most the lattice's own order.
     """
-    criterion = _Criterion(
-        reference, lattice.partition, lattice.paths, lattice.M,
-        lattice.config.paper_literal_stencil, M,
-    )
+    M = lattice.M if M is None else M
+    if M > lattice.M:
+        raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice.M}")
+    criterion = _Criterion(reference, lattice.partition, lattice.paths, lattice.restencil, M)
     for j in range(lattice.partition.n0):
         criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
     return criterion.report()
@@ -348,9 +327,9 @@ def _streamed_error(spec, partition, config, reference, paths=None) -> ErrorRepo
         paths = simulate_increments(
             partition, spec.d, config.samples, config.seed, config.max_entries
         )
-    criterion = _Criterion(
-        reference, partition, paths, _resolve_order(spec, config), config.paper_literal_stencil
-    )
+    M = _resolve_order(spec, config)
+    restencil = _restenciler(M, partition, config.paper_literal_stencil)
+    criterion = _Criterion(reference, partition, paths, restencil, M)
     solve(spec, partition, config, paths, observe=criterion.feed)
     return criterion.report()
 
@@ -456,16 +435,14 @@ def reference_step_residual(
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     est = ConditionalEstimator(config.estimator, paths)
-    lit = config.paper_literal_stencil
-    v_next, _ = _reference_stacks(spec, partition, paths, j0, M, lit)
-    v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, M, lit)
+    restencil = _restenciler(M, partition, config.paper_literal_stencil)
+    v_next, _ = _reference_stacks(spec, partition, paths, j0, restencil)
+    v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, restencil)
     zkey = zero_key(spec.p)
     cond = est.cond_mean(v_next[zkey], j0)
     dt = float(partition.time_increments[j0 - 1])
-    args = operator_arguments(
-        float(partition.time_points[j0 - 1]), partition, v_prev, vbar_prev, spec.k, spec.m
-    )
-    residual = v_prev[zkey] - cond - dt * evaluate_driver(spec, args)
+    L = evaluate_driver(spec, float(partition.time_points[j0 - 1]), partition.points, v_prev, vbar_prev)
+    residual = v_prev[zkey] - cond - dt * L
     return float(np.max(np.abs(residual)))
 
 
@@ -570,16 +547,21 @@ def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice, h: float = 1e-6
 def build_malliavin_system(
     spec: ProblemSpec, base: SolutionLattice, theta_index: int
 ) -> MalliavinSystem:
-    """The linear system at one branch time: the terminal gradient, and the
+    """The linear system at one branch time: the terminal gradient, read-only
+    so that systems copied to other branch times can share it, and the
     operator Jacobians frozen along the base solve at every grid time.
     """
     part = base.partition
-    coefficients = {}
-    for j in range(part.n0 + 1):
-        v, vbar = base.stacks(base.V, j), base.stacks(base.Vbar, j)
-        args = operator_arguments(float(part.time_points[j]), part, v, vbar, spec.k, spec.m)
-        coefficients[j] = operator_jacobians(spec, args)
-    return MalliavinSystem(theta_index, _terminal_gradient(spec, base), coefficients)
+    coefficients = {
+        j: operator_jacobians(
+            spec, float(part.time_points[j]), part.points,
+            base.stacks(base.V, j), base.stacks(base.Vbar, j),
+        )
+        for j in range(part.n0 + 1)
+    }
+    terminal = _terminal_gradient(spec, base)
+    terminal.flags.writeable = False
+    return MalliavinSystem(theta_index, terminal, coefficients)
 
 
 def _linear_driver(jac: OperatorJacobians, u_stack, ubar_stack) -> np.ndarray:
@@ -614,7 +596,7 @@ def solve_malliavin_system(
     """
     part = base.partition
     coeffs = system.coefficients
-    restencil = _restenciler(base.M, part, base.config.paper_literal_stencil)
+    restencil = base.restencil
     step = partial(
         _explicit_step,
         part,
@@ -647,7 +629,6 @@ def build_malliavin_lattices(
     if theta_indices is None:
         theta_indices = range(base.partition.n0)
     system = build_malliavin_system(spec, base, 0)
-    system.terminal.flags.writeable = False
     for theta in theta_indices:
         yield theta, solve_malliavin_system(replace(system, theta_index=theta), base)
 
@@ -732,11 +713,9 @@ def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
     the same node's order-zero scale times that factor.
     """
     part, t, S = base.partition, float(base.partition.time_points[j]), base.sample_count
-    args = operator_arguments(t, part, base.stacks(base.V, j), {}, spec.n, -1)
+    diffusion = evaluate_diffusion_driver(spec, t, part.points, base.stacks(base.V, j))
     lit = base.config.paper_literal_stencil
-    J_stack = difference_stack_arrays(
-        evaluate_diffusion_driver(spec, args), base.M, part, batch_ndim=1, paper_literal=lit
-    )
+    J_stack = difference_stack_arrays(diffusion, base.M, part, batch_ndim=1, paper_literal=lit)
     Vbar = base.stacks(base.Vbar, j)
     coords = [tuple(x) for x in part.points.reshape(-1, spec.p).tolist()]
     rows = []
@@ -768,7 +747,6 @@ def check_representation_identity(spec: ProblemSpec, base: SolutionLattice) -> I
     already rules out sign and scaling mistakes at Monte Carlo resolution.
     """
     system = build_malliavin_system(spec, base, 0)
-    system.terminal.flags.writeable = False
     rows = []
     for j in range(base.partition.n0):
         last = {}

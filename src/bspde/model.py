@@ -14,8 +14,14 @@ Operator callbacks are plain vectorized functions.  Conventions:
   (S, 1, ..., 1, d) ready to broadcast against ``x`` and returns
   (S,) + grid_shape + (q,).
 
+Each operator reads its own orders.  `evaluate_driver`,
+`evaluate_diffusion_driver` and `operator_jacobians` take whole stacks and
+slice them: the driver and its Jacobians receive ``v`` at orders <= k and
+``vbar`` at orders <= m, the diffusion driver and its Jacobians ``v`` at
+orders <= n.
+
 Callbacks must be deterministic, re-entrant, total functions of their
-arguments; specs are immutable and shareable across workers.
+arguments; specs are immutable.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidPartitionError, OperatorEvaluationError
-from .grid import Partition, StackKey
+from .grid import StackKey
 
 BUILTIN_NAMES = ("zero", "martingale", "linear_scalar", "heat")
 
@@ -53,38 +59,8 @@ class ProblemSpec:
         return max(self.k, self.m, self.n)
 
 
-@dataclass(frozen=True)
-class OperatorArguments:
-    """Argument bundle for one operator evaluation.
-
-    v holds orders 0..k (or 0..n for the diffusion driver), vbar orders 0..m;
-    keys must match enumerate_multi_indices for each order.
-    """
-
-    t: float | np.ndarray
-    x: np.ndarray
-    v: dict[StackKey, np.ndarray]
-    vbar: dict[StackKey, np.ndarray]
-
-
-def slice_orders(stack: dict[StackKey, np.ndarray], c_max: int) -> dict[StackKey, np.ndarray]:
+def _upto(stack: dict[StackKey, np.ndarray], c_max: int) -> dict[StackKey, np.ndarray]:
     return {key: arr for key, arr in stack.items() if key[0] <= c_max}
-
-
-def operator_arguments(
-    t,
-    partition: Partition,
-    v_stack: dict[StackKey, np.ndarray],
-    vbar_stack: dict[StackKey, np.ndarray],
-    k: int,
-    m: int,
-) -> OperatorArguments:
-    return OperatorArguments(
-        t=t,
-        x=partition.points,
-        v=slice_orders(v_stack, k),
-        vbar=slice_orders(vbar_stack, m),
-    )
 
 
 def _check_finite(values: np.ndarray, t, x, what: str) -> np.ndarray:
@@ -98,14 +74,14 @@ def _check_finite(values: np.ndarray, t, x, what: str) -> np.ndarray:
     return values
 
 
-def evaluate_driver(spec: ProblemSpec, args: OperatorArguments) -> np.ndarray:
-    out = spec.driver(args.t, args.x, args.v, args.vbar)
-    return _check_finite(out, args.t, args.x, "driver")
+def evaluate_driver(spec: ProblemSpec, t, x: np.ndarray, v: dict, vbar: dict) -> np.ndarray:
+    out = spec.driver(t, x, _upto(v, spec.k), _upto(vbar, spec.m))
+    return _check_finite(out, t, x, "driver")
 
 
-def evaluate_diffusion_driver(spec: ProblemSpec, args: OperatorArguments) -> np.ndarray:
-    out = spec.diffusion(args.t, args.x, args.v)
-    return _check_finite(out, args.t, args.x, "diffusion driver")
+def evaluate_diffusion_driver(spec: ProblemSpec, t, x: np.ndarray, v: dict) -> np.ndarray:
+    out = spec.diffusion(t, x, _upto(v, spec.n))
+    return _check_finite(out, t, x, "diffusion driver")
 
 
 def zero_key(p: int) -> StackKey:
@@ -311,17 +287,23 @@ class OperatorJacobians:
 
 def operator_jacobians(
     spec: ProblemSpec,
-    args: OperatorArguments,
+    t,
+    x: np.ndarray,
+    v: dict,
+    vbar: dict,
     h: float = 1e-6,
     use_analytic: bool = True,
 ) -> OperatorJacobians:
     """Central finite differences per argument entry; analytic overrides win.
 
-    The step is h * max(1, |entry|), balancing truncation against roundoff.
+    Each Jacobian covers the orders its operator reads (see the module
+    docstring).  The step is h * max(1, |entry|), balancing truncation
+    against roundoff.
     """
+    v_L, vbar_L, v_J = _upto(v, spec.k), _upto(vbar, spec.m), _upto(v, spec.n)
     if use_analytic and spec.driver_jacobian is not None and spec.diffusion_jacobian is not None:
-        jv, jb = spec.driver_jacobian(args.t, args.x, args.v, args.vbar)
-        jj = spec.diffusion_jacobian(args.t, args.x, args.v)
+        jv, jb = spec.driver_jacobian(t, x, v_L, vbar_L)
+        jj = spec.diffusion_jacobian(t, x, v_J)
         return OperatorJacobians(dL_dv=jv, dL_dvbar=jb, dJ_dv=jj)
 
     q = spec.q
@@ -338,34 +320,34 @@ def operator_jacobians(
         up[key] = base + pert
         down[key] = base - pert
         denom = (2.0 * step)[(Ellipsis,) + (None,) * out_comp_ndim]
-        return _check_finite((eval_fn(up) - eval_fn(down)) / denom, args.t, args.x, "jacobian")
+        return _check_finite((eval_fn(up) - eval_fn(down)) / denom, t, x, "jacobian")
 
     def eval_L(v=None, vbar=None):
-        return spec.driver(args.t, args.x, v or args.v, vbar or args.vbar)
+        return spec.driver(t, x, v or v_L, vbar or vbar_L)
 
     dL_dv = {}
-    for key, arr in args.v.items():
+    for key, arr in v_L.items():
         jac = np.zeros(arr.shape + (q,))
         for r_prime in range(q):
-            jac[..., :, r_prime] = fd(lambda b: eval_L(v=b), args.v, key, (r_prime,), 1)
+            jac[..., :, r_prime] = fd(lambda b: eval_L(v=b), v_L, key, (r_prime,), 1)
         dL_dv[key] = jac
 
     dL_dvbar = {}
-    for key, arr in args.vbar.items():
+    for key, arr in vbar_L.items():
         jac = np.zeros(arr.shape[:-2] + (q, q, d))
         for r_prime in range(q):
             for i in range(d):
                 jac[..., :, r_prime, i] = fd(
-                    lambda b: eval_L(vbar=b), args.vbar, key, (r_prime, i), 1
+                    lambda b: eval_L(vbar=b), vbar_L, key, (r_prime, i), 1
                 )
         dL_dvbar[key] = jac
 
     dJ_dv = {}
-    for key, arr in args.v.items():
+    for key, arr in v_J.items():
         jac = np.zeros(arr.shape[:-1] + (q, d, q))
         for r_prime in range(q):
             jac[..., :, :, r_prime] = fd(
-                lambda b: spec.diffusion(args.t, args.x, b), args.v, key, (r_prime,), 2
+                lambda b: spec.diffusion(t, x, b), v_J, key, (r_prime,), 2
             )
         dJ_dv[key] = jac
 

@@ -32,13 +32,7 @@ from .errors import (
     InvalidPartitionError,
 )
 from .grid import Partition, StackKey, difference_stack_arrays, enumerate_multi_indices
-from .model import (
-    ProblemSpec,
-    evaluate_diffusion_driver,
-    evaluate_driver,
-    operator_arguments,
-    zero_key,
-)
+from .model import ProblemSpec, evaluate_diffusion_driver, evaluate_driver, zero_key
 from .stochastics import (
     DEFAULT_CAPACITY,
     BrownianPaths,
@@ -111,10 +105,16 @@ class SolutionLattice:
         if not family:
             raise InvalidPartitionError("the lattice stores no slices: it was solved with observe=")
         base = family[zero_key(self.spec.p)]
-        lit = self.config.paper_literal_stencil
         if j is None:
+            lit = self.config.paper_literal_stencil
             return _restenciler(self.M, self.partition, lit, batch_ndim=2)(base)
-        return _restenciler(self.M, self.partition, lit)(base[:, j])
+        return self.restencil(base[:, j])
+
+    @property
+    def restencil(self):
+        """The run's map from a slice's (S,) + grid + components array to its
+        difference stack, orders 0..M with this lattice's stencil."""
+        return _restenciler(self.M, self.partition, self.config.paper_literal_stencil)
 
 
 def _resolve_order(spec: ProblemSpec, config: SolverConfig) -> int:
@@ -288,12 +288,10 @@ def _operators(spec: ProblemSpec, partition: Partition):
     times = partition.time_points
 
     def drift(j, v_stack, vbar_stack):
-        args = operator_arguments(float(times[j]), partition, v_stack, vbar_stack, spec.k, spec.m)
-        return evaluate_driver(spec, args)
+        return evaluate_driver(spec, float(times[j]), partition.points, v_stack, vbar_stack)
 
     def diffusion(j, v_stack):
-        args = operator_arguments(float(times[j]), partition, v_stack, {}, spec.n, -1)
-        return evaluate_diffusion_driver(spec, args)
+        return evaluate_diffusion_driver(spec, float(times[j]), partition.points, v_stack)
 
     return drift, diffusion
 

@@ -35,12 +35,7 @@ from bspde import (
     solve_malliavin_system,
 )
 from bspde.analysis import ErrorReport, IdentityRow, fit_loglog
-from bspde.model import (
-    OperatorJacobians,
-    evaluate_diffusion_driver,
-    operator_arguments,
-    operator_jacobians,
-)
+from bspde.model import OperatorJacobians, evaluate_diffusion_driver, operator_jacobians
 
 
 def ladder(edge=0.03, count=1, levels=(4, 8, 16, 32)):
@@ -128,6 +123,14 @@ def test_discrete_error_requires_usable_reference():
     lat = solve(spec, part, SolverConfig(samples=50, seed=6))
     with pytest.raises(InvalidPartitionError):
         discrete_error(lat, "not a reference")
+
+
+def test_discrete_error_refuses_orders_above_the_lattice():
+    spec = builtin_problem("martingale")
+    part = build_partition(1.0, 4, [1.0], [2])
+    lat = solve(spec, part, SolverConfig(samples=50, seed=6))
+    with pytest.raises(InvalidPartitionError, match="exceeds the lattice order"):
+        discrete_error(lat, spec, M=lat.M + 1)
 
 
 def test_fine_time_lattice_as_reference():
@@ -405,7 +408,7 @@ def test_streamed_lattice_is_refused_by_every_reader(reader, tmp_path):
 def test_criterion_needs_every_grid_time():
     spec, part, config = _stream_case("linear_scalar")
     lattice = analysis.solve(spec, part, config)
-    criterion = analysis._Criterion(spec, part, lattice.paths, lattice.M, False)
+    criterion = analysis._Criterion(spec, part, lattice.paths, lattice.restencil, lattice.M)
     for j in (5, 4, 2, 1, 0):  # slice 3 is skipped, so grid times 3 and 4 are never read
         criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
     with pytest.raises(InvalidPartitionError, match=r"grid times \[3, 4\]"):
@@ -711,9 +714,9 @@ def _identity_oracle(spec, base):
     rows, worst = [], 0.0
     for j in range(part.n0):
         t = float(part.time_points[j])
-        args = operator_arguments(t, part, base.stacks(base.V, j), {}, spec.n, -1)
+        diffusion = evaluate_diffusion_driver(spec, t, part.points, base.stacks(base.V, j))
         J_stack = difference_stack_arrays(
-            evaluate_diffusion_driver(spec, args), base.M, part, batch_ndim=1,
+            diffusion, base.M, part, batch_ndim=1,
             paper_literal=base.config.paper_literal_stencil,
         )
         Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(malliavin[j].D_V, j)
@@ -851,8 +854,7 @@ def test_builtin_analytic_jacobians_are_read_only_broadcasts(name, extra_order):
     S, G = 4, part.num_points
     v = difference_stack_arrays(rng.standard_normal((S, G, 1)), M, part, batch_ndim=1)
     vbar = difference_stack_arrays(rng.standard_normal((S, G, 1, 1)), M, part, batch_ndim=1)
-    args = operator_arguments(0.5, part, v, vbar, M, M)
-    jac = operator_jacobians(spec, args)
+    jac = operator_jacobians(spec, 0.5, part.points, v, vbar)
     full = OperatorJacobians(
         *({key: np.array(arr) for key, arr in family.items()}
           for family in (jac.dL_dv, jac.dL_dvbar, jac.dJ_dv))
@@ -874,6 +876,26 @@ def test_identity_check_has_no_false_infinite_z_on_derivative_rows():
     report = check_representation_identity(spec, base)
     assert max(abs(row.mean_lhs - row.mean_rhs) for row in report.rows if row.c == 2) > 0
     assert report.max_abs_z == 0
+
+
+def test_identity_check_runs_when_the_diffusion_reads_more_orders_than_the_driver():
+    # k = m = 0 but n = 1: the frozen diffusion Jacobian once received only
+    # the driver's orders, and the check raised KeyError (1, (1,))
+    spec = ProblemSpec(
+        name="gradient_diffusion", p=1, q=1, d=1, k=0, m=0, n=1,
+        driver=lambda t, x, v, vbar: 0.0 * v[(0, (0,))],
+        diffusion=lambda t, x, v: 0.1 * v[(1, (1,))][..., None],
+        terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
+    )
+    part = build_partition(1.0, 4, [1.0], [4])
+    base = solve(spec, part, SolverConfig(samples=200, seed=0))
+    report = check_representation_identity(spec, base)
+    assert len(report.rows) == part.n0 * part.num_points * (spec.M + 1)
+    assert report.max_abs_z == 0
+    v, vbar = base.stacks(base.V, 0), base.stacks(base.Vbar, 0)
+    jac = operator_jacobians(spec, 0.0, part.points, v, vbar)
+    assert sorted(c for c, _ in jac.dJ_dv) == [0, 1]
+    assert sorted(c for c, _ in jac.dL_dv) == sorted(c for c, _ in jac.dL_dvbar) == [0]
 
 
 def test_moment_z_floor_forgives_jitter_but_not_a_real_gap():

@@ -11,7 +11,7 @@ from bspde import (
     builtin_problem,
     operator_jacobians,
 )
-from bspde.model import OperatorArguments, evaluate_diffusion_driver, evaluate_driver
+from bspde.model import evaluate_diffusion_driver, evaluate_driver
 
 ALL_BUILTINS = (
     ("zero", {"value": 7.0}),
@@ -22,13 +22,14 @@ ALL_BUILTINS = (
 
 
 def scalar_args(t=0.0, v0=0.0, v2=None, vbar0=0.0):
+    """(t, x, v, vbar) at one sample and one grid point."""
     x = np.array([[0.5]])
     v = {(0, (0,)): np.array([[v0]])}
     if v2 is not None:
         v[(1, (1,))] = np.array([[0.0]])
         v[(2, (2,))] = np.array([[v2]])
     vbar = {(0, (0,)): np.array([[[vbar0]]])}
-    return OperatorArguments(t=t, x=x, v=v, vbar=vbar)
+    return t, x, v, vbar
 
 
 def test_builtin_names():
@@ -92,16 +93,16 @@ def test_terminal_gradient_matches_copying_formula_bitwise(name, edges, counts):
 
 def test_evaluate_driver_examples():
     zero = builtin_problem("zero")
-    assert evaluate_driver(zero, scalar_args(v0=9.9)) == pytest.approx(0.0)
+    assert evaluate_driver(zero, *scalar_args(v0=9.9)) == pytest.approx(0.0)
     lin = builtin_problem("linear_scalar")
-    assert evaluate_driver(lin, scalar_args(v0=2.5))[0, 0] == pytest.approx(2.5)
+    assert evaluate_driver(lin, *scalar_args(v0=2.5))[0, 0] == pytest.approx(2.5)
     heat = builtin_problem("heat")
-    assert evaluate_driver(heat, scalar_args(v0=1.0, v2=4.0))[0, 0] == pytest.approx(2.0)
+    assert evaluate_driver(heat, *scalar_args(v0=1.0, v2=4.0))[0, 0] == pytest.approx(2.0)
 
 
 def test_evaluate_diffusion_driver_examples():
     zero = builtin_problem("zero")
-    out = evaluate_diffusion_driver(zero, scalar_args(v0=3.0))
+    out = evaluate_diffusion_driver(zero, *scalar_args(v0=3.0)[:3])
     assert out.shape == (1, 1, 1) and out[0, 0, 0] == 0.0
 
     def diffusion_is_v(t, x, v):
@@ -113,7 +114,7 @@ def test_evaluate_diffusion_driver_examples():
         diffusion=diffusion_is_v,
         terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
     )
-    out = evaluate_diffusion_driver(spec, scalar_args(v0=3.0))
+    out = evaluate_diffusion_driver(spec, *scalar_args(v0=3.0)[:3])
     assert out[0, 0, 0] == pytest.approx(3.0)
 
 
@@ -125,7 +126,7 @@ def test_driver_nonfinite_raises_with_context():
         terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
     )
     with pytest.raises(OperatorEvaluationError, match="t=0.25"):
-        evaluate_driver(spec, scalar_args(t=0.25, v0=1.0))
+        evaluate_driver(spec, *scalar_args(t=0.25, v0=1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +138,7 @@ def test_jacobians_identity_driver():
     lin = builtin_problem("linear_scalar")
     args = scalar_args(v0=2.0)
     for use_analytic in (True, False):
-        jac = operator_jacobians(lin, args, use_analytic=use_analytic)
+        jac = operator_jacobians(lin, *args, use_analytic=use_analytic)
         assert jac.dL_dv[(0, (0,))].ravel()[0] == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(jac.dL_dvbar[(0, (0,))], 0.0, atol=1e-8)
         assert np.allclose(jac.dJ_dv[(0, (0,))], 0.0, atol=1e-8)
@@ -147,7 +148,7 @@ def test_jacobians_heat_driver():
     heat = builtin_problem("heat")
     args = scalar_args(v0=1.0, v2=4.0)
     for use_analytic in (True, False):
-        jac = operator_jacobians(heat, args, use_analytic=use_analytic)
+        jac = operator_jacobians(heat, *args, use_analytic=use_analytic)
         assert jac.dL_dv[(2, (2,))].ravel()[0] == pytest.approx(0.5, abs=1e-8)
         assert np.allclose(jac.dL_dv[(0, (0,))], 0.0, atol=1e-8)
 
@@ -160,7 +161,7 @@ def test_jacobians_product_rule_by_finite_differences():
         terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
     )
     args = scalar_args(v0=2.0, vbar0=3.0)
-    jac = operator_jacobians(spec, args, use_analytic=False)
+    jac = operator_jacobians(spec, *args, use_analytic=False)
     assert jac.dL_dv[(0, (0,))].ravel()[0] == pytest.approx(3.0, abs=1e-8)
     assert jac.dL_dvbar[(0, (0,))].ravel()[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -170,7 +171,7 @@ def test_finite_differences_match_analytic_on_builtins():
     for name, params in ALL_BUILTINS:
         spec = builtin_problem(name, params)
         use = scalar_args(v0=1.3, v2=0.7 if name == "heat" else None, vbar0=-0.4)
-        exact = operator_jacobians(spec, use, use_analytic=True)
-        approx = operator_jacobians(spec, use, use_analytic=False)
+        exact = operator_jacobians(spec, *use, use_analytic=True)
+        approx = operator_jacobians(spec, *use, use_analytic=False)
         for key in exact.dL_dv:
             assert np.allclose(exact.dL_dv[key], approx.dL_dv[key], atol=1e-6), name
