@@ -4,7 +4,8 @@ Subcommands: solve | converge | compare | check-malliavin.
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 
 Every run echoes the fully resolved configuration (all defaults materialized)
-and a manifest with seed, wall time, peak RSS and library version.  Data
+and a manifest with seed, wall time, peak RSS and library version (and, for
+solve, the time of the solve and of the export).  Data
 artifacts are deterministic functions of (config, seed, library version).
 """
 
@@ -218,18 +219,18 @@ def _fmt(v) -> str:
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
-def _emit_run_records(outdir, config, started, command) -> None:
+def _emit_run_records(outdir, config, started, command, stage_s=None) -> None:
     _write_json(os.path.join(outdir, "resolved_config.json"), config)
-    _write_json(
-        os.path.join(outdir, "manifest.json"),
-        {
-            "command": command,
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
-            "seed": config["seed"],
-            "wall_time_s": round(time.perf_counter() - started, 6),
-            "version": __version__,
-        },
-    )
+    manifest = {
+        "command": command,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+        "seed": config["seed"],
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        "version": __version__,
+    }
+    if stage_s is not None:
+        manifest["stage_s"] = {name: round(s, 6) for name, s in stage_s.items()}
+    _write_json(os.path.join(outdir, "manifest.json"), manifest)
 
 
 def cmd_solve(config: dict, args, outdir: str) -> int:
@@ -238,11 +239,13 @@ def cmd_solve(config: dict, args, outdir: str) -> int:
     if len(partitions) != 1:
         raise ConfigError("solve expects a single partition, not a ladder")
     lattice = solve(spec, partitions[0], solver_config)
+    solved = time.perf_counter()
     export_lattice_csv(
         lattice,
         os.path.join(outdir, "solution_v.csv"),
         os.path.join(outdir, "solution_vbar.csv"),
     )
+    exported = time.perf_counter()
     if lattice.coefficient_records is not None:
         with open(os.path.join(outdir, "coefficients.csv"), "w") as fh:
             fh.write("step,operation,component,multi_index,exponents,coefficient\n")
@@ -251,7 +254,8 @@ def cmd_solve(config: dict, args, outdir: str) -> int:
                 fh.write(
                     f"{rec.step},{rec.operation},{rec.column},0,{exps},{_fmt(rec.value)}\n"
                 )
-    _emit_run_records(outdir, config, started, "solve")
+    stage_s = {"solve": solved - started, "export": exported - solved}
+    _emit_run_records(outdir, config, started, "solve", stage_s)
     print(f"solve ok: {lattice.sample_count} samples, {partitions[0].n0} steps -> {outdir}")
     return EXIT_OK
 

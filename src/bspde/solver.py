@@ -354,6 +354,9 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
+_SAMPLE = "\0"  # a row template's sample slot: no number, comma or tag holds it
+
+
 def _format(v: float) -> str:
     return format(v, ".17g")
 
@@ -372,6 +375,17 @@ def export_lattice_csv(lattice: SolutionLattice, v_path, vbar_path) -> None:
     )
 
 
+def _row_template(middles: list[str]) -> str:
+    """One sample's rows as a single `%` template.  Each row is the sample
+    slot `_SAMPLE`, its middle with any `%` escaped, and a `%.17g` value
+    field, so `template.replace(_SAMPLE, str(s)) % values` formats a whole
+    sample in C, with the bytes of `format(v, ".17g")` per value.
+    """
+    if any(_SAMPLE in mid for mid in middles):
+        raise ValueError(f"a CSV row holds the sample slot {_SAMPLE!r}")
+    return "".join(f"{_SAMPLE}{mid.replace('%', '%%')}%.17g\n" for mid in middles)
+
+
 def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comps) -> None:
     """One family's CSV: for each stack entry, one write per sample, whose rows
     run over time, grid point and component in that order.  Values are read
@@ -388,13 +402,10 @@ def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comp
             c, idx = key
             tag = "-".join(map(str, idx))
             # the row between the sample and the value, in the array's own order
-            middles = [
+            template = _row_template([
                 f",{j},{t},{xs},{c},{tag},{comp},"
                 for j, t in enumerate(times) for xs in coords for comp in comps
-            ]
+            ])
             entry = stack[key]
             for s in range(lattice.sample_count):
-                fh.write("".join(
-                    f"{s}{mid}{_format(v)}\n"
-                    for mid, v in zip(middles, entry[s].ravel().tolist())
-                ))
+                fh.write(template.replace(_SAMPLE, str(s)) % tuple(entry[s].ravel().tolist()))

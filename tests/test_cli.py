@@ -45,6 +45,10 @@ def test_solve_zero_exit_and_artifacts(tmp_path):
     # the peak RSS of this process at the time of writing, which the peak now bounds
     peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     assert 0 < manifest["peak_rss_mb"] <= peak_now
+    stages = manifest["stage_s"]
+    assert set(stages) == {"solve", "export"}
+    assert min(stages.values()) >= 0
+    assert stages["solve"] + stages["export"] <= manifest["wall_time_s"]
 
 
 def test_rerunning_emitted_config_reproduces_artifacts(tmp_path):

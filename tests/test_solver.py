@@ -1,3 +1,6 @@
+import struct
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,7 @@ from bspde import (
     terminal_stage,
 )
 from bspde.model import zero_key
+from bspde.solver import _SAMPLE, _row_template
 
 
 def small_partition(n0=4, edge=1.0, count=2, T=1.0):
@@ -358,6 +362,39 @@ def test_export_lattice_csv(tmp_path):
     vbar_lines = vbar_path.read_text().splitlines()
     assert vbar_lines[0] == "sample,j,t,x1,c,multi_index,component,dcomponent,value"
     assert all(line.endswith(",0") for line in vbar_lines[1:])
+
+
+_SPECIAL_VALUES = [-0.0, float("inf"), -float("inf"), float("nan"), 5e-324,
+                   sys.float_info.max, 1e16, 0.1]
+
+
+def test_export_special_values_round_trip(tmp_path):
+    """Each value cell is `format(v, ".17g")` of the stored double and parses
+    back to it bit for bit, sign of zero included.  `repr` and `str` spell
+    -0.0, 5e-324, 1e16 and 0.1 differently."""
+    spec = builtin_problem("zero", {"value": 7.0})
+    lat = solve(spec, small_partition(n0=2), SolverConfig(samples=4, seed=1))
+    V0 = lat.V[zero_key(1)]
+    V0[...] = np.resize(np.array(_SPECIAL_VALUES), V0.shape)
+    export_lattice_csv(lat, tmp_path / "v.csv", tmp_path / "vbar.csv")
+    cells = [line.rsplit(",", 1)[1] for line in (tmp_path / "v.csv").read_text().splitlines()[1:]]
+    # M = 0: the order-zero rows only, sample by sample in the array's own order
+    stored = V0.reshape(-1).tolist()
+    assert len(cells) == len(stored)
+    for cell, value in zip(cells, stored):
+        assert cell == format(value, ".17g")
+        assert struct.pack("<d", float(cell)) == struct.pack("<d", value)
+    bits = {struct.pack("<d", v) for v in stored}
+    assert bits == {struct.pack("<d", v) for v in _SPECIAL_VALUES}
+
+
+def test_row_template_writes_percent_literally():
+    middles = [",a%b,", ",%s%%d,", ",,"]
+    template = _row_template(middles)
+    rows = template.replace(_SAMPLE, "12") % (1.5, -0.0, float("nan"))
+    assert rows == "12,a%b,1.5\n12,%s%%d,-0\n12,,nan\n"
+    with pytest.raises(ValueError, match="sample slot"):
+        _row_template([f",{_SAMPLE},"])
 
 
 def _export_row_by_row(lattice, v_path, vbar_path):
