@@ -44,6 +44,7 @@ from .grid import Partition, StackKey, difference_stack_arrays, enumerate_multi_
 from .model import (
     OperatorJacobians,
     ProblemSpec,
+    central_jacobian,
     evaluate_diffusion_driver,
     evaluate_driver,
     operator_jacobians,
@@ -523,25 +524,16 @@ class MalliavinLattice:
     D_Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d, d)
 
 
-def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice, h: float = 1e-6) -> np.ndarray:
+def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice) -> np.ndarray:
     part = base.partition
     S = base.sample_count
     w_T = base.paths.W[:, -1, :].reshape(S, *([1] * part.p), spec.d)
-    if spec.terminal_w_gradient is not None:
-        g = spec.terminal_w_gradient(part.points, w_T)
-        return np.broadcast_to(
-            np.asarray(g, dtype=float), (S,) + part.grid_shape + (spec.q, spec.d)
-        ).copy()
-    grad = np.empty((S,) + part.grid_shape + (spec.q, spec.d))
-    for i in range(spec.d):
-        step = h * np.maximum(1.0, np.abs(w_T[..., i]))
-        up = w_T.copy()
-        dn = w_T.copy()
-        up[..., i] += step
-        dn[..., i] -= step
-        diff = (spec.terminal(part.points, up) - spec.terminal(part.points, dn))
-        grad[..., i] = diff / (2.0 * step)[..., None]
-    return grad
+    if spec.terminal_w_gradient is None:
+        return central_jacobian(lambda w: spec.terminal(part.points, w), w_T, 1)
+    g = spec.terminal_w_gradient(part.points, w_T)
+    return np.broadcast_to(
+        np.asarray(g, dtype=float), (S,) + part.grid_shape + (spec.q, spec.d)
+    ).copy()
 
 
 def build_malliavin_system(

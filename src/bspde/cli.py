@@ -40,9 +40,9 @@ from .errors import (
     SingularDesignError,
 )
 from .grid import Partition, build_partition, refine_partition
-from .model import builtin_problem
-from .solver import SolverConfig, export_lattice_csv, solve
-from .stochastics import EstimatorSpec
+from .model import BUILTIN_NAMES, BUILTIN_PARAMS, builtin_problem
+from .solver import ALGORITHMS, SolverConfig, export_lattice_csv, solve
+from .stochastics import ESTIMATOR_KINDS, EstimatorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,7 +80,7 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["name"],
             "properties": {
-                "name": {"enum": ["zero", "martingale", "linear_scalar", "heat"]},
+                "name": {"enum": list(BUILTIN_NAMES)},
                 "params": {
                     "type": "object",
                     "additionalProperties": {"type": "number"},
@@ -102,14 +102,14 @@ CONFIG_SCHEMA = {
             "additionalProperties": False,
             "required": ["samples"],
             "properties": {
-                "algorithm": {"enum": ["one", "two"]},
+                "algorithm": {"enum": list(ALGORITHMS)},
                 "M": {"type": ["integer", "null"], "minimum": 0},
                 "samples": {"type": "integer", "minimum": 1},
                 "estimator": {
                     "type": "object",
                     "additionalProperties": False,
                     "properties": {
-                        "kind": {"enum": ["analytic", "regression"]},
+                        "kind": {"enum": list(ESTIMATOR_KINDS)},
                         "degree": {"type": "integer", "minimum": 0},
                         "ridge": {"type": ["number", "null"], "minimum": 0},
                     },
@@ -188,9 +188,15 @@ def resolve(config: dict):
         for _ in range(config["ladder"]["levels"] - 1):
             partitions.append(refine_partition(partitions[-1]))
     # built-ins whose closed forms depend on the horizon get it from the grid
-    if config["problem"]["name"] in ("linear_scalar", "heat"):
-        params.setdefault("terminal_time", partitions[0].T)
-    spec = builtin_problem(config["problem"]["name"], params)
+    name = config["problem"]["name"]
+    T = partitions[0].T
+    if "terminal_time" in BUILTIN_PARAMS[name]:
+        params.setdefault("terminal_time", T)
+        if params["terminal_time"] != T:
+            raise ConfigError(
+                f"problem param terminal_time = {params['terminal_time']!r} differs from the grid's T = {T!r}"
+            )
+    spec = builtin_problem(name, params)
     sol = config["solver"]
     est = sol["estimator"]
     solver_config = SolverConfig(

@@ -31,10 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidPartitionError, OperatorEvaluationError
+from .errors import ConfigError, InvalidPartitionError, OperatorEvaluationError
 from .grid import StackKey
 
-BUILTIN_NAMES = ("zero", "martingale", "linear_scalar", "heat")
+# the params each built-in reads
+BUILTIN_PARAMS = {
+    "zero": ("value", "slope"),
+    "martingale": (),
+    "linear_scalar": ("terminal_time",),
+    "heat": ("a", "terminal_time"),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -88,20 +95,6 @@ def zero_key(p: int) -> StackKey:
     return (0, (0,) * p)
 
 
-# The built-ins' analytic Jacobians are constants, handed out as read-only
-# broadcasts of one scalar each: freezing them along a solve allocates nothing.
-def _zero_jac_v(v: dict, q: int) -> dict:
-    return {key: np.broadcast_to(0.0, arr.shape + (q,)) for key, arr in v.items()}
-
-
-def _zero_jac_vbar(vbar: dict, q: int, d: int) -> dict:
-    return {key: np.broadcast_to(0.0, arr.shape[:-2] + (q, q, d)) for key, arr in vbar.items()}
-
-
-def _zero_jac_diffusion(v: dict, q: int, d: int) -> dict:
-    return {key: np.broadcast_to(0.0, arr.shape[:-1] + (q, d, q)) for key, arr in v.items()}
-
-
 # ---------------------------------------------------------------------------
 # Built-in problems
 # ---------------------------------------------------------------------------
@@ -114,30 +107,50 @@ def builtin_problem(name: str, params: dict | None = None) -> ProblemSpec:
     martingale    V(t,x) = x_1 * W(t),                   Vbar = x_1
     linear_scalar V(t,x) = exp(T-t) * x_1 * W(t),        Vbar = exp(T-t) * x_1
     heat          V(t,x) = exp(a*x_1 + a^2 (T-t)/2),     Vbar = 0
+
+    martingale is linear_scalar at rate 0.  A param the built-in does not
+    read is refused.
     """
+    if name not in BUILTIN_PARAMS:
+        raise InvalidPartitionError(f"unknown builtin problem {name!r}; choose from {BUILTIN_NAMES}")
     params = dict(params or {})
+    reads = BUILTIN_PARAMS[name]
+    for key in params:
+        if key not in reads:
+            raise ConfigError(
+                f"builtin problem {name!r} reads no param {key!r}; it reads {', '.join(reads) or 'none'}"
+            )
     if name == "zero":
         return _zero_problem(params)
-    if name == "martingale":
-        return _martingale_problem(params)
-    if name == "linear_scalar":
-        return _linear_scalar_problem(params)
     if name == "heat":
         return _heat_problem(params)
-    raise InvalidPartitionError(f"unknown builtin problem {name!r}; choose from {BUILTIN_NAMES}")
+    return _exponential_problem(name, 0.0 if name == "martingale" else 1.0, params)
 
 
+# Every built-in is scalar (p = q = d = 1), has J = 0, and a driver that is
+# a constant times one stack entry.  Their analytic Jacobians are constants,
+# handed out as read-only broadcasts of one scalar each: freezing them along
+# a solve allocates nothing.
 def _zero_drift(t, x, v, vbar):
-    base = next(iter(v.values()))
-    return np.zeros_like(base)
+    return np.zeros_like(v[(0, (0,))])
 
 
-def _zero_diffusion_for(d):
-    def diffusion(t, x, v):
-        base = next(iter(v.values()))
-        return np.zeros(base.shape + (d,))
+def _zero_diffusion(t, x, v):
+    return np.zeros(v[(0, (0,))].shape + (1,))
 
-    return diffusion
+
+def _zero_diffusion_jacobian(t, x, v):
+    return {key: np.broadcast_to(0.0, arr.shape + (1, 1)) for key, arr in v.items()}
+
+
+def _driver_jacobian(entry: StackKey, coeff: float):
+    """The Jacobians of the driver coeff * v[entry]."""
+
+    def jacobian(t, x, v, vbar):
+        jv = {key: np.broadcast_to(coeff * (key == entry), arr.shape + (1,)) for key, arr in v.items()}
+        return jv, {key: np.broadcast_to(0.0, arr.shape + (1,)) for key, arr in vbar.items()}
+
+    return jacobian
 
 
 def _zero_problem(params: dict) -> ProblemSpec:
@@ -152,61 +165,32 @@ def _zero_problem(params: dict) -> ProblemSpec:
         V = terminal(x, w)
         return V, np.zeros(V.shape + (1,))
 
-    def terminal_grad(x, w):
-        V = terminal(x, w)
-        return np.zeros(V.shape + (1,))
-
     return ProblemSpec(
         name="zero",
         p=1, q=1, d=1, k=0, m=0, n=0,
         driver=_zero_drift,
-        diffusion=_zero_diffusion_for(1),
+        diffusion=_zero_diffusion,
         terminal=terminal,
         analytic_reference=reference,
-        terminal_w_gradient=terminal_grad,
-        driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
-        diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
+        terminal_w_gradient=lambda x, w: np.zeros(terminal(x, w).shape + (1,)),
+        driver_jacobian=_driver_jacobian((0, (0,)), 0.0),
+        diffusion_jacobian=_zero_diffusion_jacobian,
     )
 
 
-def _martingale_problem(params: dict) -> ProblemSpec:
-    def terminal(x, w):
-        return x[..., 0:1] * w[..., 0:1]
-
-    def reference(t, x, w):
-        # grid axis innermost; Vbar is a read-only broadcast
-        V = (x[..., 0] * w[..., 0])[..., None]
-        return V, np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
-
-    def terminal_grad(x, w):
-        # a read-only broadcast; its consumers copy it into their own arrays
-        V = x[..., 0:1] * w[..., 0:1]
-        return np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
-
-    return ProblemSpec(
-        name="martingale",
-        p=1, q=1, d=1, k=0, m=0, n=0,
-        driver=_zero_drift,
-        diffusion=_zero_diffusion_for(1),
-        terminal=terminal,
-        analytic_reference=reference,
-        terminal_w_gradient=terminal_grad,
-        driver_jacobian=lambda t, x, v, vbar: (_zero_jac_v(v, 1), _zero_jac_vbar(vbar, 1, 1)),
-        diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
-    )
-
-
-def _linear_scalar_problem(params: dict) -> ProblemSpec:
+def _exponential_problem(name: str, rate: float, params: dict) -> ProblemSpec:
+    """L = rate*V (rate 0 or 1), J = 0, H = x_1*W(T): V = exp(rate(T-t)) x_1 W(t)."""
     T = float(params.get("terminal_time", 1.0))
 
     def driver(t, x, v, vbar):
-        return v[(0, (0,))]
+        # rate*v without a multiply: at rate 1 the stack entry itself
+        return v[(0, (0,))] if rate else _zero_drift(t, x, v, vbar)
 
     def terminal(x, w):
         return x[..., 0:1] * w[..., 0:1]
 
     def reference(t, x, w):
-        scale = math.exp(T - t) if np.isscalar(t) else np.exp(T - t)
+        scale = math.exp(rate * (T - t)) if np.isscalar(t) else np.exp(rate * (T - t))
         # grid axis innermost; Vbar is a read-only broadcast
         V = (scale * x[..., 0] * w[..., 0])[..., None]
         return V, np.broadcast_to(scale * x[..., 0:1, None], V.shape + (1,))
@@ -216,20 +200,16 @@ def _linear_scalar_problem(params: dict) -> ProblemSpec:
         V = x[..., 0:1] * w[..., 0:1]
         return np.broadcast_to(x[..., 0:1, None], V.shape + (1,))
 
-    def jac_driver(t, x, v, vbar):
-        jv = {key: np.broadcast_to(float(key == (0, (0,))), arr.shape + (1,)) for key, arr in v.items()}
-        return jv, _zero_jac_vbar(vbar, 1, 1)
-
     return ProblemSpec(
-        name="linear_scalar",
+        name=name,
         p=1, q=1, d=1, k=0, m=0, n=0,
         driver=driver,
-        diffusion=_zero_diffusion_for(1),
+        diffusion=_zero_diffusion,
         terminal=terminal,
         analytic_reference=reference,
         terminal_w_gradient=terminal_grad,
-        driver_jacobian=jac_driver,
-        diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
+        driver_jacobian=_driver_jacobian((0, (0,)), rate),
+        diffusion_jacobian=_zero_diffusion_jacobian,
     )
 
 
@@ -249,20 +229,16 @@ def _heat_problem(params: dict) -> ProblemSpec:
         V = np.broadcast_to(V, np.broadcast_shapes(V.shape, w[..., 0].shape))[..., None]
         return V, np.zeros(V.shape + (1,))
 
-    def jac_driver(t, x, v, vbar):
-        jv = {key: np.broadcast_to(0.5 * (key == (2, (2,))), arr.shape + (1,)) for key, arr in v.items()}
-        return jv, _zero_jac_vbar(vbar, 1, 1)
-
     return ProblemSpec(
         name="heat",
         p=1, q=1, d=1, k=2, m=0, n=0,
         driver=driver,
-        diffusion=_zero_diffusion_for(1),
+        diffusion=_zero_diffusion,
         terminal=terminal,
         analytic_reference=reference,
         terminal_w_gradient=lambda x, w: np.zeros(terminal(x, w).shape + (1,)),
-        driver_jacobian=jac_driver,
-        diffusion_jacobian=lambda t, x, v: _zero_jac_diffusion(v, 1, 1),
+        driver_jacobian=_driver_jacobian((2, (2,)), 0.5),
+        diffusion_jacobian=_zero_diffusion_jacobian,
     )
 
 
@@ -285,70 +261,48 @@ class OperatorJacobians:
     dJ_dv: dict[StackKey, np.ndarray]
 
 
-def operator_jacobians(
-    spec: ProblemSpec,
-    t,
-    x: np.ndarray,
-    v: dict,
-    vbar: dict,
-    h: float = 1e-6,
-    use_analytic: bool = True,
-) -> OperatorJacobians:
-    """Central finite differences per argument entry; analytic overrides win.
+def central_jacobian(f, arg: np.ndarray, n_in: int) -> np.ndarray:
+    """Central differences of f along each of the last n_in component axes of arg.
 
-    Each Jacobian covers the orders its operator reads (see the module
-    docstring).  The step is h * max(1, |entry|), balancing truncation
-    against roundoff.
+    The step for an entry is 1e-6 * max(1, |entry|), balancing truncation
+    against roundoff.  The result stacks the differenced components after
+    f's own axes: shape f(arg).shape + arg.shape[-n_in:].
+    """
+    components = arg.shape[arg.ndim - n_in:]
+    jac = None
+    for comp in np.ndindex(*components):
+        sel = (Ellipsis,) + comp
+        step = 1e-6 * np.maximum(1.0, np.abs(arg[sel]))
+        pert = np.zeros_like(arg)
+        pert[sel] = step
+        diff = f(arg + pert) - f(arg - pert)
+        column = diff / (2.0 * step)[(Ellipsis,) + (None,) * (diff.ndim - step.ndim)]
+        if jac is None:
+            jac = np.empty(column.shape + components)
+        jac[sel] = column
+    return jac
+
+
+def operator_jacobians(spec: ProblemSpec, t, x: np.ndarray, v: dict, vbar: dict) -> OperatorJacobians:
+    """Analytic Jacobians when the problem supplies both, else `central_jacobian`
+    per stack entry.  Each Jacobian covers the orders its operator reads (see
+    the module docstring).
     """
     v_L, vbar_L, v_J = _upto(v, spec.k), _upto(vbar, spec.m), _upto(v, spec.n)
-    if use_analytic and spec.driver_jacobian is not None and spec.diffusion_jacobian is not None:
+    if spec.driver_jacobian is not None and spec.diffusion_jacobian is not None:
         jv, jb = spec.driver_jacobian(t, x, v_L, vbar_L)
         jj = spec.diffusion_jacobian(t, x, v_J)
         return OperatorJacobians(dL_dv=jv, dL_dvbar=jb, dJ_dv=jj)
 
-    q = spec.q
-    d = spec.d
+    def differenced(bundle, n_in, f):
+        # f(key, a) is the operator with bundle[key] replaced by a
+        return {
+            key: _check_finite(central_jacobian(lambda a: f(key, a), arr, n_in), t, x, "jacobian")
+            for key, arr in bundle.items()
+        }
 
-    def fd(eval_fn, bundle, key, comp_index, out_comp_ndim):
-        base = bundle[key]
-        sel = (Ellipsis,) + comp_index
-        step = h * np.maximum(1.0, np.abs(base[sel]))
-        pert = np.zeros_like(base)
-        pert[sel] = step
-        up = dict(bundle)
-        down = dict(bundle)
-        up[key] = base + pert
-        down[key] = base - pert
-        denom = (2.0 * step)[(Ellipsis,) + (None,) * out_comp_ndim]
-        return _check_finite((eval_fn(up) - eval_fn(down)) / denom, t, x, "jacobian")
-
-    def eval_L(v=None, vbar=None):
-        return spec.driver(t, x, v or v_L, vbar or vbar_L)
-
-    dL_dv = {}
-    for key, arr in v_L.items():
-        jac = np.zeros(arr.shape + (q,))
-        for r_prime in range(q):
-            jac[..., :, r_prime] = fd(lambda b: eval_L(v=b), v_L, key, (r_prime,), 1)
-        dL_dv[key] = jac
-
-    dL_dvbar = {}
-    for key, arr in vbar_L.items():
-        jac = np.zeros(arr.shape[:-2] + (q, q, d))
-        for r_prime in range(q):
-            for i in range(d):
-                jac[..., :, r_prime, i] = fd(
-                    lambda b: eval_L(vbar=b), vbar_L, key, (r_prime, i), 1
-                )
-        dL_dvbar[key] = jac
-
-    dJ_dv = {}
-    for key, arr in v_J.items():
-        jac = np.zeros(arr.shape[:-1] + (q, d, q))
-        for r_prime in range(q):
-            jac[..., :, :, r_prime] = fd(
-                lambda b: spec.diffusion(t, x, b), v_J, key, (r_prime,), 2
-            )
-        dJ_dv[key] = jac
-
-    return OperatorJacobians(dL_dv=dL_dv, dL_dvbar=dL_dvbar, dJ_dv=dJ_dv)
+    return OperatorJacobians(
+        dL_dv=differenced(v_L, 1, lambda key, a: spec.driver(t, x, {**v_L, key: a}, vbar_L)),
+        dL_dvbar=differenced(vbar_L, 2, lambda key, a: spec.driver(t, x, v_L, {**vbar_L, key: a})),
+        dJ_dv=differenced(v_J, 1, lambda key, a: spec.diffusion(t, x, {**v_J, key: a})),
+    )

@@ -101,6 +101,28 @@ def test_nested_estimator_is_config_error(tmp_path, capsys, estimator):
     assert not list(tmp_path.rglob("*.csv"))
 
 
+def test_problem_param_the_builtin_does_not_read_is_config_error(tmp_path, capsys):
+    # a misspelt slope once ran silently as slope 0
+    cfg = write_config(tmp_path / "cfg.json", problem={"name": "zero", "params": {"slpoe": 2.0}})
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "'slpoe'" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_terminal_time_off_the_grid_is_config_error(tmp_path, capsys):
+    # the analytic reference once used the param's horizon, not the grid's
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        problem={"name": "linear_scalar", "params": {"terminal_time": 5}},
+        partition=None,
+        ladder={"base": {"T": 1.0, "n0": 4, "edges": [0.02], "counts": [1]}, "levels": 3},
+        solver={"samples": 100},
+    )
+    assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "terminal_time" in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
 def test_partition_and_ladder_are_exclusive(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

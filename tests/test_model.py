@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,12 @@ from bspde import (
     InvalidPartitionError,
     OperatorEvaluationError,
     ProblemSpec,
+    SolverConfig,
+    analysis,
     build_partition,
     builtin_problem,
     operator_jacobians,
+    solve,
 )
 from bspde.model import evaluate_diffusion_driver, evaluate_driver
 
@@ -134,11 +138,16 @@ def test_driver_nonfinite_raises_with_context():
 # ---------------------------------------------------------------------------
 
 
+def differenced(spec):
+    """The spec without analytic Jacobians, so that operator_jacobians differences."""
+    return replace(spec, driver_jacobian=None, diffusion_jacobian=None)
+
+
 def test_jacobians_identity_driver():
     lin = builtin_problem("linear_scalar")
     args = scalar_args(v0=2.0)
-    for use_analytic in (True, False):
-        jac = operator_jacobians(lin, *args, use_analytic=use_analytic)
+    for spec in (lin, differenced(lin)):
+        jac = operator_jacobians(spec, *args)
         assert jac.dL_dv[(0, (0,))].ravel()[0] == pytest.approx(1.0, abs=1e-8)
         assert np.allclose(jac.dL_dvbar[(0, (0,))], 0.0, atol=1e-8)
         assert np.allclose(jac.dJ_dv[(0, (0,))], 0.0, atol=1e-8)
@@ -147,8 +156,8 @@ def test_jacobians_identity_driver():
 def test_jacobians_heat_driver():
     heat = builtin_problem("heat")
     args = scalar_args(v0=1.0, v2=4.0)
-    for use_analytic in (True, False):
-        jac = operator_jacobians(heat, *args, use_analytic=use_analytic)
+    for spec in (heat, differenced(heat)):
+        jac = operator_jacobians(spec, *args)
         assert jac.dL_dv[(2, (2,))].ravel()[0] == pytest.approx(0.5, abs=1e-8)
         assert np.allclose(jac.dL_dv[(0, (0,))], 0.0, atol=1e-8)
 
@@ -161,7 +170,7 @@ def test_jacobians_product_rule_by_finite_differences():
         terminal=lambda x, w: x[..., 0:1] * w[..., 0:1],
     )
     args = scalar_args(v0=2.0, vbar0=3.0)
-    jac = operator_jacobians(spec, *args, use_analytic=False)
+    jac = operator_jacobians(spec, *args)
     assert jac.dL_dv[(0, (0,))].ravel()[0] == pytest.approx(3.0, abs=1e-8)
     assert jac.dL_dvbar[(0, (0,))].ravel()[0] == pytest.approx(2.0, abs=1e-8)
 
@@ -171,7 +180,57 @@ def test_finite_differences_match_analytic_on_builtins():
     for name, params in ALL_BUILTINS:
         spec = builtin_problem(name, params)
         use = scalar_args(v0=1.3, v2=0.7 if name == "heat" else None, vbar0=-0.4)
-        exact = operator_jacobians(spec, *use, use_analytic=True)
-        approx = operator_jacobians(spec, *use, use_analytic=False)
+        exact = operator_jacobians(spec, *use)
+        approx = operator_jacobians(differenced(spec), *use)
         for key in exact.dL_dv:
             assert np.allclose(exact.dL_dv[key], approx.dL_dv[key], atol=1e-6), name
+
+
+# q = 2, d = 2 linear operators of the order-0 and order-1 entries, with
+# distinct coefficients, so that any swap of Jacobian axes changes an entry
+_KEYS = ((0, (0,)), (1, (1,)))
+_A = {key: np.arange(1.0, 5.0).reshape(2, 2) / (4 + c) for c, key in enumerate(_KEYS)}  # [r, r']
+_B = {key: np.arange(1.0, 9.0).reshape(2, 2, 2) / (8 + c) for c, key in enumerate(_KEYS)}  # [r, r', i]
+_C = {key: -np.arange(1.0, 9.0).reshape(2, 2, 2) / (9 + c) for c, key in enumerate(_KEYS)}  # [r, i, r']
+_G = np.array([[0.5, -1.5], [2.0, 0.25]])  # [r, i]
+
+
+def _linear_q2d2_spec():
+    def driver(t, x, v, vbar):
+        return sum(
+            np.einsum("rs,...s->...r", _A[key], v[key])
+            + np.einsum("rsi,...si->...r", _B[key], vbar[key])
+            for key in _KEYS
+        )
+
+    def diffusion(t, x, v):
+        return sum(np.einsum("ris,...s->...ri", _C[key], v[key]) for key in _KEYS)
+
+    def terminal(x, w):
+        return np.einsum("ri,...i->...r", _G, w) + x[..., 0:1]
+
+    return ProblemSpec(
+        name="linear_q2d2", p=1, q=2, d=2, k=1, m=1, n=1,
+        driver=driver, diffusion=diffusion, terminal=terminal,
+    )
+
+
+def test_finite_difference_layout_on_several_components():
+    spec = _linear_q2d2_spec()
+    rng = np.random.default_rng(12)
+    S, G = 3, 4
+    x = np.linspace(-1.0, 1.0, G)[:, None]
+    v = {key: rng.standard_normal((S, G, 2)) for key in _KEYS}
+    vbar = {key: rng.standard_normal((S, G, 2, 2)) for key in _KEYS}
+    jac = operator_jacobians(spec, 0.5, x, v, vbar)
+    for family, coeffs in ((jac.dL_dv, _A), (jac.dL_dvbar, _B), (jac.dJ_dv, _C)):
+        assert family.keys() == set(_KEYS)
+        for key, want in coeffs.items():
+            assert family[key].shape == (S, G) + want.shape
+            assert np.max(np.abs(family[key] - want)) < 1e-8, key
+
+    part = build_partition(1.0, 2, [1.0], [3])
+    base = solve(spec, part, SolverConfig(samples=12, seed=3))
+    grad = analysis._terminal_gradient(spec, base)
+    assert grad.shape == (12,) + part.grid_shape + (2, 2)
+    assert np.max(np.abs(grad - _G)) < 1e-8
