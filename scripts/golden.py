@@ -39,6 +39,7 @@ SEED = 42
 # subcommand by the config blocks it needs
 _COMMANDS = {
     "compare_linear": "compare",
+    "compare_linear_m2_literal": "compare",
     "heat_one_step": "solve",
     "linear_scalar_converge": "converge",
     "linear_scalar_converge_literal": "converge",

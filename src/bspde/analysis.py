@@ -18,11 +18,12 @@ either time order.  Grid time j reads slices j-1 and j only, so it is
 evaluated as soon as both have arrived, and the accumulator holds a two-slice
 window.  `discrete_error` feeds it the stored slices of a lattice; the
 convergence study and the scheme comparison feed it each slice as the
-backward march makes it (`solve(..., observe=...)`), so no lattice of the
-solve they measure is ever stored.  The reference at t_j is built once and
-serves both read points there, "at t_j" against slice j and "just before
-t_j" against slice j-1.  The per-sample deviation is the squared difference,
-reduced over components with max.  The sample means of both read points are
+backward march makes it (`solve(..., observe=...)`), so neither stores a
+lattice: the comparison steps algorithm one inside algorithm two's solve,
+against algorithm two's two latest slices.  The reference at t_j is built
+once and serves both read points there, "at t_j" against slice j and "just
+before t_j" against slice j-1.  The per-sample deviation is the squared
+difference, reduced over components with max.  The sample means of both read points are
 taken together, in cache-sized chunks of samples whose running sums add the
 samples one after another, exactly as a mean over the sample axis does, and
 each term is attained at the first worst read point in a fixed numbering;
@@ -53,8 +54,10 @@ from .model import (
 from .solver import (
     SolutionLattice,
     SolverConfig,
+    _check_paths,
     _explicit_step,
     _march,
+    _operators,
     _resolve_order,
     _restenciler,
     _terminal_stacks,
@@ -92,8 +95,11 @@ def _reference_reader(reference, partition: Partition, paths, restencil):
 
     A ProblemSpec's continuous-time reference is evaluated along the run's own
     paths and differenced with the run's stencil; another SolutionLattice
-    (same spatial grid, compatible time grid) is read through its own stacks.
+    (same spatial grid, compatible time grid) is read through its own stacks;
+    a dict maps grid times of the run's own grid to their (V, Vbar) stacks.
     """
+    if isinstance(reference, dict):
+        return (lambda j, left: j - left), reference.__getitem__
     if isinstance(reference, ProblemSpec):
         if reference.analytic_reference is None:
             raise ReferenceRequiredError(
@@ -105,7 +111,8 @@ def _reference_reader(reference, partition: Partition, paths, restencil):
         )
     if not isinstance(reference, SolutionLattice):
         raise InvalidPartitionError(
-            "reference must be a SolutionLattice or a ProblemSpec with analytic_reference"
+            "reference must be a SolutionLattice, a dict of slices or a ProblemSpec "
+            "with analytic_reference"
         )
     if reference.partition.grid_shape != partition.grid_shape:
         raise InvalidPartitionError("reference lattice must share the spatial grid")
@@ -319,22 +326,6 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     return criterion.report()
 
 
-def _streamed_error(spec, partition, config, reference, paths=None) -> ErrorReport:
-    """Criterion of a solve against the reference, fed each slice as the
-    backward march makes it, so no slice is stored; without paths the
-    solve's own are simulated.
-    """
-    if paths is None:
-        paths = simulate_increments(
-            partition, spec.d, config.samples, config.seed, config.max_entries
-        )
-    M = _resolve_order(spec, config)
-    restencil = _restenciler(M, partition, config.paper_literal_stencil)
-    criterion = _Criterion(reference, partition, paths, restencil, M)
-    solve(spec, partition, config, paths, observe=criterion.feed)
-    return criterion.report()
-
-
 # ---------------------------------------------------------------------------
 # Convergence studies
 # ---------------------------------------------------------------------------
@@ -386,7 +377,13 @@ def convergence_study(
         raise ReferenceRequiredError(
             f"convergence_study needs an analytic reference; {spec.name!r} has none"
         )
-    reports = [_streamed_error(spec, part, config, spec) for part in partitions]
+    M, lit = _resolve_order(spec, config), config.paper_literal_stencil
+    reports = []
+    for part in partitions:
+        paths = simulate_increments(part, spec.d, config.samples, config.seed, config.max_entries)
+        criterion = _Criterion(spec, part, paths, _restenciler(M, part, lit), M)
+        solve(spec, part, config, paths, observe=criterion.feed)
+        reports.append(criterion.report())
     points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
     slope, intercept, resid, degenerate = fit_loglog(points)
     return ConvergenceFit(
@@ -405,14 +402,30 @@ def compare_algorithms(
     config: SolverConfig,
     paths: BrownianPaths | None = None,
 ) -> ErrorReport:
-    """Criterion-style discrepancy between the two schemes on shared paths:
-    algorithm two's lattice is stored, and algorithm one's slices are fed to
-    the criterion against it as they are made.
+    """Criterion-style discrepancy of algorithm one against algorithm two on
+    shared paths, marched in lockstep so that no lattice is stored: one
+    algorithm-two solve's observer keeps its stacks at grid times j and j+1,
+    starts algorithm one from the terminal stacks the schemes share, steps it
+    j+1 -> j with its own estimator and feeds its stacks at j to the criterion.
     """
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
-    lat_two = solve(spec, partition, replace(config, algorithm="two"), paths)
-    return _streamed_error(spec, partition, replace(config, algorithm="one"), lat_two, paths)
+    M = _resolve_order(spec, config)
+    restencil = _restenciler(M, partition, config.paper_literal_stencil)
+    est = ConditionalEstimator(config.estimator, paths)
+    step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
+    two = {}  # algorithm two's (V stack, Vbar stack) at grid times j and j+1
+    criterion = _Criterion(two, partition, paths, restencil, M)
+    one = []  # algorithm one's (V stack, Vbar stack) at the last grid time
+
+    def observe(j, v_stack, vbar_stack):
+        two.pop(j + 2, None)
+        two[j] = (v_stack, vbar_stack)
+        one[:] = two[j] if j == partition.n0 else step(j + 1, *one)
+        criterion.feed(j, *one)
+
+    solve(spec, partition, replace(config, algorithm="two"), paths, observe=observe)
+    return criterion.report()
 
 
 def reference_step_residual(
@@ -435,6 +448,7 @@ def reference_step_residual(
     j0 = partition.n0 if j0 is None else j0
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
+    _check_paths(spec, partition, config, paths)
     est = ConditionalEstimator(config.estimator, paths)
     restencil = _restenciler(M, partition, config.paper_literal_stencil)
     v_next, _ = _reference_stacks(spec, partition, paths, j0, restencil)

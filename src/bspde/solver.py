@@ -296,6 +296,21 @@ def _operators(spec: ProblemSpec, partition: Partition):
     return drift, diffusion
 
 
+def _check_paths(spec: ProblemSpec, partition: Partition, config: SolverConfig, paths) -> None:
+    """Refuse paths of another sample count, Brownian dimension or time grid."""
+    if paths.sample_count != config.samples:
+        raise InvalidPartitionError(
+            f"paths carry {paths.sample_count} samples, config expects {config.samples}"
+        )
+    times = paths.partition.time_points, partition.time_points
+    if paths.d != spec.d or not np.array_equal(*times):
+        paths_grid, grid = (np.array2string(t, precision=6, threshold=8) for t in times)
+        raise InvalidPartitionError(
+            f"paths were simulated with d={paths.d} on the time grid {paths_grid}, "
+            f"the solve needs d={spec.d} on {grid}"
+        )
+
+
 def solve(
     spec: ProblemSpec,
     partition: Partition,
@@ -312,7 +327,8 @@ def solve(
     backward march makes it, j = n0, n0-1, ..., 0, and the returned lattice's
     V and Vbar are empty.  The stacks are not written afterwards, so the
     observer may keep them.  The capacity budget is checked against the
-    lattice only when it is stored; the paths are checked either way.
+    lattice only when it is stored; the paths are checked either way.  Given
+    paths must match config.samples, spec.d and the partition's time grid.
     """
     M = _resolve_order(spec, config)
     if observe is None:
@@ -321,10 +337,7 @@ def solve(
         paths = simulate_increments(
             partition, spec.d, config.samples, config.seed, config.max_entries
         )
-    if paths.sample_count != config.samples:
-        raise InvalidPartitionError(
-            f"paths carry {paths.sample_count} samples, config expects {config.samples}"
-        )
+    _check_paths(spec, partition, config, paths)
     basis = config.estimator.basis_size(spec.d)
     if config.samples < basis:
         raise InvalidPartitionError(

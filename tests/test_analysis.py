@@ -367,7 +367,11 @@ def test_streamed_error_equals_stored(name, algorithm, kind, monkeypatch):
     config = replace(config, algorithm=algorithm, estimator=EstimatorSpec(kind=kind))
     paths = simulate_increments(part, spec.d, config.samples, config.seed)
     want = discrete_error(analysis.solve(spec, part, config, paths), spec)
-    _assert_same_report(analysis._streamed_error(spec, part, config, spec, paths), want)
+    M = analysis._resolve_order(spec, config)
+    restencil = analysis._restenciler(M, part, config.paper_literal_stencil)
+    criterion = analysis._Criterion(spec, part, paths, restencil, M)
+    analysis.solve(spec, part, config, paths, observe=criterion.feed)
+    _assert_same_report(criterion.report(), want)
 
 
 def test_solve_with_an_observer_stores_nothing():
@@ -519,25 +523,38 @@ def test_compare_algorithms_equals_stored_criterion(name, chunk_entries, monkeyp
         assert got.total == 0.0
 
 
-def test_compare_algorithms_holds_one_stored_lattice(monkeypatch):
-    held, alive_at_start = [], []
+def test_compare_algorithms_stores_no_lattice(monkeypatch):
+    # one algorithm-two solve per comparison, with an observer: algorithm one
+    # is stepped inside it, so neither scheme's lattice is stored
+    returned = []
     solve = analysis.solve
 
     def tracking(*args, **kwargs):
-        # a lattice counts as alive while it, or a buffer of its V or Vbar, is
-        alive_at_start.append(sum(any(r() is not None for r in refs) for refs in held))
-        lattice = solve(*args, **kwargs)
-        arrays = (*lattice.V.values(), *lattice.Vbar.values())
-        if arrays:
-            held.append([weakref.ref(lattice), *(weakref.ref(arr.base) for arr in arrays)])
-        return lattice
+        returned.append(solve(*args, **kwargs))
+        return returned[-1]
 
     monkeypatch.setattr(analysis, "solve", tracking)
     part = build_partition(1.0, 6, [0.5], [1])
     compare_algorithms(lin_spec(), part, SolverConfig(samples=200, seed=29))
-    assert len(alive_at_start) == 2
-    assert len(held) == 1  # only one of the two solves stores its slices
-    assert max(alive_at_start) <= 1
+    assert [lattice.config.algorithm for lattice in returned] == ["two"]
+    assert returned[0].V == {} and returned[0].Vbar == {}
+
+
+def _compare_algorithms_peak(n0):
+    # the paths grow with n0 (S*n0*d entries) whatever the comparison holds;
+    # on 17 grid points a stored lattice would add 2 x 17 entries per sample
+    # and time step, and grow the peak about 1.7-fold from n0 = 16 to 32
+    part = build_partition(1.0, n0, [0.03], [16])
+    tracemalloc.start()
+    try:
+        compare_algorithms(lin_spec(), part, SolverConfig(samples=500, seed=30))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_algorithms_memory_does_not_grow_with_the_time_grid():
+    assert _compare_algorithms_peak(32) < 1.3 * _compare_algorithms_peak(16)
 
 
 def test_compare_algorithms_zero_discrepancy_on_exact_fixture():

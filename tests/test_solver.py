@@ -264,6 +264,25 @@ def test_solve_dispatch_and_config_validation():
         solve(heat, part, SolverConfig(samples=20, M=1))
 
 
+@pytest.mark.parametrize("study", [solve, reference_step_residual])
+@pytest.mark.parametrize(
+    "paths_n0, paths_d, want",
+    [
+        # finer paths would be read at the wrong times, coarser ones out of range
+        pytest.param(8, 1, r"d=1 on the time grid \[0\. +0\.125", id="finer-time-grid"),
+        pytest.param(2, 1, r"d=1 on the time grid \[0\. +0\.5 +1\. *\]", id="coarser-time-grid"),
+        pytest.param(4, 2, r"simulated with d=2 .* needs d=1", id="brownian-dimension"),
+    ],
+)
+def test_paths_of_another_time_grid_or_dimension_are_refused(study, paths_n0, paths_d, want):
+    spec = builtin_problem("linear_scalar")
+    part = small_partition(n0=4)
+    paths = simulate_increments(small_partition(n0=paths_n0), paths_d, 40, seed=3)
+    with pytest.raises(InvalidPartitionError, match=want) as err:
+        study(spec, part, SolverConfig(samples=40, seed=3), paths=paths)
+    assert "needs d=1 on [0.   0.25 0.5  0.75 1.  ]" in str(err.value)
+
+
 def test_capacity_budget_counts_only_the_stored_lattice():
     # 100 samples x 5 times x 2 points x (V + Vbar) = 2 000 lattice entries,
     # against 100 x 4 = 400 path entries
