@@ -446,6 +446,8 @@ def reference_step_residual(
         raise ReferenceRequiredError(f"{spec.name!r} has no analytic reference")
     M = _resolve_order(spec, config)
     j0 = partition.n0 if j0 is None else j0
+    if not 1 <= j0 <= partition.n0:
+        raise InvalidPartitionError(f"j0 = {j0} is no backward step; need 1 <= j0 <= n0 = {partition.n0}")
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     _check_paths(spec, partition, config, paths)

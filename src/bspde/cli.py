@@ -3,22 +3,23 @@
 Subcommands: solve | converge | compare | check-malliavin.
 Exit codes: 0 ok, 2 config error, 3 numerical failure.
 
-Every run echoes the fully resolved configuration (all defaults materialized)
-and a manifest with seed, wall time, peak RSS and library version (and, for
-solve, the time of the solve and of the export).  Data
-artifacts are deterministic functions of (config, seed, library version).
+The config is JSON.  This module checks only its shape (see `load_config`);
+each value is checked by the library constructor that receives it.  Every run
+echoes the fully resolved configuration (all defaults materialized) and a
+manifest with seed, wall time, peak RSS and library version (and, for solve,
+the time of the solve and of the export).  Data artifacts are deterministic
+functions of (config, seed, library version).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import resource
 import sys
 import time
-
-import jsonschema
 
 from . import __version__
 from .analysis import (
@@ -38,11 +39,12 @@ from .errors import (
     FixedPointDivergenceError,
     OperatorEvaluationError,
     SingularDesignError,
+    check_value,
 )
-from .grid import Partition, build_partition, refine_partition
+from .grid import build_partition, refine_partition
 from .model import BUILTIN_NAMES, BUILTIN_PARAMS, builtin_problem
-from .solver import ALGORITHMS, SolverConfig, export_lattice_csv, solve
-from .stochastics import ESTIMATOR_KINDS, EstimatorSpec
+from .solver import SolverConfig, export_lattice_csv, solve
+from .stochastics import EstimatorSpec
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -56,106 +58,54 @@ NUMERICAL_ERRORS = (
     SingularDesignError,
 )
 
-_PARTITION_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["T", "n0", "edges", "counts"],
-    "properties": {
-        "T": {"type": "number", "exclusiveMinimum": 0},
-        "n0": {"type": "integer", "minimum": 1},
-        "edges": {"type": "array", "minItems": 1, "maxItems": 3,
-                  "items": {"type": "number", "exclusiveMinimum": 0}},
-        "counts": {"type": "array", "minItems": 1, "maxItems": 3,
-                   "items": {"type": "integer", "minimum": 1}},
-    },
+# each block's required and optional keys; the library's constructors check the values
+_KEYS = {
+    "config": (("problem", "solver"), ("partition", "ladder", "seed", "output")),
+    "problem": (("name",), ("params",)),
+    "partition": (("T", "n0", "edges", "counts"), ()),
+    "ladder": (("base", "levels"), ()),
+    "solver": (("samples",), ("algorithm", "M", "estimator", "fp_tolerance", "fp_max_iters",
+                              "paper_literal_stencil", "dump_coefficients")),
+    "estimator": ((), ("kind", "degree", "ridge")),
+    "output": ((), ("directory",)),
 }
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["problem", "solver"],
-    "properties": {
-        "problem": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["name"],
-            "properties": {
-                "name": {"enum": list(BUILTIN_NAMES)},
-                "params": {
-                    "type": "object",
-                    "additionalProperties": {"type": "number"},
-                },
-            },
-        },
-        "partition": _PARTITION_SCHEMA,
-        "ladder": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["base", "levels"],
-            "properties": {
-                "base": _PARTITION_SCHEMA,
-                "levels": {"type": "integer", "minimum": 1},
-            },
-        },
-        "solver": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["samples"],
-            "properties": {
-                "algorithm": {"enum": list(ALGORITHMS)},
-                "M": {"type": ["integer", "null"], "minimum": 0},
-                "samples": {"type": "integer", "minimum": 1},
-                "estimator": {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "kind": {"enum": list(ESTIMATOR_KINDS)},
-                        "degree": {"type": "integer", "minimum": 0},
-                        "ridge": {"type": ["number", "null"], "minimum": 0},
-                    },
-                },
-                "fp_tolerance": {"type": "number", "exclusiveMinimum": 0},
-                "fp_max_iters": {"type": "integer", "minimum": 1},
-                "paper_literal_stencil": {"type": "boolean"},
-                "dump_coefficients": {"type": "boolean"},
-            },
-        },
-        "seed": {"type": "integer", "minimum": 0},
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {"directory": {"type": "string"}},
-        },
-    },
-}
-
-_DEFAULTS = {
-    "problem": {"params": {}},
-    "solver": {
-        "algorithm": "one",
-        "M": None,
-        "estimator": {"kind": "analytic", "degree": 3, "ridge": None},
-        "fp_tolerance": 1e-10,
-        "fp_max_iters": 50,
-        "paper_literal_stencil": False,
-        "dump_coefficients": False,
-    },
-    "seed": 0,
-    "output": {"directory": "out"},
-}
+# solver key -> SolverConfig field, where the two differ
+_FIELDS = {"dump_coefficients": "record_coefficients"}
 
 
-def _merge_defaults(config: dict, defaults: dict) -> dict:
-    out = dict(config)
-    for key, val in defaults.items():
-        if key not in out:
-            out[key] = val
-        elif isinstance(val, dict) and isinstance(out[key], dict):
-            out[key] = _merge_defaults(out[key], val)
-    return out
+def _block(value, kind: str, where: str) -> dict:
+    """value, if it is an object with every key that kind requires and no other."""
+    required, optional = _KEYS[kind]
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be an object, got {value!r}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{where} lacks the required key {key!r}")
+    for key in value:
+        if key not in required + optional:
+            raise ConfigError(f"{where} has an unknown key {key!r}")
+    return value
+
+
+def _solver_config(config: dict) -> SolverConfig:
+    block = _block(config["solver"], "solver", "solver")
+    estimator = _block(block.get("estimator", {}), "estimator", "solver.estimator")
+    fields = {_FIELDS.get(key, key): value for key, value in block.items() if key != "estimator"}
+    if "seed" in config:
+        fields["seed"] = config["seed"]
+    return SolverConfig(estimator=EstimatorSpec(**estimator), **fields)
 
 
 def load_config(path: str) -> dict:
+    """The config at path, with every default materialized.
+
+    Checked here is only what the file alone decides: each block's keys, one
+    of partition or ladder, ladder.levels, problem.params being an object and
+    output.directory a string.  The solver block and the seed are checked by
+    constructing the SolverConfig whose fields the echo reads back, so the
+    solver's defaults live only in the dataclasses; `resolve` checks the
+    problem and the partitions by building them.
+    """
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -163,54 +113,48 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path_str = "/".join(str(part) for part in exc.absolute_path) or "<root>"
-        raise ConfigError(f"config schema violation at {path_str}: {exc.message}") from exc
-    if ("partition" in raw) == ("ladder" in raw):
+    config = _block(raw, "config", "config")
+    problem = {"params": {}, **_block(config["problem"], "problem", "problem")}
+    if not isinstance(problem["params"], dict):
+        raise ConfigError(f"problem.params must be an object, got {problem['params']!r}")
+    if ("partition" in config) == ("ladder" in config):
         raise ConfigError("config must declare exactly one of 'partition' or 'ladder'")
-    return _merge_defaults(raw, _DEFAULTS)
-
-
-def _build_partition(block: dict) -> Partition:
-    return build_partition(block["T"], block["n0"], block["edges"], block["counts"])
+    if "partition" in config:
+        _block(config["partition"], "partition", "partition")
+    else:
+        ladder = _block(config["ladder"], "ladder", "ladder")
+        _block(ladder["base"], "partition", "ladder.base")
+        check_value("ladder.levels", ladder["levels"], "integer", 1)
+    output = {"directory": "out", **_block(config.get("output", {}), "output", "output")}
+    if not isinstance(output["directory"], str):
+        raise ConfigError(f"output.directory must be a string, got {output['directory']!r}")
+    solver_config = _solver_config(config)
+    fields = dataclasses.asdict(solver_config)
+    solver = {key: fields[_FIELDS.get(key, key)] for key in sum(_KEYS["solver"], ())}
+    return {**config, "problem": problem, "solver": solver, "seed": solver_config.seed, "output": output}
 
 
 def resolve(config: dict):
-    """Materialize problem, partitions, and solver config from a validated dict."""
-    params = dict(config["problem"].get("params", {}))
+    """Problem, partitions and solver config of a dict that `load_config`
+    returned; the library's constructors check every value as they build."""
+    params = dict(config["problem"]["params"])
     if "partition" in config:
-        partitions = [_build_partition(config["partition"])]
+        partitions = [build_partition(**config["partition"])]
     else:
-        base = _build_partition(config["ladder"]["base"])
+        base = build_partition(**config["ladder"]["base"])
         partitions = [base]
         for _ in range(config["ladder"]["levels"] - 1):
             partitions.append(refine_partition(partitions[-1]))
     # built-ins whose closed forms depend on the horizon get it from the grid
     name = config["problem"]["name"]
     T = partitions[0].T
-    if "terminal_time" in BUILTIN_PARAMS[name]:
+    if name in BUILTIN_NAMES and "terminal_time" in BUILTIN_PARAMS[name]:
         params.setdefault("terminal_time", T)
         if params["terminal_time"] != T:
             raise ConfigError(
                 f"problem param terminal_time = {params['terminal_time']!r} differs from the grid's T = {T!r}"
             )
-    spec = builtin_problem(name, params)
-    sol = config["solver"]
-    est = sol["estimator"]
-    solver_config = SolverConfig(
-        algorithm=sol["algorithm"],
-        samples=sol["samples"],
-        estimator=EstimatorSpec(kind=est["kind"], degree=est["degree"], ridge=est["ridge"]),
-        M=sol["M"],
-        fp_tolerance=sol["fp_tolerance"],
-        fp_max_iters=sol["fp_max_iters"],
-        seed=config["seed"],
-        paper_literal_stencil=sol["paper_literal_stencil"],
-        record_coefficients=sol["dump_coefficients"],
-    )
-    return spec, partitions, solver_config
+    return builtin_problem(name, params), partitions, _solver_config(config)
 
 
 def _write_json(path, payload) -> None:

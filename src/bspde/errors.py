@@ -5,6 +5,10 @@ distinct from usage errors (bad partitions, bad configs) so that batch
 drivers can map them to different exit codes.
 """
 
+import numbers
+
+import numpy as np
+
 
 class BspdeError(Exception):
     """Base class for all package-specific errors."""
@@ -48,3 +52,25 @@ class ReferenceRequiredError(BspdeError):
 
 class ConfigError(BspdeError):
     """Invalid experiment configuration."""
+
+
+# kind -> (description, accepted types); a bool is neither an integer nor a number
+_KINDS = {
+    "integer": ("an integer", numbers.Integral),
+    "number": ("a number", numbers.Real),
+    "flag": ("true or false", (bool, np.bool_)),
+}
+
+
+def check_value(name, value, kind, low=None, strict=False, optional=False):
+    """Return value if it is of kind ("integer", "number" or "flag") and, when
+    low is given, >= low (> low when strict), or None when optional; raise
+    InvalidPartitionError naming name otherwise.  2.0 is not an integer."""
+    if optional and value is None:
+        return value
+    what, types = _KINDS[kind]
+    if not isinstance(value, types) or (kind != "flag" and isinstance(value, bool)):
+        raise InvalidPartitionError(f"{name} must be {what}, got {value!r}")
+    if low is not None and not (value > low if strict else value >= low):
+        raise InvalidPartitionError(f"need {name} {'>' if strict else '>='} {low}, got {value!r}")
+    return value

@@ -27,6 +27,7 @@ from .errors import (
     InvalidDomainError,
     InvalidPartitionError,
     OrderTooHighError,
+    check_value,
 )
 
 MAX_SPATIAL_DIMS = 3
@@ -59,11 +60,10 @@ class Partition:
         if not 1 <= p <= MAX_SPATIAL_DIMS:
             raise InvalidPartitionError(f"spatial dimension must be 1..{MAX_SPATIAL_DIMS}, got {p}")
         for b in self.edges:
-            if b <= 0:
+            if not check_value("edges", b, "number") > 0:
                 raise InvalidDomainError(f"edge lengths must be positive, got {b}")
         for n in self.counts:
-            if n < 1:
-                raise InvalidPartitionError(f"per-dim counts must be >= 1, got {n}")
+            check_value("counts", n, "integer", 1)
         t = t.copy()
         t.setflags(write=False)
         object.__setattr__(self, "time_points", t)
@@ -120,10 +120,12 @@ class Partition:
 
 def build_partition(T: float, n0: int, edges, counts) -> Partition:
     """Uniform time grid t_j = j*T/n0 over the rectangle given by edges/counts."""
-    if T <= 0:
+    if not check_value("T", T, "number") > 0:
         raise InvalidDomainError(f"terminal time must be positive, got {T}")
-    if n0 < 1:
-        raise InvalidPartitionError(f"need at least one time step, got n0={n0}")
+    check_value("n0", n0, "integer", 1)
+    for name, values in (("edges", edges), ("counts", counts)):
+        if not isinstance(values, (list, tuple, np.ndarray)):
+            raise InvalidPartitionError(f"{name} must be a sequence, got {values!r}")
     times = np.linspace(0.0, float(T), int(n0) + 1)
     return Partition(T=float(T), time_points=times, edges=tuple(edges), counts=tuple(counts))
 

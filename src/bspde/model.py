@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPartitionError, OperatorEvaluationError
+from .errors import ConfigError, InvalidPartitionError, OperatorEvaluationError, check_value
 from .grid import StackKey
 
 # the params each built-in reads
@@ -109,17 +109,18 @@ def builtin_problem(name: str, params: dict | None = None) -> ProblemSpec:
     heat          V(t,x) = exp(a*x_1 + a^2 (T-t)/2),     Vbar = 0
 
     martingale is linear_scalar at rate 0.  A param the built-in does not
-    read is refused.
+    read, and one that is not a number, is refused.
     """
-    if name not in BUILTIN_PARAMS:
-        raise InvalidPartitionError(f"unknown builtin problem {name!r}; choose from {BUILTIN_NAMES}")
+    if name not in BUILTIN_NAMES:
+        raise InvalidPartitionError(f"unknown builtin problem name {name!r}; choose from {BUILTIN_NAMES}")
     params = dict(params or {})
     reads = BUILTIN_PARAMS[name]
-    for key in params:
+    for key, value in params.items():
         if key not in reads:
             raise ConfigError(
                 f"builtin problem {name!r} reads no param {key!r}; it reads {', '.join(reads) or 'none'}"
             )
+        check_value(f"param {key}", value, "number")
     if name == "zero":
         return _zero_problem(params)
     if name == "heat":

@@ -30,6 +30,7 @@ from .errors import (
     DivergenceError,
     FixedPointDivergenceError,
     InvalidPartitionError,
+    check_value,
 )
 from .grid import Partition, StackKey, difference_stack_arrays, enumerate_multi_indices
 from .model import ProblemSpec, evaluate_diffusion_driver, evaluate_driver, zero_key
@@ -60,12 +61,14 @@ class SolverConfig:
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise InvalidPartitionError(f"algorithm must be one of {ALGORITHMS}")
-        if self.samples < 1:
-            raise InvalidPartitionError(f"need samples >= 1, got {self.samples}")
-        if self.fp_tolerance <= 0:
-            raise InvalidPartitionError("fp_tolerance must be positive")
-        if self.fp_max_iters < 1:
-            raise InvalidPartitionError("fp_max_iters must be >= 1")
+        check_value("samples", self.samples, "integer", 1)
+        check_value("M", self.M, "integer", 0, optional=True)
+        check_value("fp_tolerance", self.fp_tolerance, "number", 0, strict=True)
+        check_value("fp_max_iters", self.fp_max_iters, "integer", 1)
+        check_value("seed", self.seed, "integer", 0)
+        check_value("paper_literal_stencil", self.paper_literal_stencil, "flag")
+        check_value("record_coefficients", self.record_coefficients, "flag")
+        check_value("max_entries", self.max_entries, "integer", 1)
 
 
 @dataclass

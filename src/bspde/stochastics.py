@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import CapacityError, InvalidPartitionError, SingularDesignError
+from .errors import CapacityError, InvalidPartitionError, SingularDesignError, check_value
 from .grid import Partition
 
 DEFAULT_CAPACITY = 1 << 27  # float64 entries, ~1 GiB
@@ -70,10 +70,9 @@ def simulate_increments(
     max_entries: int = DEFAULT_CAPACITY,
 ) -> BrownianPaths:
     """Draw S independent d-dimensional paths over the partition's time grid."""
-    if S < 1 or d < 1:
-        raise InvalidPartitionError(f"need S >= 1 and d >= 1, got S={S}, d={d}")
-    if seed < 0:
-        raise InvalidPartitionError(f"seed must be a nonnegative integer, got {seed}")
+    check_value("S", S, "integer", 1)
+    check_value("d", d, "integer", 1)
+    check_value("seed", seed, "integer", 0)
     n0 = partition.n0
     if S * n0 * d > max_entries:
         raise CapacityError(
@@ -123,10 +122,8 @@ class EstimatorSpec:
             raise InvalidPartitionError(
                 f"estimator kind must be one of {ESTIMATOR_KINDS}, got {self.kind!r}"
             )
-        if self.degree < 0:
-            raise InvalidPartitionError(f"basis degree must be >= 0, got {self.degree}")
-        if self.ridge is not None and self.ridge < 0:
-            raise InvalidPartitionError(f"ridge must be >= 0, got {self.ridge}")
+        check_value("degree", self.degree, "integer", 0)
+        check_value("ridge", self.ridge, "number", 0, optional=True)
 
     def basis_size(self, d: int) -> int:
         return math.comb(self.degree + d, d)
@@ -374,10 +371,8 @@ def condexp_nested(
     w + Z with Z ~ N(0, variance * I_d); unbiased for E[f(W_end) | W_branch=w]
     whenever the target depends on the continuation only through its endpoint.
     """
-    if inner_count < 1:
-        raise InvalidPartitionError(f"inner count must be >= 1, got {inner_count}")
-    if seed < 0:
-        raise InvalidPartitionError(f"seed must be a nonnegative integer, got {seed}")
+    check_value("inner_count", inner_count, "integer", 1)
+    check_value("seed", seed, "integer", 0)
     states = np.asarray(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]

@@ -574,6 +574,14 @@ def test_reference_step_residual_checks_the_lattice_order():
         analysis.solve(spec, part, SolverConfig(samples=50, M=0))
 
 
+@pytest.mark.parametrize("j0", [0, -1, 5])
+def test_reference_step_residual_refuses_a_j0_that_is_no_backward_step(j0):
+    # 0 and -1 once read the terminal slice through negative indices, 5 raised IndexError
+    part = build_partition(1.0, 4, [1.0], [2])
+    with pytest.raises(InvalidPartitionError, match=rf"j0 = {j0} .* n0 = 4"):
+        reference_step_residual(lin_spec(), part, SolverConfig(samples=50, seed=1), j0=j0)
+
+
 @pytest.mark.parametrize("study", [compare_algorithms, reference_step_residual])
 def test_path_simulation_respects_the_capacity_budget(study):
     # 100 samples x 4 steps x 1 component = 400 path entries, one over the budget

@@ -1,9 +1,10 @@
 import json
+import pathlib
 import resource
 
 import pytest
 
-from bspde.cli import main
+from bspde.cli import load_config, main
 
 
 def write_config(path, **overrides):
@@ -99,6 +100,46 @@ def test_nested_estimator_is_config_error(tmp_path, capsys, estimator):
     assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
     assert "estimator" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+
+
+_LADDER = {"base": {"T": 1.0, "n0": 2, "edges": [1.0], "counts": [1]}, "levels": 3}
+
+
+@pytest.mark.parametrize(
+    "command, overrides, names",
+    [
+        # once passed the schema and then raised TypeError (exit 1) or ran silently
+        ("solve", {"solver": {"samples": 50.0}}, "samples"),
+        ("solve", {"partition": {"T": 1.0, "n0": 2.0, "edges": [1.0], "counts": [2]}}, "n0"),
+        ("solve", {"partition": {"T": 1.0, "n0": 4, "edges": [1.0], "counts": [2.0]}}, "counts"),
+        ("solve", {"solver": {"samples": 20, "M": 1.0}}, "M must be"),
+        ("solve", {"solver": {"samples": 20, "estimator": {"degree": 2.0}}}, "degree"),
+        ("solve", {"solver": {"samples": 20, "algorithm": "two", "fp_max_iters": 5.0}}, "fp_max_iters"),
+        ("converge", {"partition": None, "ladder": {**_LADDER, "levels": 3.0}}, "ladder.levels"),
+        # already refused by the schema
+        ("solve", {"seed": True}, "seed"),
+        ("solve", {"solver": {"samples": 20, "paper_literal_stencil": 1}}, "paper_literal_stencil"),
+        ("solve", {"output": {"directory": 5}}, "output.directory"),
+        ("solve", {"problem": {"name": "heat", "params": {"a": "x"}}}, "param a"),
+        ("solve", {"problem": {"name": ["heat"]}}, "name"),
+        ("solve", {"solver": [{"samples": 20}]}, "solver"),
+    ],
+)
+def test_value_the_library_cannot_use_is_config_error(tmp_path, monkeypatch, capsys, command, overrides, names):
+    monkeypatch.chdir(tmp_path)  # no --out: output.directory is read from the config
+    cfg = write_config(tmp_path / "cfg.json", **overrides)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert names in capsys.readouterr().err
+    assert not list(tmp_path.rglob("*.csv"))
+
+
+def test_readme_config_example_is_its_own_echo(tmp_path):
+    # every default the README shows is the one the dataclasses materialize
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Config format", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(example)
+    assert load_config(str(cfg)) == json.loads(example)
 
 
 def test_problem_param_the_builtin_does_not_read_is_config_error(tmp_path, capsys):

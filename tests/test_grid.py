@@ -70,6 +70,18 @@ def test_partition_errors():
         build_partition(1.0, 0, [1.0], [2])
     with pytest.raises(InvalidPartitionError):
         build_partition(1.0, 4, [1.0] * 4, [1] * 4)
+    # an integer is an integer, not an integral float or a bool
+    with pytest.raises(InvalidPartitionError, match="n0 must be an integer"):
+        build_partition(1.0, 2.0, [1.0], [2])
+    with pytest.raises(InvalidPartitionError, match="counts must be an integer"):
+        build_partition(1.0, 2, [1.0], [2.0])
+    with pytest.raises(InvalidPartitionError, match="T must be a number"):
+        build_partition(True, 2, [1.0], [2])
+    with pytest.raises(InvalidPartitionError, match="edges must be a sequence"):
+        build_partition(1.0, 2, 1.0, [2])
+    # numpy scalars are integers and numbers
+    part = build_partition(np.float64(1.0), np.int64(2), np.array([1.0]), np.array([2]))
+    assert (part.n0, part.counts, part.edges) == (2, (2,), (1.0,))
 
 
 def test_partition_spacing_identity():

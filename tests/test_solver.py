@@ -255,6 +255,20 @@ def test_solve_dispatch_and_config_validation():
     assert lat.fp_iterations
     with pytest.raises(InvalidPartitionError):
         SolverConfig(algorithm="three")
+    # types are checked beside bounds: "no" is truthy, and 50.0 is not an integer
+    with pytest.raises(InvalidPartitionError, match="samples must be an integer"):
+        SolverConfig(samples=50.0)
+    with pytest.raises(InvalidPartitionError, match="paper_literal_stencil must be true or false"):
+        SolverConfig(paper_literal_stencil="no")
+    with pytest.raises(InvalidPartitionError, match="need seed >= 0"):
+        SolverConfig(seed=-1)
+    with pytest.raises(InvalidPartitionError, match="M must be an integer"):
+        SolverConfig(M=True)
+    numpy_config = SolverConfig(
+        samples=np.int64(20), M=np.int64(0), fp_tolerance=np.float64(1e-9), seed=np.int64(1),
+        paper_literal_stencil=np.False_,
+    )
+    assert numpy_config.samples == 20
     with pytest.raises(InvalidPartitionError):
         # 3 samples cannot support the degree-3 default basis
         solve(spec, part, SolverConfig(samples=3))

@@ -627,6 +627,11 @@ def test_estimator_spec_validation():
         EstimatorSpec(degree=-1)
     with pytest.raises(InvalidPartitionError):
         EstimatorSpec(ridge=-0.5)
+    with pytest.raises(InvalidPartitionError, match="degree must be an integer"):
+        EstimatorSpec(degree=2.0)
+    with pytest.raises(InvalidPartitionError, match="ridge must be a number"):
+        EstimatorSpec(ridge=True)
+    assert EstimatorSpec(degree=np.int64(2), ridge=np.float64(0.0)).basis_size(1) == 3
     assert EstimatorSpec(degree=3).basis_size(1) == 4
     assert EstimatorSpec(degree=3).basis_size(2) == 10
 
