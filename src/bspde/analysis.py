@@ -58,8 +58,7 @@ from .solver import (
     _explicit_step,
     _march,
     _operators,
-    _resolve_order,
-    _restenciler,
+    _order_and_stencil,
     _terminal_stacks,
     solve,
 )
@@ -377,11 +376,11 @@ def convergence_study(
         raise ReferenceRequiredError(
             f"convergence_study needs an analytic reference; {spec.name!r} has none"
         )
-    M, lit = _resolve_order(spec, config), config.paper_literal_stencil
     reports = []
     for part in partitions:
+        M, restencil = _order_and_stencil(spec, part, config)
         paths = simulate_increments(part, spec.d, config.samples, config.seed, config.max_entries)
-        criterion = _Criterion(spec, part, paths, _restenciler(M, part, lit), M)
+        criterion = _Criterion(spec, part, paths, restencil, M)
         solve(spec, part, config, paths, observe=criterion.feed)
         reports.append(criterion.report())
     points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
@@ -408,10 +407,9 @@ def compare_algorithms(
     starts algorithm one from the terminal stacks the schemes share, steps it
     j+1 -> j with its own estimator and feeds its stacks at j to the criterion.
     """
+    M, restencil = _order_and_stencil(spec, partition, config)
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
-    M = _resolve_order(spec, config)
-    restencil = _restenciler(M, partition, config.paper_literal_stencil)
     est = ConditionalEstimator(config.estimator, paths)
     step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
     two = {}  # algorithm two's (V stack, Vbar stack) at grid times j and j+1
@@ -444,7 +442,7 @@ def reference_step_residual(
     """
     if spec.analytic_reference is None:
         raise ReferenceRequiredError(f"{spec.name!r} has no analytic reference")
-    M = _resolve_order(spec, config)
+    _, restencil = _order_and_stencil(spec, partition, config)
     j0 = partition.n0 if j0 is None else j0
     if not 1 <= j0 <= partition.n0:
         raise InvalidPartitionError(f"j0 = {j0} is no backward step; need 1 <= j0 <= n0 = {partition.n0}")
@@ -452,7 +450,6 @@ def reference_step_residual(
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     _check_paths(spec, partition, config, paths)
     est = ConditionalEstimator(config.estimator, paths)
-    restencil = _restenciler(M, partition, config.paper_literal_stencil)
     v_next, _ = _reference_stacks(spec, partition, paths, j0, restencil)
     v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, restencil)
     zkey = zero_key(spec.p)
@@ -479,14 +476,14 @@ def increment_regularity(lattice: SolutionLattice, M: int | None = None):
     n0 = lattice.partition.n0
     times = lattice.partition.time_points
     S = lattice.sample_count
-    V = lattice.stacks(lattice.V)
+    V = [lattice.stacks(lattice.V, j) for j in range(n0)]
     lags, moments = [], []
     for j1 in range(n0):
         for j2 in range(j1 + 1, n0):
             worst = None
             for c in range(M + 1):
                 for idx in enumerate_multi_indices(c, p).indices:
-                    diff = np.abs(V[(c, idx)][:, j2] - V[(c, idx)][:, j1])
+                    diff = np.abs(V[j2][(c, idx)] - V[j1][(c, idx)])
                     diff = diff.reshape(S, -1).max(axis=1)
                     worst = diff if worst is None else np.maximum(worst, diff)
             lags.append(float(times[j2] - times[j1]))

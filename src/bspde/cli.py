@@ -69,8 +69,6 @@ _KEYS = {
     "estimator": ((), ("kind", "degree", "ridge")),
     "output": ((), ("directory",)),
 }
-# solver key -> SolverConfig field, where the two differ
-_FIELDS = {"dump_coefficients": "record_coefficients"}
 
 
 def _block(value, kind: str, where: str) -> dict:
@@ -90,7 +88,7 @@ def _block(value, kind: str, where: str) -> dict:
 def _solver_config(config: dict) -> SolverConfig:
     block = _block(config["solver"], "solver", "solver")
     estimator = _block(block.get("estimator", {}), "estimator", "solver.estimator")
-    fields = {_FIELDS.get(key, key): value for key, value in block.items() if key != "estimator"}
+    fields = {key: value for key, value in block.items() if key != "estimator"}
     if "seed" in config:
         fields["seed"] = config["seed"]
     return SolverConfig(estimator=EstimatorSpec(**estimator), **fields)
@@ -130,7 +128,7 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"output.directory must be a string, got {output['directory']!r}")
     solver_config = _solver_config(config)
     fields = dataclasses.asdict(solver_config)
-    solver = {key: fields[_FIELDS.get(key, key)] for key in sum(_KEYS["solver"], ())}
+    solver = {key: fields[key] for key in sum(_KEYS["solver"], ())}
     return {**config, "problem": problem, "solver": solver, "seed": solver_config.seed, "output": output}
 
 
@@ -190,6 +188,7 @@ def cmd_solve(config: dict, args, outdir: str) -> int:
         raise ConfigError("solve expects a single partition, not a ladder")
     lattice = solve(spec, partitions[0], solver_config)
     solved = time.perf_counter()
+    os.makedirs(outdir, exist_ok=True)
     export_lattice_csv(
         lattice,
         os.path.join(outdir, "solution_v.csv"),
@@ -227,6 +226,7 @@ def cmd_converge(config: dict, args, outdir: str) -> int:
     if len(partitions) < 3:
         raise ConfigError("converge needs a ladder with at least 3 levels")
     fit = convergence_study(spec, partitions, solver_config)
+    os.makedirs(outdir, exist_ok=True)
     rows = [
         (part.mesh_size, rep, config["seed"], solver_config.algorithm)
         for part, rep in zip(partitions, fit.reports)
@@ -249,6 +249,7 @@ def cmd_compare(config: dict, args, outdir: str) -> int:
         report = compare_algorithms(spec, part, solver_config)
         rows.append((part.mesh_size, report, config["seed"], "one-vs-two"))
         points.append((part.mesh_size, report.total))
+    os.makedirs(outdir, exist_ok=True)
     _criterion_rows(os.path.join(outdir, "compare.csv"), rows)
     _emit_run_records(outdir, config, started, "compare")
     if len(points) >= 3:
@@ -269,6 +270,7 @@ def cmd_check_malliavin(config: dict, args, outdir: str) -> int:
         raise ConfigError("check-malliavin expects a single partition")
     base = solve(spec, partitions[0], solver_config)
     report = check_representation_identity(spec, base)
+    os.makedirs(outdir, exist_ok=True)
     header_x = ",".join(f"x{l+1}" for l in range(spec.p))
     with open(os.path.join(outdir, "malliavin.csv"), "w") as fh:
         fh.write(f"t,{header_x},c,multi_index,mean_lhs,mean_rhs,var_lhs,var_rhs,zscore\n")
@@ -324,7 +326,6 @@ def main(argv=None) -> int:
             config["solver"]["paper_literal_stencil"] = True
         outdir = args.out or config["output"]["directory"]
         config["output"]["directory"] = outdir
-        os.makedirs(outdir, exist_ok=True)
         return COMMANDS[args.command](config, args, outdir)
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

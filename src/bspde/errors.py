@@ -74,3 +74,13 @@ def check_value(name, value, kind, low=None, strict=False, optional=False):
     if low is not None and not (value > low if strict else value >= low):
         raise InvalidPartitionError(f"need {name} {'>' if strict else '>='} {low}, got {value!r}")
     return value
+
+
+def check_finite(values, error, what, where):
+    """values as a float array if every entry is finite; else raise the
+    caller's error class naming what, where and the first offending index."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+        raise error(f"{what} became non-finite at {where}, first offending index {first}")
+    return values

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidPartitionError, OperatorEvaluationError, check_value
+from .errors import ConfigError, InvalidPartitionError, OperatorEvaluationError, check_finite, check_value
 from .grid import StackKey
 
 # the params each built-in reads
@@ -70,25 +70,14 @@ def _upto(stack: dict[StackKey, np.ndarray], c_max: int) -> dict[StackKey, np.nd
     return {key: arr for key, arr in stack.items() if key[0] <= c_max}
 
 
-def _check_finite(values: np.ndarray, t, x, what: str) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))
-        first = tuple(int(i) for i in bad[0])
-        raise OperatorEvaluationError(
-            f"{what} produced a non-finite value at t={t!r}, entry index {first}"
-        )
-    return values
-
-
 def evaluate_driver(spec: ProblemSpec, t, x: np.ndarray, v: dict, vbar: dict) -> np.ndarray:
     out = spec.driver(t, x, _upto(v, spec.k), _upto(vbar, spec.m))
-    return _check_finite(out, t, x, "driver")
+    return check_finite(out, OperatorEvaluationError, "driver", f"t={t!r}")
 
 
 def evaluate_diffusion_driver(spec: ProblemSpec, t, x: np.ndarray, v: dict) -> np.ndarray:
     out = spec.diffusion(t, x, _upto(v, spec.n))
-    return _check_finite(out, t, x, "diffusion driver")
+    return check_finite(out, OperatorEvaluationError, "diffusion driver", f"t={t!r}")
 
 
 def zero_key(p: int) -> StackKey:
@@ -298,7 +287,8 @@ def operator_jacobians(spec: ProblemSpec, t, x: np.ndarray, v: dict, vbar: dict)
     def differenced(bundle, n_in, f):
         # f(key, a) is the operator with bundle[key] replaced by a
         return {
-            key: _check_finite(central_jacobian(lambda a: f(key, a), arr, n_in), t, x, "jacobian")
+            key: check_finite(central_jacobian(lambda a: f(key, a), arr, n_in),
+                              OperatorEvaluationError, "jacobian", f"t={t!r}")
             for key, arr in bundle.items()
         }
 

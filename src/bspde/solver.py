@@ -14,8 +14,8 @@ applied identically at each grid point, and the difference stencils are linear
 maps across grid points applied identically to each sample, the two commute:
 updating order zero and re-differencing gives exactly the same stacks as
 updating every order separately.  Lattices therefore store order zero only;
-`SolutionLattice.stacks` derives the higher orders of one slice, or of every
-slice at once, when something reads them.
+`SolutionLattice.stacks` derives the higher orders of one slice when something
+reads them, and the export derives them one block of samples at a time.
 """
 
 from __future__ import annotations
@@ -30,9 +30,10 @@ from .errors import (
     DivergenceError,
     FixedPointDivergenceError,
     InvalidPartitionError,
+    check_finite,
     check_value,
 )
-from .grid import Partition, StackKey, difference_stack_arrays, enumerate_multi_indices
+from .grid import Partition, StackKey, difference_stack_arrays
 from .model import ProblemSpec, evaluate_diffusion_driver, evaluate_driver, zero_key
 from .stochastics import (
     DEFAULT_CAPACITY,
@@ -55,7 +56,7 @@ class SolverConfig:
     fp_max_iters: int = 50
     seed: int = 0
     paper_literal_stencil: bool = False
-    record_coefficients: bool = False
+    dump_coefficients: bool = False
     max_entries: int = DEFAULT_CAPACITY
 
     def __post_init__(self):
@@ -67,7 +68,7 @@ class SolverConfig:
         check_value("fp_max_iters", self.fp_max_iters, "integer", 1)
         check_value("seed", self.seed, "integer", 0)
         check_value("paper_literal_stencil", self.paper_literal_stencil, "flag")
-        check_value("record_coefficients", self.record_coefficients, "flag")
+        check_value("dump_coefficients", self.dump_coefficients, "flag")
         check_value("max_entries", self.max_entries, "integer", 1)
 
 
@@ -100,39 +101,36 @@ class SolutionLattice:
     def sample_count(self) -> int:
         return self.paths.sample_count
 
-    def stacks(self, family: dict[StackKey, np.ndarray], j: int | None = None):
-        """Difference stack, orders 0..M with this lattice's stencil, of a family
-        stored on it (V, Vbar, or a Malliavin lattice's D_V/D_Vbar): of the
-        slice at grid time j, or of every slice when j is None.
+    def stacks(self, family: dict[StackKey, np.ndarray], j: int):
+        """Difference stack, orders 0..M with this lattice's stencil, of the
+        slice at grid time j of a family stored on it (V, Vbar, or a Malliavin
+        lattice's D_V/D_Vbar).
         """
         if not family:
             raise InvalidPartitionError("the lattice stores no slices: it was solved with observe=")
-        base = family[zero_key(self.spec.p)]
-        if j is None:
-            lit = self.config.paper_literal_stencil
-            return _restenciler(self.M, self.partition, lit, batch_ndim=2)(base)
-        return self.restencil(base[:, j])
+        return self.restencil(family[zero_key(self.spec.p)][:, j])
 
     @property
     def restencil(self):
-        """The run's map from a slice's (S,) + grid + components array to its
-        difference stack, orders 0..M with this lattice's stencil."""
+        """The run's map from a batch of rows to its difference stack, orders
+        0..M with this lattice's stencil (see `_restenciler`)."""
         return _restenciler(self.M, self.partition, self.config.paper_literal_stencil)
 
 
-def _resolve_order(spec: ProblemSpec, config: SolverConfig) -> int:
+def _order_and_stencil(spec: ProblemSpec, partition: Partition, config: SolverConfig):
+    """A run's lattice order M, refused below the operators' orders, and its
+    stencil map (see `_restenciler`)."""
     M = spec.M if config.M is None else config.M
     if M < spec.M:
         raise InvalidPartitionError(
             f"lattice order M={M} is below the operators' requirement {spec.M}"
         )
-    return M
+    return M, _restenciler(M, partition, config.paper_literal_stencil)
 
 
-def _check_capacity(spec, partition, config, M):
-    entries = sum(len(enumerate_multi_indices(c, spec.p)) for c in range(M + 1))
-    per_slot = config.samples * (partition.n0 + 1) * partition.num_points * spec.q
-    total = entries * per_slot * (1 + spec.d)
+def _check_capacity(spec, partition, config):
+    """Refuse a stored lattice, order zero of V and Vbar, over the budget."""
+    total = config.samples * (partition.n0 + 1) * partition.num_points * spec.q * (1 + spec.d)
     if total > config.max_entries:
         raise CapacityError(
             f"lattice would hold {total} float64 entries, over the budget "
@@ -140,31 +138,20 @@ def _check_capacity(spec, partition, config, M):
         )
 
 
-def _restenciler(M: int, partition: Partition, paper_literal: bool, batch_ndim: int = 1):
-    """The map from a batch + grid + components array to its difference stack;
-    the batch is (S,) for a slice and (S, n0+1) for a whole lattice.
+def _restenciler(M: int, partition: Partition, paper_literal: bool):
+    """The map from a (rows,) + grid + components array to its difference
+    stack; the rows are a slice's samples, or a block of samples by times.
     """
 
     def restencil(base: np.ndarray):
-        return difference_stack_arrays(
-            base, M, partition, batch_ndim=batch_ndim, paper_literal=paper_literal
-        )
+        return difference_stack_arrays(base, M, partition, batch_ndim=1, paper_literal=paper_literal)
 
     return restencil
 
 
-def _require_finite(arr: np.ndarray, j0: int, what: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        first = tuple(int(i) for i in np.argwhere(~np.isfinite(arr))[0])
-        raise DivergenceError(
-            f"{what} became non-finite at time step j0={j0}, "
-            f"first offending (sample, grid..., component) index {first}"
-        )
-
-
 def _terminal_stacks(field: np.ndarray, n0: int, d: int, restencil):
     """Terminal slice of a backward solve: the re-stenciled field, integrand 0."""
-    _require_finite(field, n0, "terminal field")
+    check_finite(field, DivergenceError, "terminal field", f"time step j0={n0}")
     v_stack = restencil(field)
     return v_stack, {key: np.zeros(arr.shape + (d,)) for key, arr in v_stack.items()}
 
@@ -231,12 +218,12 @@ def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vba
     zkey = zero_key(partition.p)
     L = drift(j0, v_stack, vbar_stack)
     v0 = est.cond_mean(v_stack[zkey] + dt * L, j0)
-    _require_finite(v0, j0, "solution field")
+    check_finite(v0, DivergenceError, "solution field", f"time step j0={j0}")
     v_stack_prev = restencil(v0)
     v_dw = est.cond_mean_times_dw(v_stack[zkey], j0)
     L_dw = est.cond_mean_times_dw(L, j0)
     vbar0 = v_dw / dt + L_dw + diffusion(j0 - 1, v_stack_prev)
-    _require_finite(vbar0, j0, "integrand field")
+    check_finite(vbar0, DivergenceError, "integrand field", f"time step j0={j0}")
     return v_stack_prev, restencil(vbar0)
 
 
@@ -266,7 +253,7 @@ def _implicit_step(
     for it in range(1, config.fp_max_iters + 1):
         v_stack_prev, vbar0 = integrand(v)
         v_new = cond_mean + dt * drift(j0 - 1, v_stack_prev, restencil(vbar0))
-        _require_finite(v_new, j0, "implicit-stage iterate")
+        check_finite(v_new, DivergenceError, "implicit-stage iterate", f"time step j0={j0}")
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if it == 1:
@@ -282,7 +269,7 @@ def _implicit_step(
     fp_iterations.append(it)
 
     v_stack_prev, vbar0 = integrand(v)
-    _require_finite(vbar0, j0, "integrand field")
+    check_finite(vbar0, DivergenceError, "integrand field", f"time step j0={j0}")
     return v_stack_prev, restencil(vbar0)
 
 
@@ -333,31 +320,22 @@ def solve(
     lattice only when it is stored; the paths are checked either way.  Given
     paths must match config.samples, spec.d and the partition's time grid.
     """
-    M = _resolve_order(spec, config)
+    M, restencil = _order_and_stencil(spec, partition, config)
     if observe is None:
-        _check_capacity(spec, partition, config, M)
+        _check_capacity(spec, partition, config)
     if paths is None:
         paths = simulate_increments(
             partition, spec.d, config.samples, config.seed, config.max_entries
         )
     _check_paths(spec, partition, config, paths)
-    basis = config.estimator.basis_size(spec.d)
-    if config.samples < basis:
-        raise InvalidPartitionError(
-            f"need samples >= basis size {basis} for the {config.estimator.kind} estimator"
-        )
-    est = ConditionalEstimator(
-        config.estimator, paths, record_coefficients=config.record_coefficients
-    )
-    lit = config.paper_literal_stencil
-    restencil = _restenciler(M, partition, lit)
+    est = ConditionalEstimator(config.estimator, paths, record_coefficients=config.dump_coefficients)
     fp_iterations = []
     kernel = (partition, est, restencil, *_operators(spec, partition))
     if config.algorithm == "one":
         step = partial(_explicit_step, *kernel)
     else:
         step = partial(_implicit_step, *kernel, config, fp_iterations)
-    terminal = terminal_stage(spec, partition, paths, M, lit)
+    terminal = terminal_stage(spec, partition, paths, M, config.paper_literal_stencil)
     V, Vbar = _march(partition, 0, terminal, step, observe)
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
@@ -371,6 +349,10 @@ def solve(
 
 
 _SAMPLE = "\0"  # a row template's sample slot: no number, comma or tag holds it
+
+# Order-zero entries per block of samples whose stack the export derives at
+# once: its working set beyond the stored lattice is one block's stack.
+_EXPORT_BLOCK_ENTRIES = 1 << 15
 
 
 def _format(v: float) -> str:
@@ -404,17 +386,21 @@ def _row_template(middles: list[str]) -> str:
 
 def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comps) -> None:
     """One family's CSV: for each stack entry, one write per sample, whose rows
-    run over time, grid point and component in that order.  Values are read
-    one sample at a time, so the time-major lattice is never copied whole.
+    run over time, grid point and component in that order.  The entry is
+    derived one block of samples at a time, the block's order zero taken as a
+    batch of (sample, time) rows, so no order is copied or derived whole.
     """
     part = lattice.partition
     times = [_format(t) for t in part.time_points]
     coords = [",".join(_format(x) for x in pt) for pt in part.points.reshape(-1, part.p)]
     header_x = ",".join(f"x{l+1}" for l in range(part.p))
-    stack = lattice.stacks(family)
+    # one sample's stack names the keys; a lattice solved with observe= is refused
+    keys = sorted(lattice.stacks({key: arr[:1] for key, arr in family.items()}, 0))
+    base, restencil = family[zero_key(part.p)], lattice.restencil
+    rows = max(1, _EXPORT_BLOCK_ENTRIES // base[0].size)
     with open(path, "w") as fh:
         fh.write(f"sample,j,t,{header_x},c,multi_index,{comp_header},value\n")
-        for key in sorted(stack):
+        for key in keys:
             c, idx = key
             tag = "-".join(map(str, idx))
             # the row between the sample and the value, in the array's own order
@@ -422,6 +408,8 @@ def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comp
                 f",{j},{t},{xs},{c},{tag},{comp},"
                 for j, t in enumerate(times) for xs in coords for comp in comps
             ])
-            entry = stack[key]
-            for s in range(lattice.sample_count):
-                fh.write(template.replace(_SAMPLE, str(s)) % tuple(entry[s].ravel().tolist()))
+            for lo in range(0, lattice.sample_count, rows):
+                block = base[lo : lo + rows]
+                entry = restencil(block.reshape((-1,) + block.shape[2:]))[key]
+                for s, values in enumerate(entry.reshape(len(block), -1), lo):
+                    fh.write(template.replace(_SAMPLE, str(s)) % tuple(values.tolist()))

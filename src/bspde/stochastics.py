@@ -220,6 +220,9 @@ class ConditionalEstimator:
         paths: BrownianPaths,
         record_coefficients: bool = False,
     ):
+        basis = spec.basis_size(paths.d)
+        if paths.sample_count < basis:
+            raise InvalidPartitionError(f"need samples >= basis size {basis} for the {spec.kind} estimator")
         self.spec = spec
         self.paths = paths
         self.exponents = monomial_exponents(spec.degree, paths.d)

@@ -367,8 +367,7 @@ def test_streamed_error_equals_stored(name, algorithm, kind, monkeypatch):
     config = replace(config, algorithm=algorithm, estimator=EstimatorSpec(kind=kind))
     paths = simulate_increments(part, spec.d, config.samples, config.seed)
     want = discrete_error(analysis.solve(spec, part, config, paths), spec)
-    M = analysis._resolve_order(spec, config)
-    restencil = analysis._restenciler(M, part, config.paper_literal_stencil)
+    M, restencil = analysis._order_and_stencil(spec, part, config)
     criterion = analysis._Criterion(spec, part, paths, restencil, M)
     analysis.solve(spec, part, config, paths, observe=criterion.feed)
     _assert_same_report(criterion.report(), want)
@@ -572,6 +571,23 @@ def test_reference_step_residual_checks_the_lattice_order():
         reference_step_residual(spec, part, SolverConfig(samples=50, M=0))
     with pytest.raises(InvalidPartitionError, match="M=0"):
         analysis.solve(spec, part, SolverConfig(samples=50, M=0))
+
+
+_ENTRY_POINTS = {
+    "solve": analysis.solve,
+    "compare_algorithms": compare_algorithms,
+    "convergence_study": lambda spec, part, config: convergence_study(spec, ladder(levels=(4, 8, 16)), config),
+    "reference_step_residual": reference_step_residual,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_every_entry_point_refuses_fewer_samples_than_the_basis(entry):
+    # 3 samples cannot fit the degree-3 default basis of 4 functions; the
+    # residual once returned a number from the underdetermined fit
+    part = build_partition(1.0, 4, [1.0], [2])
+    with pytest.raises(InvalidPartitionError, match="basis size 4"):
+        _ENTRY_POINTS[entry](lin_spec(), part, SolverConfig(samples=3))
 
 
 @pytest.mark.parametrize("j0", [0, -1, 5])

@@ -123,6 +123,8 @@ _LADDER = {"base": {"T": 1.0, "n0": 2, "edges": [1.0], "counts": [1]}, "levels":
         ("solve", {"problem": {"name": "heat", "params": {"a": "x"}}}, "param a"),
         ("solve", {"problem": {"name": ["heat"]}}, "name"),
         ("solve", {"solver": [{"samples": 20}]}, "solver"),
+        # once refused under the library field's name, record_coefficients
+        ("solve", {"solver": {"samples": 20, "dump_coefficients": 1}}, "dump_coefficients"),
     ],
 )
 def test_value_the_library_cannot_use_is_config_error(tmp_path, monkeypatch, capsys, command, overrides, names):
@@ -131,6 +133,7 @@ def test_value_the_library_cannot_use_is_config_error(tmp_path, monkeypatch, cap
     assert main([command, "--config", str(cfg)]) == 2
     assert names in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_config_example_is_its_own_echo(tmp_path):

@@ -1,5 +1,6 @@
 import struct
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,14 +137,12 @@ def test_stored_stacks_satisfy_stencil_recursion():
     spec = builtin_problem("heat", {"a": 1.0})
     part = build_partition(1.0, 2, [2.0], [4])
     lat = solve(spec, part, SolverConfig(samples=8, seed=1))
-    whole = lat.stacks(lat.V)
     for j in range(part.n0 + 1):
         rebuilt = difference_stack_arrays(lat.V[zero_key(1)][:, j], lat.M, part, batch_ndim=1)
         derived = lat.stacks(lat.V, j)
-        assert derived.keys() == whole.keys() == rebuilt.keys()
+        assert derived.keys() == rebuilt.keys()
         for key, arr in rebuilt.items():
             assert np.array_equal(derived[key], arr)
-            assert np.array_equal(whole[key][:, j], arr)
 
 
 def test_lattices_store_order_zero_only():
@@ -153,7 +152,7 @@ def test_lattices_store_order_zero_only():
     assert list(lat.V) == list(lat.Vbar) == [(0, (0,))]
     mall = dict(build_malliavin_lattices(spec, lat, [0]))[0]
     assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
-    assert [c for c, _ in lat.stacks(lat.V)] == [0, 1, 2]
+    assert [c for c, _ in lat.stacks(lat.V, 0)] == [0, 1, 2]
 
 
 @pytest.mark.parametrize("algorithm", ["one", "two"])
@@ -311,6 +310,34 @@ def test_capacity_budget_counts_only_the_stored_lattice():
     assert lat.V == lat.Vbar == {}
 
 
+def test_capacity_budget_counts_order_zero_at_M_2():
+    # 100 samples x 5 times x 3 points x (V + Vbar) = 3 000 stored entries;
+    # the three stack entries at M = 2 are derived, not stored
+    spec = builtin_problem("linear_scalar")
+    lat = solve(spec, small_partition(n0=4), SolverConfig(samples=100, seed=1, M=2, max_entries=4000))
+    assert sum(arr.size for arr in (*lat.V.values(), *lat.Vbar.values())) == 3000
+    with pytest.raises(CapacityError, match="lattice would hold 3000"):
+        solve(spec, small_partition(n0=4), SolverConfig(samples=100, M=2, max_entries=2999))
+
+
+def _export_peak(tmp_path, samples):
+    spec = builtin_problem("linear_scalar")
+    lat = solve(spec, small_partition(n0=2, count=4), SolverConfig(samples=samples, seed=2, M=2))
+    tracemalloc.start()
+    try:
+        export_lattice_csv(lat, tmp_path / "v.csv", tmp_path / "vbar.csv")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_export_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypatch):
+    # blocks of 4 samples (4 x 3 times x 5 points); deriving the whole lattice's
+    # two higher orders would grow the peak about 5-fold from 50 to 400 samples
+    monkeypatch.setattr("bspde.solver._EXPORT_BLOCK_ENTRIES", 60)
+    assert _export_peak(tmp_path, 400) < 1.2 * _export_peak(tmp_path, 50)
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -442,7 +469,11 @@ def _export_row_by_row(lattice, v_path, vbar_path):
     coords = part.points.reshape(-1, part.p)
     grid_n = coords.shape[0]
     header_x = ",".join(f"x{l+1}" for l in range(part.p))
-    V, Vbar = lattice.stacks(lattice.V), lattice.stacks(lattice.Vbar)
+    def whole(family):  # each slice's stack, entries stacked along the time axis
+        slices = [lattice.stacks(family, j) for j in range(part.n0 + 1)]
+        return {key: np.stack([st[key] for st in slices], axis=1) for key in slices[0]}
+
+    V, Vbar = whole(lattice.V), whole(lattice.Vbar)
     with open(v_path, "w") as fv:
         fv.write(f"sample,j,t,{header_x},c,multi_index,component,value\n")
         for key in sorted(V):
