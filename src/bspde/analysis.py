@@ -229,13 +229,16 @@ class _Criterion:
     the terminal slice n0, which is never read, may be fed or left out.
     Grid time j reads slices j-1 and j (those in 0..n0-1) and is evaluated as
     soon as both have arrived, so only the last slice fed is kept for the
-    next: a two-slice window.  The reference slices of one grid time are kept
-    for the next, which shares at most those.  Read points are numbered all
-    "at t_j" first, then all "just before t_j", and each term is attained at
-    the first worst read point in that order whatever order the slices come
-    in.  `report()` needs every grid time evaluated.  The terms are orders
-    0..M, and an analytic reference is differenced with `restencil`, the
-    run's own stencil map.
+    next: a two-slice window.  After its evaluation, grid time j keeps only
+    the reference slices that a neighbouring grid time still to come reads
+    (none of an analytic reference or a finer lattice, slice j-1 or j of a
+    reference on the run's own time grid), so no slice that the next grid
+    time does not read is alive while it derives its own.  Read points are
+    numbered all "at t_j" first, then all "just before t_j", and each term is
+    attained at the first worst read point in that order whatever order the
+    slices come in.  `report()` needs every grid time evaluated.  The terms
+    are orders 0..M, and an analytic reference is differenced with
+    `restencil`, the run's own stencil map.
     """
 
     def __init__(self, reference, partition: Partition, paths: BrownianPaths, restencil, M: int):
@@ -256,9 +259,7 @@ class _Criterion:
             return
         self.window[j] = (v_stack, vbar_stack)
         for g in (j, j + 1):
-            if g in self.pending and all(
-                s in self.window for s in (g - 1, g) if 0 <= s < n0
-            ):
+            if g in self.pending and all(s in self.window for s in (g - 1, g) if 0 <= s < n0):
                 self._evaluate(g)
                 self.pending.remove(g)
         self.window = {j: self.window[j]}
@@ -290,6 +291,9 @@ class _Criterion:
                     _squared_deviation_into(column, at_gx)
                     se = float(column[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
                     self.best[term] = (worst, -r, se)
+        # keep only the slices that a neighbouring grid time still to come reads
+        near = {self.ref_key(g, left) for g in (j - 1, j + 1) if g in self.pending for left in (False, True)}
+        self.refs = {k: stacks for k, stacks in self.refs.items() if k in near}
 
     def report(self) -> ErrorReport:
         if self.pending:
@@ -356,11 +360,7 @@ def fit_loglog(points) -> tuple[float | None, float | None, tuple[float, ...], b
     return float(slope), float(intercept), tuple(float(r) for r in resid), False
 
 
-def convergence_study(
-    spec: ProblemSpec,
-    partitions,
-    config: SolverConfig,
-) -> ConvergenceFit:
+def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> ConvergenceFit:
     """Solve on each partition (same samples and seed) and fit the error rate.
 
     Each level simulates its paths, and its criterion against the analytic
@@ -384,15 +384,7 @@ def convergence_study(
         solve(spec, part, config, paths, observe=criterion.feed)
         reports.append(criterion.report())
     points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
-    slope, intercept, resid, degenerate = fit_loglog(points)
-    return ConvergenceFit(
-        points=tuple(points),
-        slope=slope,
-        intercept=intercept,
-        residuals=resid,
-        degenerate=degenerate,
-        reports=tuple(reports),
-    )
+    return ConvergenceFit(tuple(points), *fit_loglog(points), reports=tuple(reports))
 
 
 def compare_algorithms(
@@ -610,11 +602,11 @@ def solve_malliavin_system(
         lambda j, u_stack, ubar_stack: _linear_driver(coeffs[j], u_stack, ubar_stack),
         lambda j, u_stack: _linear_diffusion(coeffs[j], u_stack),
     )
-    terminal = _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil)
-    D_V, D_Vbar = _march(part, system.theta_index, terminal, step, observe)
-    return MalliavinLattice(
-        theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar
+    D_V, D_Vbar = _march(
+        part, system.theta_index,
+        _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil), step, observe,
     )
+    return MalliavinLattice(theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar)
 
 
 def build_malliavin_lattices(
@@ -672,13 +664,15 @@ def _node_moments(block: np.ndarray) -> list[tuple[float, float, float]]:
     C-contiguous (nodes, S) block; the variance and moment are 0 when S < 2.
 
     Each row is reduced along the last axis, the same pairwise sum that a 1-D
-    reduction of that node's samples makes, so the moments are bit-identical
-    to per-node reductions (reducing along axis 0 of an (S, nodes) block is not).
+    reduction of that node's samples makes, so the mean and variance are
+    bit-identical to per-node reductions (reducing along axis 0 of an (S, nodes)
+    block is not).  m4 squares the centred block twice in place, rounding
+    twice where `** 4` rounds once, so its last bits may differ from `** 4`'s.
     """
     mean = block.mean(axis=-1)
     if block.shape[1] < 2:
         return [(m, 0.0, 0.0) for m in mean.tolist()]
-    m4 = ((block - mean[:, None]) ** 4).mean(axis=-1)
+    m4 = np.square(np.square(dev := block - mean[:, None], out=dev), out=dev).mean(axis=-1)
     return list(zip(mean.tolist(), block.var(axis=-1, ddof=1).tolist(), m4.tolist()))
 
 

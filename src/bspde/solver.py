@@ -187,17 +187,20 @@ def _march(partition: Partition, stop: int, terminal, step, observe=None):
 
     Returns the order-zero V and Vbar families that the default observer
     stores, in zeroed lattices whose slices before stop stay zero; with an
-    observer of the caller's, both are empty.
+    observer of the caller's, both are empty.  The march holds the stacks of
+    the slice the next step reads, and no others: the terminal pair is dropped
+    after its first step unless the caller keeps a name for it.
     """
+    v_stack, vbar_stack = terminal
+    del terminal
     V, Vbar = {}, {}
     if observe is None:
         zkey = zero_key(partition.p)
-        V[zkey], Vbar[zkey] = (_allocate(partition.n0, stack[zkey]) for stack in terminal)
+        V[zkey], Vbar[zkey] = (_allocate(partition.n0, s[zkey]) for s in (v_stack, vbar_stack))
 
         def observe(j, v_stack, vbar_stack):
             V[zkey][:, j], Vbar[zkey][:, j] = v_stack[zkey], vbar_stack[zkey]
 
-    v_stack, vbar_stack = terminal
     observe(partition.n0, v_stack, vbar_stack)
     for j0 in range(partition.n0, stop, -1):
         v_stack, vbar_stack = step(j0, v_stack, vbar_stack)
@@ -213,6 +216,9 @@ def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vba
       V(t_{j0-1})    = E[ V(t_j0) + L(t_j0) * dt | F_{t_{j0-1}} ]
       Vbar(t_{j0-1}) = E[ V(t_j0) dW' | F ] / dt + E[ L(t_j0) dW' | F ]
                        + J(t_{j0-1}, x, V(t_{j0-1}))
+    The integrand is summed, in that order, into the estimator's fresh output,
+    and L is dropped once read; no array that a driver returned or that the
+    observer was handed is written.
     """
     dt = float(partition.time_increments[j0 - 1])
     zkey = zero_key(partition.p)
@@ -220,9 +226,11 @@ def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vba
     v0 = est.cond_mean(v_stack[zkey] + dt * L, j0)
     check_finite(v0, DivergenceError, "solution field", f"time step j0={j0}")
     v_stack_prev = restencil(v0)
-    v_dw = est.cond_mean_times_dw(v_stack[zkey], j0)
-    L_dw = est.cond_mean_times_dw(L, j0)
-    vbar0 = v_dw / dt + L_dw + diffusion(j0 - 1, v_stack_prev)
+    vbar0 = est.cond_mean_times_dw(v_stack[zkey], j0)
+    vbar0 /= dt
+    vbar0 += est.cond_mean_times_dw(L, j0)
+    del L
+    vbar0 += diffusion(j0 - 1, v_stack_prev)
     check_finite(vbar0, DivergenceError, "integrand field", f"time step j0={j0}")
     return v_stack_prev, restencil(vbar0)
 
@@ -243,7 +251,8 @@ def _implicit_step(
     dt = float(partition.time_increments[j0 - 1])
     zkey = zero_key(partition.p)
     cond_mean = est.cond_mean(v_stack[zkey], j0)
-    v_dw = est.cond_mean_times_dw(v_stack[zkey], j0) / dt
+    v_dw = est.cond_mean_times_dw(v_stack[zkey], j0)
+    v_dw /= dt
 
     def integrand(v):
         v_stack_prev = restencil(v)
@@ -316,7 +325,8 @@ def solve(
     called with the difference stacks (orders 0..M) of each slice as the
     backward march makes it, j = n0, n0-1, ..., 0, and the returned lattice's
     V and Vbar are empty.  The stacks are not written afterwards, so the
-    observer may keep them.  The capacity budget is checked against the
+    observer may keep them; the march itself drops each slice once the next
+    step has read it.  The capacity budget is checked against the
     lattice only when it is stored; the paths are checked either way.  Given
     paths must match config.samples, spec.d and the partition's time grid.
     """
@@ -335,8 +345,10 @@ def solve(
         step = partial(_explicit_step, *kernel)
     else:
         step = partial(_implicit_step, *kernel, config, fp_iterations)
-    terminal = terminal_stage(spec, partition, paths, M, config.paper_literal_stencil)
-    V, Vbar = _march(partition, 0, terminal, step, observe)
+    V, Vbar = _march(
+        partition, 0, terminal_stage(spec, partition, paths, M, config.paper_literal_stencil),
+        step, observe,
+    )
     return SolutionLattice(
         spec=spec, partition=partition, paths=paths, config=config, M=M,
         V=V, Vbar=Vbar, fp_iterations=fp_iterations, coefficient_records=est.records,
@@ -388,7 +400,9 @@ def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comp
     """One family's CSV: for each stack entry, one write per sample, whose rows
     run over time, grid point and component in that order.  The entry is
     derived one block of samples at a time, the block's order zero taken as a
-    batch of (sample, time) rows, so no order is copied or derived whole.
+    batch of (sample, time) rows, so no order is copied or derived whole; an
+    order-c entry is derived with the order-c stencil map, the same chain of
+    parents as the run's, and no entry of a higher order.
     """
     part = lattice.partition
     times = [_format(t) for t in part.time_points]
@@ -396,13 +410,13 @@ def _write_family(lattice: SolutionLattice, family, path, comp_header: str, comp
     header_x = ",".join(f"x{l+1}" for l in range(part.p))
     # one sample's stack names the keys; a lattice solved with observe= is refused
     keys = sorted(lattice.stacks({key: arr[:1] for key, arr in family.items()}, 0))
-    base, restencil = family[zero_key(part.p)], lattice.restencil
+    base, literal = family[zero_key(part.p)], lattice.config.paper_literal_stencil
     rows = max(1, _EXPORT_BLOCK_ENTRIES // base[0].size)
     with open(path, "w") as fh:
         fh.write(f"sample,j,t,{header_x},c,multi_index,{comp_header},value\n")
         for key in keys:
             c, idx = key
-            tag = "-".join(map(str, idx))
+            restencil, tag = _restenciler(c, part, literal), "-".join(map(str, idx))
             # the row between the sample and the value, in the array's own order
             template = _row_template([
                 f",{j},{t},{xs},{c},{tag},{comp},"

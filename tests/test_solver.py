@@ -1,3 +1,4 @@
+import copy
 import struct
 import sys
 import tracemalloc
@@ -16,11 +17,13 @@ from bspde import (
     build_partition,
     builtin_problem,
     build_malliavin_lattices,
+    build_malliavin_system,
     export_lattice_csv,
     permute_future_increments,
     reference_step_residual,
     simulate_increments,
     solve,
+    solve_malliavin_system,
     stochastics,
     terminal_stage,
 )
@@ -318,6 +321,50 @@ def test_capacity_budget_counts_order_zero_at_M_2():
     assert sum(arr.size for arr in (*lat.V.values(), *lat.Vbar.values())) == 3000
     with pytest.raises(CapacityError, match="lattice would hold 3000"):
         solve(spec, small_partition(n0=4), SolverConfig(samples=100, M=2, max_entries=2999))
+
+
+@pytest.mark.parametrize("march", ["one", "two", "malliavin"])
+def test_observer_may_keep_every_stack_it_is_handed(march):
+    # linear_scalar's driver returns its input stack entry, so a step that
+    # summed into the driver's result, or into a slice it handed over, would
+    # change a stack that the observer keeps
+    spec = builtin_problem("linear_scalar")
+    part = small_partition(n0=4)
+    config = SolverConfig(samples=200, seed=4, M=1, algorithm="one" if march == "malliavin" else march)
+    kept = []
+
+    def observe(j, v_stack, vbar_stack):
+        kept.append(((v_stack, vbar_stack), copy.deepcopy((v_stack, vbar_stack))))
+
+    if march == "malliavin":
+        base = solve(spec, part, config)
+        solve_malliavin_system(build_malliavin_system(spec, base, 0), base, observe=observe)
+    else:
+        solve(spec, part, config, observe=observe)
+    assert len(kept) == part.n0 + 1
+    for stacks, copies in kept:
+        for stack, copied in zip(stacks, copies):
+            assert stack.keys() == copied.keys()
+            for key, arr in stack.items():
+                np.testing.assert_array_equal(arr, copied[key])
+
+
+def test_observed_march_holds_about_six_slices():
+    # beyond the paths, a step holds the last slice's V and Vbar, the
+    # estimator's targets and outputs, and the next slice as it is made: about
+    # 5.6 slices of S x G x q float64.  Keeping the terminal stacks for the
+    # whole march and summing the integrand into new arrays reads 9.6
+    spec = builtin_problem("linear_scalar")
+    part = build_partition(1.0, 16, [0.03], [16])
+    config = SolverConfig(samples=2000, seed=40)
+    paths = simulate_increments(part, spec.d, config.samples, config.seed)
+    tracemalloc.start()
+    try:
+        solve(spec, part, config, paths, observe=lambda j, v_stack, vbar_stack: None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (config.samples * part.num_points * spec.q * 8) < 7
 
 
 def _export_peak(tmp_path, samples):
