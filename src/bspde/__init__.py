@@ -33,7 +33,6 @@ from .errors import (
     SingularDesignError,
 )
 from .grid import (
-    MultiIndexSet,
     NormWeights,
     Partition,
     build_partition,

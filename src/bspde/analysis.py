@@ -40,7 +40,8 @@ from functools import partial
 
 import numpy as np
 
-from .errors import InvalidPartitionError, ReferenceRequiredError
+from .errors import InvalidPartitionError, OperatorEvaluationError, ReferenceRequiredError
+from .errors import check_finite, check_value
 from .grid import Partition, StackKey, difference_stack_arrays, enumerate_multi_indices
 from .model import (
     OperatorJacobians,
@@ -86,7 +87,7 @@ def _reference_stacks(spec, partition, paths, j: int, restencil):
     return restencil(V), restencil(Vbar)
 
 
-def _reference_reader(reference, partition: Partition, paths, restencil):
+def _reference_reader(reference, partition: Partition, paths, restencil, M: int):
     """(key, derive) reads of a reference: `key(j, left)` names the reference
     slice read at grid time j (just before it when left is true) and
     `derive(key)` builds that slice's V and Vbar stacks; reads that share a
@@ -96,6 +97,7 @@ def _reference_reader(reference, partition: Partition, paths, restencil):
     paths and differenced with the run's stencil; another SolutionLattice
     (same spatial grid, compatible time grid) is read through its own stacks;
     a dict maps grid times of the run's own grid to their (V, Vbar) stacks.
+    A lattice is refused unless it carries orders 0..M and the run's samples.
     """
     if isinstance(reference, dict):
         return (lambda j, left: j - left), reference.__getitem__
@@ -115,6 +117,9 @@ def _reference_reader(reference, partition: Partition, paths, restencil):
         )
     if reference.partition.grid_shape != partition.grid_shape:
         raise InvalidPartitionError("reference lattice must share the spatial grid")
+    if reference.M < M or reference.sample_count != paths.sample_count:
+        raise InvalidPartitionError(f"reference lattice needs order >= M={M} and {paths.sample_count} "
+                                    f"samples, has {reference.M} and {reference.sample_count}")
     ref_times = reference.partition.time_points
     index_map = []
     for t in partition.time_points:
@@ -177,7 +182,7 @@ def _entry_pairs(ref_slice: dict, lattice_slice: dict, c: int, p: int, G: int):
     """(reference, lattice) arrays of every order-c entry, each (S, G, components)."""
     return [
         tuple(arr.reshape(arr.shape[0], G, -1) for arr in (ref_slice[key], lattice_slice[key]))
-        for key in ((c, idx) for idx in enumerate_multi_indices(c, p).indices)
+        for key in ((c, idx) for idx in enumerate_multi_indices(c, p))
     ]
 
 
@@ -242,7 +247,7 @@ class _Criterion:
     """
 
     def __init__(self, reference, partition: Partition, paths: BrownianPaths, restencil, M: int):
-        self.ref_key, self.derive = _reference_reader(reference, partition, paths, restencil)
+        self.ref_key, self.derive = _reference_reader(reference, partition, paths, restencil, M)
         self.partition = partition
         self.S = paths.sample_count
         self.orders = range(M + 1)
@@ -281,6 +286,7 @@ class _Criterion:
             ref_sl, lat_sl = self.refs[key], self.window[j_st]
             per_read.append((r, [_entry_pairs(ref_sl[f], lat_sl[f], c, p, G) for f, c in self.terms]))
         means = _sample_means([pairs for _, per_term in per_read for pairs in per_term], S, G)
+        check_finite(means, OperatorEvaluationError, "a criterion sample mean", f"grid time j={j}")
         for (r, per_term), read_means in zip(per_read, means.reshape(len(reads), -1, G)):
             for term, pairs, mean in zip(self.terms, per_term, read_means):
                 worst = float(mean.max())
@@ -311,6 +317,14 @@ class _Criterion:
         )
 
 
+def _lattice_order(lattice: SolutionLattice, M: int | None) -> int:
+    """M, by default the lattice's order, refused outside 0..lattice.M."""
+    M = lattice.M if M is None else check_value("M", M, "integer", 0)
+    if M > lattice.M:
+        raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice.M}")
+    return M
+
+
 def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) -> ErrorReport:
     """Discrete squared-error criterion of the lattice against a reference.
 
@@ -320,9 +334,7 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     slices 0..n0-1 are fed to the criterion in time order, each derived once.
     The criterion sums orders 0..M, at most the lattice's own order.
     """
-    M = lattice.M if M is None else M
-    if M > lattice.M:
-        raise InvalidPartitionError(f"M={M} exceeds the lattice order {lattice.M}")
+    M = _lattice_order(lattice, M)
     criterion = _Criterion(reference, lattice.partition, lattice.paths, lattice.restencil, M)
     for j in range(lattice.partition.n0):
         criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
@@ -340,24 +352,19 @@ DEGENERATE_FLOOR = 1e-16
 class ConvergenceFit:
     points: tuple[tuple[float, float], ...]  # (mesh_size, total error)
     slope: float | None
-    intercept: float | None
-    residuals: tuple[float, ...]
     degenerate: bool
     reports: tuple[ErrorReport, ...]
 
 
-def fit_loglog(points) -> tuple[float | None, float | None, tuple[float, ...], bool]:
-    """Least-squares slope of log(err) vs log(mesh); degenerate if errs vanish."""
+def fit_loglog(points) -> tuple[float | None, bool]:
+    """(least-squares slope of log(err) vs log(mesh), False), or (None, True) if errs vanish."""
     meshes = np.array([m for m, _ in points])
     errs = np.array([e for _, e in points])
     if np.all(errs < DEGENERATE_FLOOR):
-        return None, None, (), True
+        return None, True
     if np.any(errs <= 0):
         raise InvalidPartitionError("cannot fit a rate through zero/negative errors")
-    lx, ly = np.log(meshes), np.log(errs)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return float(slope), float(intercept), tuple(float(r) for r in resid), False
+    return float(np.polyfit(np.log(meshes), np.log(errs), 1)[0]), False
 
 
 def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> ConvergenceFit:
@@ -402,6 +409,7 @@ def compare_algorithms(
     M, restencil = _order_and_stencil(spec, partition, config)
     if paths is None:
         paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
+    _check_paths(spec, partition, config, paths)
     est = ConditionalEstimator(config.estimator, paths)
     step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
     two = {}  # algorithm two's (V stack, Vbar stack) at grid times j and j+1
@@ -463,7 +471,7 @@ def increment_regularity(lattice: SolutionLattice, M: int | None = None):
     Returns (lags, moments, slope) with one entry per ordered grid-time pair
     drawn from the stored slices 0..n0-1 and a log-log least-squares slope.
     """
-    M = lattice.M if M is None else M
+    M = _lattice_order(lattice, M)
     p = lattice.spec.p
     n0 = lattice.partition.n0
     times = lattice.partition.time_points
@@ -474,7 +482,7 @@ def increment_regularity(lattice: SolutionLattice, M: int | None = None):
         for j2 in range(j1 + 1, n0):
             worst = None
             for c in range(M + 1):
-                for idx in enumerate_multi_indices(c, p).indices:
+                for idx in enumerate_multi_indices(c, p):
                     diff = np.abs(V[j2][(c, idx)] - V[j1][(c, idx)])
                     diff = diff.reshape(S, -1).max(axis=1)
                     worst = diff if worst is None else np.maximum(worst, diff)
@@ -523,8 +531,6 @@ class MalliavinLattice:
     whole-lattice `reshape` copies.
     """
 
-    theta_index: int
-    partition: Partition
     D_V: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d)
     D_Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d, d)
 
@@ -606,7 +612,7 @@ def solve_malliavin_system(
         part, system.theta_index,
         _terminal_stacks(system.terminal, part.n0, base.spec.d, restencil), step, observe,
     )
-    return MalliavinLattice(theta_index=system.theta_index, partition=part, D_V=D_V, D_Vbar=D_Vbar)
+    return MalliavinLattice(D_V=D_V, D_Vbar=D_Vbar)
 
 
 def build_malliavin_lattices(
@@ -637,7 +643,6 @@ def build_malliavin_lattices(
 
 @dataclass(frozen=True)
 class IdentityRow:
-    time_index: int
     t: float
     x: tuple[float, ...]
     c: int
@@ -728,7 +733,7 @@ def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
             g, comp = divmod(node, spec.q * spec.d)
             z = _moment_z(S, left, right, scale0[node] / h_idx)
             moments = (left[0], right[0], left[1], right[1], z)
-            rows.append(IdentityRow(j, t, coords[g], c, idx, divmod(comp, spec.d), *moments))
+            rows.append(IdentityRow(t, coords[g], c, idx, divmod(comp, spec.d), *moments))
     return rows
 
 

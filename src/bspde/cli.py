@@ -162,8 +162,6 @@ def _write_json(path, payload) -> None:
 
 
 def _fmt(v) -> str:
-    if v is None:
-        return ""
     return format(v, ".17g") if isinstance(v, float) else str(v)
 
 
@@ -253,7 +251,7 @@ def cmd_compare(config: dict, args, outdir: str) -> int:
     _criterion_rows(os.path.join(outdir, "compare.csv"), rows)
     _emit_run_records(outdir, config, started, "compare")
     if len(points) >= 3:
-        slope, *_rest, degenerate = fit_loglog(points)
+        slope, degenerate = fit_loglog(points)
         if degenerate:
             print("compare: degenerate (discrepancy at machine-zero)")
         else:

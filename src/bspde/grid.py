@@ -48,7 +48,7 @@ class Partition:
 
     def __post_init__(self):
         t = np.asarray(self.time_points, dtype=float)
-        if self.T <= 0:
+        if not self.T > 0:
             raise InvalidDomainError(f"terminal time must be positive, got {self.T}")
         if t.ndim != 1 or t.size < 2:
             raise InvalidPartitionError("need at least two time points")
@@ -93,19 +93,10 @@ class Partition:
         return tuple(n + 1 for n in self.counts)
 
     @cached_property
-    def axis_coordinates(self) -> tuple[np.ndarray, ...]:
-        axes = []
-        for b, n in zip(self.edges, self.counts):
-            a = np.linspace(0.0, b, n + 1)
-            a.setflags(write=False)
-            axes.append(a)
-        return tuple(axes)
-
-    @cached_property
     def points(self) -> np.ndarray:
         """All lattice corners, shape grid_shape + (p,)."""
-        mesh = np.meshgrid(*self.axis_coordinates, indexing="ij")
-        pts = np.stack(mesh, axis=-1)
+        axes = [np.linspace(0.0, b, n + 1) for b, n in zip(self.edges, self.counts)]
+        pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
         pts.setflags(write=False)
         return pts
 
@@ -120,8 +111,7 @@ class Partition:
 
 def build_partition(T: float, n0: int, edges, counts) -> Partition:
     """Uniform time grid t_j = j*T/n0 over the rectangle given by edges/counts."""
-    if not check_value("T", T, "number") > 0:
-        raise InvalidDomainError(f"terminal time must be positive, got {T}")
+    check_value("T", T, "number")
     check_value("n0", n0, "integer", 1)
     for name, values in (("edges", edges), ("counts", counts)):
         if not isinstance(values, (list, tuple, np.ndarray)):
@@ -130,27 +120,11 @@ def build_partition(T: float, n0: int, edges, counts) -> Partition:
     return Partition(T=float(T), time_points=times, edges=tuple(edges), counts=tuple(counts))
 
 
-def refine_partition(partition: Partition, factor: int = 2) -> Partition:
-    """Halve every increment (factor 2): n0 and every spatial count scale up."""
+def refine_partition(partition: Partition) -> Partition:
+    """Halve every increment: n0 and every spatial count double."""
     return build_partition(
-        partition.T,
-        partition.n0 * factor,
-        partition.edges,
-        tuple(n * factor for n in partition.counts),
+        partition.T, partition.n0 * 2, partition.edges, tuple(n * 2 for n in partition.counts)
     )
-
-
-@dataclass(frozen=True)
-class MultiIndexSet:
-    """All p-tuples of nonnegative integers summing to c, key-sorted."""
-
-    c: int
-    p: int
-    indices: tuple[tuple[int, ...], ...]
-    keys: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 def multi_index_key(idx: tuple[int, ...], c: int) -> int:
@@ -159,8 +133,9 @@ def multi_index_key(idx: tuple[int, ...], c: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def enumerate_multi_indices(c: int, p: int) -> MultiIndexSet:
-    """Complete, duplicate-free index set of order c in p dims.
+def enumerate_multi_indices(c: int, p: int) -> tuple[tuple[int, ...], ...]:
+    """Complete, duplicate-free index set of order c in p dims: all p-tuples
+    of nonnegative integers summing to c.
 
     Sorted by the polynomial key; ties (the key degenerates at c = 1, where
     every tuple scores 1) are broken by comparing (i_p,...,i_1), which agrees
@@ -174,8 +149,7 @@ def enumerate_multi_indices(c: int, p: int) -> MultiIndexSet:
         if sum(idx) == c
     ]
     combos.sort(key=lambda idx: (multi_index_key(idx, c), idx[::-1]))
-    keys = tuple(multi_index_key(idx, c) for idx in combos)
-    return MultiIndexSet(c=c, p=p, indices=tuple(combos), keys=keys)
+    return tuple(combos)
 
 
 def parent_index(idx: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
@@ -205,20 +179,11 @@ def _diff_along(values: np.ndarray, axis_pos: int, delta: float, paper_literal: 
     boundary row instead evaluates (f(x-h) - f(x))/h, the sign-reversed form,
     which breaks affine exactness and exists only for comparison runs.
     """
-    out = np.empty_like(values)
-    fwd = [slice(None)] * values.ndim
-    nxt = [slice(None)] * values.ndim
-    fwd[axis_pos] = slice(0, -1)
-    nxt[axis_pos] = slice(1, None)
-    out[tuple(fwd)] = (values[tuple(nxt)] - values[tuple(fwd)]) / delta
-    last = [slice(None)] * values.ndim
-    prev = [slice(None)] * values.ndim
-    last[axis_pos] = slice(-1, None)
-    prev[axis_pos] = slice(-2, -1)
-    if paper_literal:
-        out[tuple(last)] = (values[tuple(prev)] - values[tuple(last)]) / delta
-    else:
-        out[tuple(last)] = (values[tuple(last)] - values[tuple(prev)]) / delta
+    at = (slice(None),) * axis_pos
+    prev, end = values[at + (slice(-2, -1),)], values[at + (slice(-1, None),)]
+    last = prev - end if paper_literal else end - prev
+    out = np.concatenate((np.diff(values, axis=axis_pos), last), axis=axis_pos)
+    out /= delta
     return out
 
 
@@ -246,7 +211,7 @@ def difference_stack_arrays(
         )
     stack: dict[StackKey, np.ndarray] = {(0, (0,) * p): values}
     for c in range(1, M + 1):
-        for idx in enumerate_multi_indices(c, p).indices:
+        for idx in enumerate_multi_indices(c, p):
             parent, axis = parent_index(idx)
             src = stack[(c - 1, parent)]
             stack[(c, idx)] = _diff_along(
@@ -283,7 +248,6 @@ class NormWeights:
     """
 
     c_max: int
-    domain_bound: int  # B above
     log_xi: np.ndarray
     xi: np.ndarray
     eta: tuple[int, ...]
@@ -304,7 +268,7 @@ class NormWeights:
         xi = np.exp(log_xi)
         log_xi.setflags(write=False)
         xi.setflags(write=False)
-        return NormWeights(c_max=c_max, domain_bound=B, log_xi=log_xi, xi=xi, eta=eta)
+        return NormWeights(c_max=c_max, log_xi=log_xi, xi=xi, eta=eta)
 
 
 def cinf_truncated_norm(stack: dict[StackKey, np.ndarray], weights: NormWeights) -> float:

@@ -63,6 +63,8 @@ class SolverConfig:
         if self.algorithm not in ALGORITHMS:
             raise InvalidPartitionError(f"algorithm must be one of {ALGORITHMS}")
         check_value("samples", self.samples, "integer", 1)
+        if not isinstance(self.estimator, EstimatorSpec):
+            raise InvalidPartitionError(f"estimator must be an EstimatorSpec, got {self.estimator!r}")
         check_value("M", self.M, "integer", 0, optional=True)
         check_value("fp_tolerance", self.fp_tolerance, "number", 0, strict=True)
         check_value("fp_max_iters", self.fp_max_iters, "integer", 1)

@@ -223,8 +223,8 @@ def test_criterion_7_property_battery(tmp_path):
         for p in range(1, 4):
             mi = enumerate_multi_indices(c, p)
             brute = {t for t in itertools.product(range(c + 1), repeat=p) if sum(t) == c}
-            keys = [multi_index_key(idx, c) for idx in mi.indices]
-            ok &= set(mi.indices) == brute and len(mi) == math.comb(c + p - 1, p - 1)
+            keys = [multi_index_key(idx, c) for idx in mi]
+            ok &= set(mi) == brute and len(mi) == math.comb(c + p - 1, p - 1)
             ok &= keys == sorted(keys)
     checks["multi_index_ordering"] = ok
 

@@ -13,6 +13,7 @@ from bspde import (
     DivergenceError,
     EstimatorSpec,
     InvalidPartitionError,
+    OperatorEvaluationError,
     ProblemSpec,
     ReferenceRequiredError,
     SolverConfig,
@@ -133,6 +134,49 @@ def test_discrete_error_refuses_orders_above_the_lattice():
         discrete_error(lat, spec, M=lat.M + 1)
 
 
+@pytest.fixture(scope="module")
+def misuse_lattices():
+    spec = builtin_problem("martingale")
+    part = build_partition(1.0, 4, [1.0], [2])
+    return {
+        "spec": spec,
+        "M0": solve(spec, part, SolverConfig(samples=50, seed=6)),
+        "M2": solve(spec, part, SolverConfig(samples=50, seed=6, M=2)),
+        "S40": solve(spec, part, SolverConfig(samples=40, seed=6)),
+    }
+
+
+_CRITERION_MISUSES = {
+    # each raised a bare KeyError, a numpy ValueError or a ZeroDivisionError
+    "reference-of-lower-order": (lambda l: discrete_error(l["M2"], l["M0"]), r"order >= M=2 .* has 0 and"),
+    "reference-of-other-sample-count": (lambda l: discrete_error(l["M0"], l["S40"]), "50 samples, has 0 and 40"),
+    "negative-M": (lambda l: discrete_error(l["M0"], l["spec"], M=-1), "need M >= 0"),
+    "regularity-above-the-lattice-order": (
+        lambda l: increment_regularity(l["M0"], M=1), "M=1 exceeds the lattice order 0"
+    ),
+}
+
+
+@pytest.mark.parametrize("misuse", sorted(_CRITERION_MISUSES))
+def test_criterion_refuses_what_it_cannot_read(misuse_lattices, misuse):
+    call, message = _CRITERION_MISUSES[misuse]
+    with pytest.raises(InvalidPartitionError, match=message):
+        call(misuse_lattices)
+
+
+@pytest.mark.parametrize("study", ["discrete_error", "convergence_study"])
+def test_non_finite_analytic_reference_is_a_numerical_error(study):
+    # a NaN reference once left each term at its -1.0 start value: a negative
+    # total, and on a ladder a fit called "degenerate"
+    spec = replace(lin_spec(), analytic_reference=lambda t, x, w: (np.full_like(w, np.nan), 0.0))
+    config = SolverConfig(samples=50, seed=1)
+    with pytest.raises(OperatorEvaluationError, match=r"criterion sample mean became non-finite at grid time j=\d"):
+        if study == "discrete_error":
+            discrete_error(solve(spec, build_partition(1.0, 4, [1.0], [2]), config), spec)
+        else:
+            convergence_study(spec, ladder(levels=(4, 8, 16)), config)
+
+
 def test_fine_time_lattice_as_reference():
     # a deterministic problem solved on a 4x finer time grid serves as the
     # reference for the coarse run; shared spatial bias cancels
@@ -177,7 +221,7 @@ def _discrete_error_oracle(lattice, reference, M=None):
 
     def deviation(lat_sl, ref_sl, c):
         worst = None
-        for idx in enumerate_multi_indices(c, p).indices:
+        for idx in enumerate_multi_indices(c, p):
             diff = np.abs(ref_sl[(c, idx)] - lat_sl[(c, idx)])
             while diff.ndim > 1 + p:
                 diff = diff.max(axis=-1)
@@ -590,6 +634,16 @@ def test_every_entry_point_refuses_fewer_samples_than_the_basis(entry):
         _ENTRY_POINTS[entry](lin_spec(), part, SolverConfig(samples=3))
 
 
+@pytest.mark.parametrize("entry", ["compare_algorithms", "reference_step_residual", "solve"])
+def test_every_entry_point_names_paths_of_another_sample_count(entry):
+    # compare_algorithms once built its estimator before checking its paths,
+    # and refused these as "need samples >= basis size 4"
+    part = build_partition(1.0, 4, [1.0], [2])
+    paths = simulate_increments(part, 1, 3, seed=0)
+    with pytest.raises(InvalidPartitionError, match="paths carry 3 samples, config expects 50"):
+        _ENTRY_POINTS[entry](lin_spec(), part, SolverConfig(samples=50), paths=paths)
+
+
 @pytest.mark.parametrize("j0", [0, -1, 5])
 def test_reference_step_residual_refuses_a_j0_that_is_no_backward_step(j0):
     # 0 and -1 once read the terminal slice through negative indices, 5 raised IndexError
@@ -763,7 +817,7 @@ def _identity_oracle(spec, base):
         Vbar, D_V = base.stacks(base.Vbar, j), base.stacks(malliavin[j].D_V, j)
         scale0 = {}  # order-zero jitter scale per (grid point, component)
         for c in range(base.M + 1):
-            for idx in enumerate_multi_indices(c, p).indices:
+            for idx in enumerate_multi_indices(c, p):
                 # a difference of multi-index idx divides by prod_l h_l^idx_l
                 h_idx = math.prod(h**i for h, i in zip(part.spacings, idx))
                 S = Vbar[(c, idx)].shape[0]
@@ -780,7 +834,7 @@ def _identity_oracle(spec, base):
                             )
                         x = tuple(float(v) for v in coords[g])
                         component = (comp // spec.d, comp % spec.d)
-                        rows.append(IdentityRow(j, t, x, c, idx, component, *moments, z))
+                        rows.append(IdentityRow(t, x, c, idx, component, *moments, z))
                         worst = max(worst, abs(z))
     return rows, worst
 

@@ -266,6 +266,8 @@ def test_solve_dispatch_and_config_validation():
         SolverConfig(seed=-1)
     with pytest.raises(InvalidPartitionError, match="M must be an integer"):
         SolverConfig(M=True)
+    with pytest.raises(InvalidPartitionError, match="estimator must be an EstimatorSpec, got 'analytic'"):
+        SolverConfig(estimator="analytic")
     numpy_config = SolverConfig(
         samples=np.int64(20), M=np.int64(0), fp_tolerance=np.float64(1e-9), seed=np.int64(1),
         paper_literal_stencil=np.False_,
