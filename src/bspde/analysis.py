@@ -370,8 +370,8 @@ def fit_loglog(points) -> tuple[float | None, bool]:
 def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> ConvergenceFit:
     """Solve on each partition (same samples and seed) and fit the error rate.
 
-    Each level simulates its paths, and its criterion against the analytic
-    reference is fed by the backward march, so no level's lattice is stored.
+    Each level's criterion against the analytic reference is fed by the backward
+    march on its own paths; neither outlives the level, and no lattice is stored.
     """
     partitions = list(partitions)
     if len(partitions) < 3:
@@ -390,6 +390,7 @@ def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> Co
         criterion = _Criterion(spec, part, paths, restencil, M)
         solve(spec, part, config, paths, observe=criterion.feed)
         reports.append(criterion.report())
+        del paths, criterion
     points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
     return ConvergenceFit(tuple(points), *fit_loglog(points), reports=tuple(reports))
 

@@ -225,16 +225,21 @@ def _stack_order(stack: dict[StackKey, np.ndarray]) -> int:
     return max(c for c, _ in stack)
 
 
-def ck_norm(stack: dict[StackKey, np.ndarray], k: int) -> float:
-    """Max absolute entry value over orders 0..k, all indices, components, points."""
+def _order_maxima(stack: dict[StackKey, np.ndarray], k: int, name: str) -> list[float]:
+    """Max absolute entry value of each order 0..k; k (called name) is refused above M."""
     M = _stack_order(stack)
     if k > M:
-        raise OrderTooHighError(f"k={k} exceeds the stack's order M={M}")
-    worst = 0.0
+        raise OrderTooHighError(f"{name}={k} exceeds the stack's order M={M}")
+    maxima = [0.0] * (k + 1)
     for (c, _), entry in stack.items():
         if c <= k:
-            worst = max(worst, float(np.max(np.abs(entry))))
-    return worst
+            maxima[c] = max(maxima[c], float(np.max(np.abs(entry))))
+    return maxima
+
+
+def ck_norm(stack: dict[StackKey, np.ndarray], k: int) -> float:
+    """Max absolute entry value over orders 0..k, all indices, components, points."""
+    return max(_order_maxima(stack, k, "k"))
 
 
 @dataclass(frozen=True)
@@ -272,11 +277,6 @@ class NormWeights:
 
 
 def cinf_truncated_norm(stack: dict[StackKey, np.ndarray], weights: NormWeights) -> float:
-    """sqrt( sum_{c<=c_max} xi(c) * ck_norm(stack, c)^2 )."""
-    M = _stack_order(stack)
-    if weights.c_max > M:
-        raise OrderTooHighError(f"c_max={weights.c_max} exceeds the stack's order M={M}")
-    total = 0.0
-    for c in range(weights.c_max + 1):
-        total += float(weights.xi[c]) * ck_norm(stack, c) ** 2
-    return math.sqrt(total)
+    """sqrt( sum_{c<=c_max} xi(c) * ck_norm(stack, c)^2 ), one pass over the stack."""
+    worst = itertools.accumulate(_order_maxima(stack, weights.c_max, "c_max"), max)  # ck_norm(stack, c)
+    return math.sqrt(sum(float(xi) * w**2 for xi, w in zip(weights.xi, worst)))

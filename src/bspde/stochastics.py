@@ -3,7 +3,9 @@
 Paths are generated from a counter-based Philox stream: a single canonical
 pass fills the (sample, step, component) array of uniforms, which are mapped
 to Gaussians by the inverse CDF.  Regenerating with the same seed is therefore
-bit-identical no matter how the surrounding computation is scheduled.
+bit-identical no matter how the surrounding computation is scheduled.  Paths
+keep only the states W(t_j), on which every scheme conditions; the regression
+kind, the one reader of an increment dW, takes it as W(t_j0) - W(t_{j0-1}).
 
 Estimators realize E[. | F_{t_{j0-1}}] for the backward schemes in the
 space-time Hermite basis He_a(W(t), t) = prod_i t^(a_i/2) He_{a_i}(W_i / sqrt(t)),
@@ -39,17 +41,17 @@ ESTIMATOR_KINDS = ("analytic", "regression")
 
 @dataclass(frozen=True)
 class BrownianPaths:
-    """Increments dW[s, j, i] ~ N(0, dt_j) and running sums W[s, j, i]."""
+    """Brownian states W[s, j, i] at the grid times, the running sums of
+    increments dW[s, j, i] ~ N(0, dt_j); an increment is W[:, j+1] - W[:, j]."""
 
     partition: Partition
     d: int
     seed: int
-    increments: np.ndarray  # (S, n0, d)
     W: np.ndarray  # (S, n0+1, d), W[:, 0] = 0
 
     @property
     def sample_count(self) -> int:
-        return self.increments.shape[0]
+        return self.W.shape[0]
 
 
 def _standard_normals(seed: int, shape) -> np.ndarray:
@@ -69,7 +71,7 @@ def simulate_increments(
     seed: int,
     max_entries: int = DEFAULT_CAPACITY,
 ) -> BrownianPaths:
-    """Draw S independent d-dimensional paths over the partition's time grid."""
+    """Draw S independent d-dimensional paths over the partition's time grid; keep W only."""
     check_value("S", S, "integer", 1)
     check_value("d", d, "integer", 1)
     check_value("seed", seed, "integer", 0)
@@ -82,9 +84,8 @@ def simulate_increments(
     dw *= np.sqrt(partition.time_increments)[None, :, None]
     w = np.zeros((S, n0 + 1, d))
     np.cumsum(dw, axis=1, out=w[:, 1:, :])
-    dw.setflags(write=False)
     w.setflags(write=False)
-    return BrownianPaths(partition=partition, d=d, seed=seed, increments=dw, W=w)
+    return BrownianPaths(partition=partition, d=d, seed=seed, W=w)
 
 
 def permute_future_increments(paths: BrownianPaths, from_step: int, permutation) -> BrownianPaths:
@@ -92,18 +93,15 @@ def permute_future_increments(paths: BrownianPaths, from_step: int, permutation)
 
     The rearrangement is measure preserving, so values computed at or before
     t_{from_step} by an adapted scheme must not change; tests use this to
-    assert the schemes never peek at later increments.
+    assert the schemes never peek at later increments.  W up to t_{from_step}
+    is kept bitwise; each later state adds the permuted row's rise since then.
     """
     permutation = np.asarray(permutation, dtype=int)
-    inc = paths.increments.copy()
-    inc[:, from_step:, :] = inc[permutation, from_step:, :]
-    w = np.zeros_like(paths.W)
-    np.cumsum(inc, axis=1, out=w[:, 1:, :])
-    inc.setflags(write=False)
+    w = paths.W.copy()
+    future = paths.W[permutation, from_step:]
+    w[:, from_step + 1 :] = w[:, from_step : from_step + 1] + (future[:, 1:] - future[:, :1])
     w.setflags(write=False)
-    return BrownianPaths(
-        partition=paths.partition, d=paths.d, seed=paths.seed, increments=inc, W=w
-    )
+    return BrownianPaths(partition=paths.partition, d=paths.d, seed=paths.seed, W=w)
 
 
 @dataclass(frozen=True)
@@ -313,7 +311,7 @@ class ConditionalEstimator:
                 dt = float(self.paths.partition.time_increments[j0 - 1])
                 coefs = [dt * self._lowering[i] @ coef for i in range(d)]
             else:
-                dw = self.paths.increments[:, j0 - 1, :, None]
+                dw = (self.paths.W[:, j0] - self.paths.W[:, j0 - 1])[..., None]
                 coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const) for i in range(d)]
             # one product for all d: (B, G, d) coefficients into the (S, G, d) output
             coef = np.stack(coefs, axis=-1).reshape(-1, G * d)

@@ -483,6 +483,22 @@ def test_convergence_slope_reproducible_across_seeds():
     assert max(slopes) - min(slopes) < 0.1
 
 
+def test_convergence_study_frees_a_level_before_the_next(monkeypatch):
+    # the previous level's paths (and the criterion holding them) must be
+    # dead by the time the next level draws its own
+    drawn = []
+
+    def draw(*args):
+        assert all(ref() is None for ref in drawn)
+        paths = simulate_increments(*args)
+        drawn.append(weakref.ref(paths))
+        return paths
+
+    monkeypatch.setattr(analysis, "simulate_increments", draw)
+    convergence_study(lin_spec(), ladder(levels=(4, 8, 16)), SolverConfig(samples=200, seed=1))
+    assert len(drawn) == 3
+
+
 def test_convergence_degenerate_flag_on_exact_problem():
     spec = builtin_problem("zero", {"value": 1.0})
     fit = convergence_study(spec, ladder(edge=0.1, count=1, levels=(2, 4, 8)),

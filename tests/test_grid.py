@@ -310,3 +310,18 @@ def test_cinf_monotone_in_truncation():
         for c in range(4)
     ]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+def test_cinf_truncated_norm_is_its_definition_bitwise():
+    # one max per order, accumulated, gives the sum over ck_norm(stack, c)^2
+    # bit for bit; c_max above the stack's order is refused by its own name
+    part = build_partition(1.0, 2, [0.3], [4])
+    stack = stack_of(np.random.default_rng(2).normal(size=5), 3, part)
+    for c_max in range(4):
+        weights = NormWeights.for_domain(part.edges, c_max)
+        total = 0.0
+        for c in range(c_max + 1):
+            total += float(weights.xi[c]) * ck_norm(stack, c) ** 2
+        assert cinf_truncated_norm(stack, weights) == math.sqrt(total)
+    with pytest.raises(OrderTooHighError, match="c_max=4 exceeds the stack's order M=3"):
+        cinf_truncated_norm(stack, NormWeights.for_domain(part.edges, 4))

@@ -34,32 +34,32 @@ def one_step_partition(T=1.0):
 def test_paths_shapes_and_start_at_zero():
     part = build_partition(1.0, 4, [1.0], [2])
     paths = simulate_increments(part, 2, 100, seed=1)
-    assert paths.increments.shape == (100, 4, 2)
+    assert np.diff(paths.W, axis=1).shape == (100, 4, 2)
     assert paths.W.shape == (100, 5, 2)
     assert np.array_equal(paths.W[:, 0, :], np.zeros((100, 2)))
-    assert np.allclose(paths.W[:, -1, :], paths.increments.sum(axis=1))
+    assert np.allclose(paths.W[:, -1, :], np.diff(paths.W, axis=1).sum(axis=1))
 
 
 def test_paths_deterministic_regeneration():
     part = build_partition(1.0, 8, [1.0], [2])
     a = simulate_increments(part, 1, 500, seed=42)
     b = simulate_increments(part, 1, 500, seed=42)
-    assert np.array_equal(a.increments, b.increments)
+    assert np.array_equal(np.diff(a.W, axis=1), np.diff(b.W, axis=1))
     c = simulate_increments(part, 1, 500, seed=43)
-    assert not np.array_equal(a.increments, c.increments)
+    assert not np.array_equal(np.diff(a.W, axis=1), np.diff(c.W, axis=1))
 
 
 def test_paths_moments_at_five_sigma():
     part = one_step_partition()
     S = 100_000
-    dw = simulate_increments(part, 1, S, seed=42).increments[:, 0, 0]
+    dw = np.diff(simulate_increments(part, 1, S, seed=42).W, axis=1)[:, 0, 0]
     assert abs(dw.mean()) < 5.0 / math.sqrt(S)
     assert abs(dw.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / (S - 1))
 
 
 def test_paths_hold_no_transient_beside_the_returned_arrays():
     # the Gaussians are scaled in place into the increments, and the uniforms
-    # are freed before W is allocated: the peak is the returned arrays
+    # are freed before W is allocated: the peak is W and the increments it sums
     part = build_partition(1.0, 32, [1.0], [1])
     tracemalloc.start()
     try:
@@ -67,7 +67,19 @@ def test_paths_hold_no_transient_beside_the_returned_arrays():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * (paths.increments.nbytes + paths.W.nbytes)
+    assert peak <= 1.1 * (paths.W.nbytes + 20_000 * 32 * 1 * 8)
+
+
+def test_paths_hold_w_only():
+    # the increments are dropped on return: what stays allocated is W
+    part = build_partition(1.0, 32, [1.0], [1])
+    tracemalloc.start()
+    try:
+        paths = simulate_increments(part, 1, 20_000, seed=42)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert current <= 1.05 * paths.W.nbytes
 
 
 def test_paths_capacity_budget():
@@ -132,8 +144,7 @@ def test_regression_singular_design_advises_ridge():
     w = np.zeros((100, 3, 1))
     w[:, 1, 0] = np.tile([0.0, 1.0], 50)
     paths = BrownianPaths(
-        partition=build_partition(1.0, 2, [1.0], [1]), d=1, seed=0,
-        increments=np.diff(w, axis=1), W=w,
+        partition=build_partition(1.0, 2, [1.0], [1]), d=1, seed=0, W=w,
     )
     targets = np.arange(100.0)
     with pytest.raises(SingularDesignError, match="ridge"):
@@ -480,7 +491,7 @@ def test_factored_fit_rank_deficient_gives_minimum_norm():
     w = np.zeros((S, 3, 1))
     w[:, 1, 0] = 0.4
     w[:, 2, 0] = np.where(np.arange(S) % 2 == 0, -0.7, 1.3)
-    paths = BrownianPaths(partition=part, d=1, seed=0, increments=np.diff(w, axis=1), W=w)
+    paths = BrownianPaths(partition=part, d=1, seed=0, W=w)
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
     phi = _design_matrix(w[:, 2, :], est.exponents, 1.0)
@@ -533,10 +544,26 @@ def test_regression_first_step_is_the_sample_mean():
     assert np.array_equal(mean, np.broadcast_to(targets.mean(axis=0), targets.shape))
     dw = est.cond_mean_times_dw(targets, 1)
     for i in range(2):
-        want = (targets * paths.increments[:, 0, i : i + 1]).mean(axis=0)
+        want = (targets * np.diff(paths.W, axis=1)[:, 0, i : i + 1]).mean(axis=0)
         want[1] = 0.0
         assert np.array_equal(dw[..., i], np.broadcast_to(want, targets.shape))
     assert est.records == []  # no fit, no coefficients
+
+
+def test_regression_dw_moment_reads_the_increment_of_w():
+    # W(t_1) = 0.4 on every path: at j0 = 2 the projection is again the sample
+    # mean, and the dW moment must use W(t_2) - W(t_1), not W(t_2)
+    part = build_partition(1.0, 2, [1.0], [1])
+    S = 400
+    w = np.zeros((S, 3, 2))
+    w[:, 1] = 0.4
+    w[:, 2] = 0.4 + np.random.default_rng(3).normal(0.0, math.sqrt(0.5), (S, 2))
+    paths = BrownianPaths(partition=part, d=2, seed=0, W=w)
+    targets = np.stack([np.cos(w[:, 2, 0]), w[:, 2, 0] * w[:, 2, 1]], axis=1)
+    dw = ConditionalEstimator(EstimatorSpec(kind="regression"), paths).cond_mean_times_dw(targets, 2)
+    for i in range(2):
+        want = (targets * (w[:, 2, i : i + 1] - w[:, 1, i : i + 1])).mean(axis=0)
+        assert np.array_equal(dw[..., i], np.broadcast_to(want, targets.shape))
 
 
 def _record_values(records):
@@ -641,6 +668,18 @@ def test_permute_future_increments_keeps_past():
     paths = simulate_increments(part, 1, 50, seed=9)
     perm = np.random.default_rng(0).permutation(50)
     shuffled = permute_future_increments(paths, 2, perm)
-    assert np.array_equal(shuffled.increments[:, :2], paths.increments[:, :2])
+    assert np.array_equal(np.diff(shuffled.W, axis=1)[:, :2], np.diff(paths.W, axis=1)[:, :2])
     assert np.array_equal(shuffled.W[:, :3], paths.W[:, :3])
-    assert not np.array_equal(shuffled.increments[:, 2:], paths.increments[:, 2:])
+    assert not np.array_equal(np.diff(shuffled.W, axis=1)[:, 2:], np.diff(paths.W, axis=1)[:, 2:])
+
+
+@pytest.mark.parametrize("from_step", [0, 2, 3])
+def test_permute_future_increments_keeps_past_w_bitwise(from_step):
+    part = build_partition(1.0, 4, [1.0], [1])
+    paths = simulate_increments(part, 2, 50, seed=9)
+    perm = np.random.default_rng(1).permutation(50)
+    shuffled = permute_future_increments(paths, from_step, perm)
+    assert shuffled.W[:, : from_step + 1].tobytes() == paths.W[:, : from_step + 1].tobytes()
+    future = np.diff(paths.W, axis=1)[perm, from_step:]
+    assert np.allclose(np.diff(shuffled.W, axis=1)[:, from_step:], future, rtol=0.0, atol=1e-14)
+    assert not shuffled.W.flags.writeable
