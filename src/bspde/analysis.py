@@ -405,7 +405,8 @@ def compare_algorithms(
     shared paths, marched in lockstep so that no lattice is stored: one
     algorithm-two solve's observer keeps its stacks at grid times j and j+1,
     starts algorithm one from the terminal stacks the schemes share, steps it
-    j+1 -> j with its own estimator and feeds its stacks at j to the criterion.
+    j+1 -> j with algorithm two's estimator, which has made each index's basis
+    and factor by then, and feeds its stacks at j to the criterion.
     """
     M, restencil = _order_and_stencil(spec, partition, config)
     if paths is None:
@@ -423,7 +424,7 @@ def compare_algorithms(
         one[:] = two[j] if j == partition.n0 else step(j + 1, *one)
         criterion.feed(j, *one)
 
-    solve(spec, partition, replace(config, algorithm="two"), paths, observe=observe)
+    solve(spec, partition, replace(config, algorithm="two"), paths, observe=observe, estimator=est)
     return criterion.report()
 
 

@@ -118,15 +118,15 @@ def builtin_problem(name: str, params: dict | None = None) -> ProblemSpec:
 
 
 # Every built-in is scalar (p = q = d = 1), has J = 0, and a driver that is
-# a constant times one stack entry.  Their analytic Jacobians are constants,
-# handed out as read-only broadcasts of one scalar each: freezing them along
-# a solve allocates nothing.
+# a constant times one stack entry.  J and their analytic Jacobians are
+# constants, handed out as read-only broadcasts of one scalar each: a step's
+# J and the Jacobians frozen along a solve allocate nothing.
 def _zero_drift(t, x, v, vbar):
     return np.zeros_like(v[(0, (0,))])
 
 
 def _zero_diffusion(t, x, v):
-    return np.zeros(v[(0, (0,))].shape + (1,))
+    return np.broadcast_to(0.0, v[(0, (0,))].shape + (1,))
 
 
 def _zero_diffusion_jacobian(t, x, v):

@@ -225,7 +225,9 @@ def _explicit_step(partition, est, restencil, drift, diffusion, j0, v_stack, vba
     dt = float(partition.time_increments[j0 - 1])
     zkey = zero_key(partition.p)
     L = drift(j0, v_stack, vbar_stack)
-    v0 = est.cond_mean(v_stack[zkey] + dt * L, j0)
+    v0 = np.multiply(L, dt, out=np.empty(v_stack[zkey].shape))
+    v0 += v_stack[zkey]
+    v0 = est.cond_mean(v0, j0)  # V + dt L, bitwise, in one array freed here
     check_finite(v0, DivergenceError, "solution field", f"time step j0={j0}")
     v_stack_prev = restencil(v0)
     vbar0 = est.cond_mean_times_dw(v_stack[zkey], j0)
@@ -263,9 +265,12 @@ def _implicit_step(
     v = cond_mean
     for it in range(1, config.fp_max_iters + 1):
         v_stack_prev, vbar0 = integrand(v)
-        v_new = cond_mean + dt * drift(j0 - 1, v_stack_prev, restencil(vbar0))
-        check_finite(v_new, DivergenceError, "implicit-stage iterate", f"time step j0={j0}")
-        residual = float(np.max(np.abs(v_new - v)))
+        v_new = np.multiply(drift(j0 - 1, v_stack_prev, restencil(vbar0)), dt, out=np.empty(v.shape))
+        v_new += cond_mean
+        residual = float(np.max(np.abs(delta := v_new - v, out=delta)))
+        del delta
+        if not np.isfinite(residual):  # as it is when v_new is not
+            check_finite(v_new, DivergenceError, "implicit-stage iterate", f"time step j0={j0}")
         v = v_new
         if it == 1:
             first_residual = residual
@@ -319,6 +324,7 @@ def solve(
     paths: BrownianPaths | None = None,
     *,
     observe=None,
+    estimator: ConditionalEstimator | None = None,
 ) -> SolutionLattice:
     """Solve with config.algorithm's backward step, :func:`_explicit_step` for
     "one" and :func:`_implicit_step` for "two", and store every slice's order zero.
@@ -328,9 +334,12 @@ def solve(
     backward march makes it, j = n0, n0-1, ..., 0, and the returned lattice's
     V and Vbar are empty.  The stacks are not written afterwards, so the
     observer may keep them; the march itself drops each slice once the next
-    step has read it.  The capacity budget is checked against the
-    lattice only when it is stored; the paths are checked either way.  Given
-    paths must match config.samples, spec.d and the partition's time grid.
+    step has read it.  The capacity budget is checked against the lattice
+    only when it is stored; the paths are checked either way.  Given paths
+    must match config.samples, spec.d and the partition's time grid.  Given
+    an estimator, bound to these paths and built for config.estimator, the
+    solve conditions with it, so solves on the same paths share each index's
+    basis and factor; the lattice's coefficient records are then its records.
     """
     M, restencil = _order_and_stencil(spec, partition, config)
     if observe is None:
@@ -340,7 +349,9 @@ def solve(
             partition, spec.d, config.samples, config.seed, config.max_entries
         )
     _check_paths(spec, partition, config, paths)
-    est = ConditionalEstimator(config.estimator, paths, record_coefficients=config.dump_coefficients)
+    est = estimator or ConditionalEstimator(config.estimator, paths, config.dump_coefficients)
+    if est.paths is not paths or est.spec != config.estimator:
+        raise InvalidPartitionError("the estimator is bound to other paths or to another EstimatorSpec")
     fp_iterations = []
     kernel = (partition, est, restencil, *_operators(spec, partition))
     if config.algorithm == "one":

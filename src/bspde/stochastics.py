@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import lapack_lite
 from scipy.special import ndtri
 
 from .errors import CapacityError, InvalidPartitionError, SingularDesignError, check_value
@@ -167,6 +168,16 @@ def _design_matrix(states: np.ndarray, exponents: np.ndarray, t: float) -> np.nd
     return out.T
 
 
+def _lapack(routine, *args) -> None:
+    """routine(*args, work, lwork, info) with the workspace its query asks
+    for, as numpy's own QR does; a non-zero info raises LinAlgError."""
+    query = np.zeros(1)
+    routine(*args, query, -1, 0)
+    lwork = max(1, args[1], int(query[0]))
+    if info := routine(*args, np.empty(lwork), lwork, 0)["info"]:
+        raise np.linalg.LinAlgError(f"LAPACK {routine.__name__} returned info={info}")
+
+
 def _lowering(exponents: np.ndarray) -> np.ndarray:
     """(d, B, B) integer-valued matrices D_i, D_i[beta, alpha] = alpha_i where
     beta = alpha - e_i: the coefficients of d/dx_i in the Hermite basis."""
@@ -207,9 +218,9 @@ class ConditionalEstimator:
     recorded exponents are Hermite degrees.  The estimator holds one slot
     for a basis, one for the thin QR factor Q R of the analytic kind's fit
     basis, and one for the regression kind's normal matrix; factoring index
-    j empties the basis slot, because no later step applies there.  Each
-    index's basis is built once per backward march, and its factor or
-    normal matrix once per fit index.
+    j factors its basis in place, because no later step applies there.  Each
+    index's basis is built once per backward march, and its factor or normal
+    matrix once per fit index, however many solves share the estimator.
     """
 
     def __init__(
@@ -227,7 +238,7 @@ class ConditionalEstimator:
         self._lowering = _lowering(self.exponents)
         self.records: list[CoefficientRecord] = [] if record_coefficients else None
         self._basis_slot: tuple[int | None, np.ndarray | None] = (None, None)
-        self._factor_slot: tuple[int | None, tuple[np.ndarray, np.ndarray] | None] = (None, None)
+        self._factor_slot: tuple[int | None, tuple[np.ndarray | None, ...]] = (None, (None, None))
         self._gram_slot: tuple[int | None, np.ndarray | None] = (None, None)
 
     # -- shared helpers -----------------------------------------------------
@@ -243,11 +254,22 @@ class ConditionalEstimator:
         return self._basis_slot[1]
 
     def _factor(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Thin QR factor of the design matrix at W(t_j), which it replaces."""
+        """Thin QR factor (Q, R), bitwise np.linalg.qr's, of the design matrix
+        at W(t_j), which it replaces.  The basis is given up and factored in
+        place: its C-ordered (B, S) buffer is LAPACK's column-major (S, B),
+        which dgeqrf then dorgqr overwrite.  Q is copied into the old Q's
+        C-ordered buffer; only a C-ordered Q keeps later products bitwise."""
         if self._factor_slot[0] != j:
-            self._factor_slot = (None, None)  # free the old factor before factoring
-            self._factor_slot = (j, np.linalg.qr(self._basis(j)))
-            self._basis_slot = (None, None)
+            a, (q, _) = self._basis(j).T, self._factor_slot[1]
+            self._basis_slot, self._factor_slot = (None, None), (None, (None, None))
+            (B, S), tau = a.shape, np.empty(len(a))
+            a.setflags(write=True)
+            _lapack(lapack_lite.dgeqrf, S, B, a, S, tau)
+            r = np.triu(a[:, :B].T)
+            _lapack(lapack_lite.dorgqr, S, B, B, a, S, tau)
+            q = np.empty((S, B)) if q is None else q
+            np.copyto(q, a.T)
+            self._factor_slot = (j, (q, r))
         return self._factor_slot[1]
 
     @staticmethod

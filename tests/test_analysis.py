@@ -34,6 +34,7 @@ from bspde import (
     simulate_increments,
     solve,
     solve_malliavin_system,
+    stochastics,
 )
 from bspde.analysis import ErrorReport, IdentityRow, fit_loglog
 from bspde.model import OperatorJacobians, evaluate_diffusion_driver, operator_jacobians
@@ -597,6 +598,30 @@ def test_compare_algorithms_stores_no_lattice(monkeypatch):
     compare_algorithms(lin_spec(), part, SolverConfig(samples=200, seed=29))
     assert [lattice.config.algorithm for lattice in returned] == ["two"]
     assert returned[0].V == {} and returned[0].Vbar == {}
+
+
+def test_compare_algorithms_shares_one_estimator(monkeypatch):
+    # algorithm one conditions with algorithm two's estimator: each grid
+    # index's basis is built once and each fit index factored once, where an
+    # estimator per scheme builds 2 (n0 + 1) bases and makes 2 n0 factors
+    built, factored = [], []
+    design_matrix, geqrf = stochastics._design_matrix, stochastics.lapack_lite.dgeqrf
+
+    def counting_design(states, exponents, t):
+        built.append(t)
+        return design_matrix(states, exponents, t)
+
+    def counting_geqrf(m, n, *args):
+        if args[-2] != -1:  # not a workspace query
+            factored.append((m, n))
+        return geqrf(m, n, *args)
+
+    monkeypatch.setattr(stochastics, "_design_matrix", counting_design)
+    monkeypatch.setattr(stochastics.lapack_lite, "dgeqrf", counting_geqrf)
+    part = build_partition(1.0, 4, [0.5], [1])
+    compare_algorithms(lin_spec(), part, SolverConfig(samples=200, seed=29))
+    assert sorted(built) == sorted(part.time_points)
+    assert factored == [(200, EstimatorSpec().basis_size(1))] * part.n0
 
 
 def _compare_algorithms_peak(n0):

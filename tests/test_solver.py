@@ -189,24 +189,45 @@ def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
 
 @pytest.mark.parametrize("algorithm,fits_per_step", [("one", 3), ("two", 2)])
 def test_one_factor_per_fit_index_and_one_small_lstsq_per_fit(monkeypatch, algorithm, fits_per_step):
+    # the factor is LAPACK's dgeqrf on the (S, B) fit basis; its workspace
+    # queries (lwork = -1) factor nothing and are not counted
     qr_inputs, lstsq_inputs = [], []
-    qr, lstsq = np.linalg.qr, np.linalg.lstsq
+    geqrf, lstsq = stochastics.lapack_lite.dgeqrf, np.linalg.lstsq
 
-    def counting_qr(a, *args, **kwargs):
-        qr_inputs.append(a.shape)
-        return qr(a, *args, **kwargs)
+    def counting_geqrf(m, n, *args):
+        if args[-2] != -1:
+            qr_inputs.append((m, n))
+        return geqrf(m, n, *args)
 
     def counting_lstsq(a, b, *args, **kwargs):
         lstsq_inputs.append(a.shape)
         return lstsq(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(stochastics.lapack_lite, "dgeqrf", counting_geqrf)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     part = small_partition(n0=8)
     solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
     B = EstimatorSpec().basis_size(1)
     assert qr_inputs == [(200, B)] * part.n0
     assert lstsq_inputs == [(B, B)] * (fits_per_step * part.n0)
+
+
+def test_solve_with_a_given_estimator_refuses_other_paths_and_specs():
+    spec, part = builtin_problem("linear_scalar"), small_partition(n0=4)
+    config = SolverConfig(algorithm="two", samples=200, seed=3)
+    paths = simulate_increments(part, 1, 200, seed=3)
+    own = stochastics.ConditionalEstimator(config.estimator, paths)
+    shared = solve(spec, part, config, paths, estimator=own)
+    fresh = solve(spec, part, config, paths)
+    assert np.array_equal(shared.V[zero_key(1)], fresh.V[zero_key(1)])
+    assert np.array_equal(shared.Vbar[zero_key(1)], fresh.Vbar[zero_key(1)])
+    same_draws = simulate_increments(part, 1, 200, seed=3)
+    for est in (
+        stochastics.ConditionalEstimator(config.estimator, same_draws),
+        stochastics.ConditionalEstimator(EstimatorSpec(degree=2), paths),
+    ):
+        with pytest.raises(InvalidPartitionError, match="estimator is bound to other paths"):
+            solve(spec, part, config, paths, estimator=est)
 
 
 def test_deterministic_problems_have_zero_sample_spread():
@@ -424,6 +445,24 @@ def test_divergence_error_names_the_step():
     part = small_partition(n0=2)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError, match="j0=1"):
         solve(spec, part, SolverConfig(samples=8, seed=1))
+
+
+def test_implicit_stage_non_finite_iterate_names_the_step():
+    # a finite driver whose implicit-stage iterate E[V|F] + dt L overflows:
+    # 1e308 + 0.5 * 1.7e308 is past the largest double at the first iterate
+    spec = ProblemSpec(
+        name="overflow", p=1, q=1, d=1, k=0, m=0, n=0,
+        driver=lambda t, x, v, vbar: np.full_like(v[(0, (0,))], 1.7e308),
+        diffusion=lambda t, x, v: np.zeros(v[(0, (0,))].shape + (1,)),
+        terminal=lambda x, w: np.full(
+            np.broadcast_shapes(x[..., 0:1].shape, (w[..., 0:1] * x[..., 0:1]).shape), 1e308
+        ),
+    )
+    part = small_partition(n0=2)
+    with np.errstate(over="ignore"), pytest.raises(
+        DivergenceError, match=r"implicit-stage iterate became non-finite at time step j0=2"
+    ):
+        solve(spec, part, SolverConfig(algorithm="two", samples=8, seed=1))
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from bspde import (
     permute_future_increments,
     simulate_increments,
     solve,
+    stochastics,
 )
 from bspde.model import zero_key
 from bspde.stochastics import (
@@ -483,15 +484,46 @@ def test_factored_fit_matches_full_lstsq(d, with_constant):
     assert np.max(np.abs(est.cond_mean(targets, 2) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_factored_fit_rank_deficient_gives_minimum_norm():
-    # states with two distinct values: the degree-3 basis has rank 2, and
-    # the fit must return lstsq's minimum-norm coefficients, not any solution
-    part = build_partition(1.0, 2, [1.0], [1])
-    S = 200
+def _two_valued_paths(S=200):
+    # W(t_2) takes two values, so the degree-3 basis there has rank 2
     w = np.zeros((S, 3, 1))
     w[:, 1, 0] = 0.4
     w[:, 2, 0] = np.where(np.arange(S) % 2 == 0, -0.7, 1.3)
-    paths = BrownianPaths(partition=part, d=1, seed=0, W=w)
+    return BrownianPaths(partition=build_partition(1.0, 2, [1.0], [1]), d=1, seed=0, W=w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, "rank 2"])
+def test_factor_is_numpy_qr_bit_for_bit(d):
+    # the in-place LAPACK factor against np.linalg.qr of the same basis, at
+    # both fit indices: Q C-ordered and ==, R ==, and the second factor
+    # written into the first's buffer
+    paths = _two_valued_paths() if d == "rank 2" else simulate_increments(
+        build_partition(1.0, 2, [1.0], [1]), d, 500, seed=37
+    )
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    held = None
+    for j in (2, 1):
+        want_q, want_r = np.linalg.qr(_design_matrix(paths.W[:, j, :], est.exponents, j / 2))
+        q, r = est._factor(j)
+        assert q.flags.c_contiguous and np.array_equal(q, want_q) and np.array_equal(r, want_r)
+        assert held is None or q is held
+        held = q
+
+
+@pytest.mark.parametrize("routine", ["dgeqrf", "dorgqr"])
+def test_factor_raises_on_lapack_error(monkeypatch, routine):
+    monkeypatch.setattr(stochastics.lapack_lite, routine, lambda *args: {"info": -4})
+    paths = simulate_increments(build_partition(1.0, 2, [1.0], [1]), 1, 50, seed=37)
+    est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
+    with pytest.raises(np.linalg.LinAlgError, match="info=-4"):
+        est._factor(2)
+
+
+def test_factored_fit_rank_deficient_gives_minimum_norm():
+    # states with two distinct values: the degree-3 basis has rank 2, and
+    # the fit must return lstsq's minimum-norm coefficients, not any solution
+    paths = _two_valued_paths()
+    S, w = paths.sample_count, paths.W
     est = ConditionalEstimator(EstimatorSpec(kind="analytic", degree=3), paths)
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
     phi = _design_matrix(w[:, 2, :], est.exponents, 1.0)
