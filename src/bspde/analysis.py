@@ -186,22 +186,21 @@ def _entry_pairs(ref_slice: dict, lattice_slice: dict, c: int, p: int, G: int):
     ]
 
 
-def _squared_deviation_into(out: np.ndarray, pairs) -> None:
-    """out[...] = per-sample max over entry pairs and components of the squared
-    difference, shape (rows, G).  Squares are monotone, so this is the square
-    of the max-abs difference.
+def _deviation_into(out: np.ndarray, pairs) -> None:
+    """out[...] = per-sample max-abs difference over entry pairs and components,
+    shape (rows, G); a lone single-component pair keeps its sign, which the
+    square hides.  Squares are monotone, so its square is the max of the squares.
     """
+    if len(pairs) == 1 and pairs[0][0].shape[-1] == 1:
+        np.subtract(pairs[0][0][..., 0], pairs[0][1][..., 0], out=out)
+        return
     for n, (ref, lat) in enumerate(pairs):
-        if n == 0 and ref.shape[-1] == 1:
-            np.subtract(ref[..., 0], lat[..., 0], out=out)
-            np.multiply(out, out, out=out)
-            continue
-        sq = ref - lat
-        sq = np.multiply(sq, sq, out=sq).max(axis=-1)
+        dev = ref - lat
+        dev = np.abs(dev, out=dev).max(axis=-1)
         if n == 0:
-            out[...] = sq
+            out[...] = dev
         else:
-            np.maximum(out, sq, out=out)
+            np.maximum(out, dev, out=out)
 
 
 def _sample_means(term_pairs, S: int, G: int) -> np.ndarray:
@@ -211,19 +210,22 @@ def _sample_means(term_pairs, S: int, G: int) -> np.ndarray:
     The samples are taken in chunks small enough to stay in cache.  A chunk
     holds one sample per row, with the terms interleaved innermost so that
     each term's (samples, G) block is written in one strided pass, and row 0
-    carries the running sums: one axis-0 reduction per chunk adds each
-    column's samples one after another, exactly as a mean over the whole
-    sample axis does.
+    carries the running sums.  A copy of the rows with 1.0 in row 0 makes one
+    einsum square and add each column's samples one after another onto its
+    sum, exactly as a mean over the whole sample axis does; it runs in that
+    order because there are always at least two columns (two families).
     """
     rows = min(S, max(1, _CHUNK_ENTRIES // (len(term_pairs) * G)))
-    block = np.zeros((rows + 1, G, len(term_pairs)))
+    block, weights = np.empty((2, rows + 1, G * len(term_pairs)))
+    weights[0], sums = 1.0, np.zeros(block.shape[1])
     for lo in range(0, S, rows):
         n = min(rows, S - lo)
         for k, pairs in enumerate(term_pairs):
             chunk = [(r[lo : lo + n], l[lo : lo + n]) for r, l in pairs]
-            _squared_deviation_into(block[1 : n + 1, :, k], chunk)
-        block[0] = np.add.reduce(block[: n + 1], axis=0)
-    return (block[0] / S).T
+            _deviation_into(block[1 : n + 1, k :: len(term_pairs)], chunk)
+        block[0], weights[1 : n + 1] = sums, block[1 : n + 1]
+        np.einsum("ij,ij->j", block[: n + 1], weights[: n + 1], out=sums)  # einsum zeroes out first
+    return (sums.reshape(G, -1) / S).T
 
 
 class _Criterion:
@@ -294,7 +296,8 @@ class _Criterion:
                     gx = int(np.argmax(mean))
                     column = np.empty((S, 1))
                     at_gx = [(a[:, gx : gx + 1], b[:, gx : gx + 1]) for a, b in pairs]
-                    _squared_deviation_into(column, at_gx)
+                    _deviation_into(column, at_gx)
+                    column *= column
                     se = float(column[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
                     self.best[term] = (worst, -r, se)
         # keep only the slices that a neighbouring grid time still to come reads

@@ -80,7 +80,10 @@ def check_finite(values, error, what, where):
     """values as a float array if every entry is finite; else raise the
     caller's error class naming what, where and the first offending index."""
     values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        first = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    # a broadcast repeats its entries along its zero-stride axes: scan each once; the first offending index
+    # in C order has 0 on those axes.  A list: a generator here leaves garbage only the cycle collector frees
+    distinct = values[tuple([slice(0, 1) if stride == 0 else slice(None) for stride in values.strides])]
+    if not np.all(np.isfinite(distinct)):
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(distinct))[0])
         raise error(f"{what} became non-finite at {where}, first offending index {first}")
     return values

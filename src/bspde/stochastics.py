@@ -26,12 +26,13 @@ oracle for testing the two estimators, not an estimator inside the schemes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import lapack_lite
-from scipy.special import ndtri
+from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: load it with the package
 
 from .errors import CapacityError, InvalidPartitionError, SingularDesignError, check_value
 from .grid import Partition
@@ -55,14 +56,83 @@ class BrownianPaths:
         return self.W.shape[0]
 
 
+# Cephes ndtri (Moshier 1989), the inverse normal CDF that scipy ships.  For e^-2 < u <= 1 - e^-2 it is
+# s2pi (y + y R0(y^2)), y = u - 1/2; in the tails, with y the smaller of u and 1 - u and x = sqrt(-2 log y),
+# it is x - log(x) / x - R(1/x), R1 below x = 8 and R2 above, negated for u < 1/2.  Each R(v) is
+# v P(v) / Q(v), and each Q is monic.
+_S2PI, _EXPM2, _NDTRI_BLOCK = 2.50662827463100050242e0, 0.13533528323661269189, 1 << 14
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1,
+       -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+       2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4,
+       2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _ratio(v, p, q, out, tmp):
+    """out = v P(v) / Q(v), multiplied first and divided second, with Q monic, its leading 1 left out of q;
+    each polynomial by Horner's rule from its first coefficient, in Cephes' order of operations."""
+    np.add(np.multiply(v, p[0], out=out), p[1], out=out)
+    np.add(v, q[0], out=tmp)
+    for coefs, acc in ((p[2:], out), (q[1:], tmp)):
+        for c in coefs:
+            acc *= v
+            acc += c
+    out *= v
+    out /= tmp
+    return out
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """Cephes' ndtri of u in (0, 1) into a new array, in blocks of preallocated buffers small enough to stay
+    in cache.  The branches and the order of operations are Cephes', so only numpy's SIMD log, which rounds a
+    few inputs apart from libm's, can move a tail value's last bits."""
+    out, buf = np.empty(u.shape), np.empty((5, _NDTRI_BLOCK))
+    u_flat, out_flat = u.reshape(-1), out.reshape(-1)
+    for lo in range(0, u.size, _NDTRI_BLOCK):
+        y, x = u_flat[lo : lo + _NDTRI_BLOCK], out_flat[lo : lo + _NDTRI_BLOCK]
+        half, sq, r, tmp = buf[:4, : y.size]
+        # every value through the central branch; the tails then overwrite theirs
+        np.subtract(y, 0.5, out=half)
+        _ratio(np.multiply(half, half, out=sq), _P0, _Q0, r, tmp)
+        r *= half
+        r += half
+        np.multiply(r, _S2PI, out=x)
+        at = np.flatnonzero((y <= _EXPM2) | (y > 1.0 - _EXPM2))
+        t, x0, z, r = buf[1:, : at.size]  # half stays: its sign is the tail's
+        np.minimum(np.take(y, at, out=t), np.subtract(1.0, t, out=x0), out=t)
+        np.log(t, out=t)
+        t *= -2.0
+        np.sqrt(t, out=t)
+        np.subtract(t, np.divide(np.log(t, out=x0), t, out=x0), out=x0)
+        far = t >= 8.0 if at.size and t.max() >= 8.0 else None
+        _ratio(np.divide(1.0, t, out=z), _P1, _Q1, r, t)
+        if far is not None:
+            r[far] = _ratio(z[far], _P2, _Q2, *np.empty((2, np.count_nonzero(far))))
+        x0 -= r
+        x[at] = np.copysign(x0, np.take(half, at, out=r), out=x0)
+    return out
+
+
 def _standard_normals(seed: int, shape) -> np.ndarray:
-    """Inverse-CDF standard normals of the Philox stream of seed.  ndtri writes
+    """Inverse-CDF standard normals of the Philox stream of seed.  _ndtri writes
     a new array, so the uniforms' block is freed on return; a free that large
     lets glibc serve later temporaries from its heap (in place: ~2.5x the faults)."""
-    u = np.random.Generator(np.random.Philox(key=seed)).random(shape)
-    # uniforms are multiples of 2^-53: this lifts only u == 0, where ndtri is -inf
+    u = Generator(Philox(key=seed)).random(shape)
+    # uniforms are multiples of 2^-53: this lifts only u == 0, outside _ndtri's (0, 1)
     np.maximum(u, 2.0**-54, out=u)
-    return ndtri(u)
+    return _ndtri(u)
 
 
 def simulate_increments(
@@ -129,18 +199,10 @@ class EstimatorSpec:
 
 
 def monomial_exponents(degree: int, d: int) -> np.ndarray:
-    """Exponent rows of the d-dimensional monomial basis of total degree <= degree."""
-
-    def compositions(total, dims):
-        if dims == 1:
-            yield (total,)
-            return
-        for v in range(total + 1):
-            for rest in compositions(total - v, dims - 1):
-                yield (v,) + rest
-
-    rows = [row for total in range(degree + 1) for row in compositions(total, d)]
-    return np.array(rows, dtype=int)
+    """Exponent rows of the d-dimensional monomial basis of total degree <= degree,
+    by total degree, each total in lexicographic order."""
+    rows = [row for row in itertools.product(range(degree + 1), repeat=d) if sum(row) <= degree]
+    return np.array(sorted(rows, key=sum), dtype=int)
 
 
 def _design_matrix(states: np.ndarray, exponents: np.ndarray, t: float) -> np.ndarray:

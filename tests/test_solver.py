@@ -27,6 +27,7 @@ from bspde import (
     stochastics,
     terminal_stage,
 )
+from bspde.errors import check_finite
 from bspde.model import zero_key
 from bspde.solver import _SAMPLE, _row_template
 
@@ -463,6 +464,25 @@ def test_implicit_stage_non_finite_iterate_names_the_step():
         DivergenceError, match=r"implicit-stage iterate became non-finite at time step j0=2"
     ):
         solve(spec, part, SolverConfig(algorithm="two", samples=8, seed=1))
+
+
+@pytest.mark.parametrize("base_shape, nan_at, shape", [
+    ((1, 3, 1, 2), (0, 2, 0, 1), (4, 3, 5, 2)), ((3,), (1,), (2, 3)), ((2, 1), (1, 0), (2, 6)),
+])
+def test_check_finite_on_a_broadcast_names_what_its_copy_names(base_shape, nan_at, shape):
+    # one entry along each zero-stride axis is scanned; the message and the
+    # first offending index are those of the materialized array
+    base = np.zeros(base_shape)
+    base[nan_at] = np.nan
+    broadcast = np.broadcast_to(base, shape)
+    messages = []
+    for values in (broadcast, broadcast.copy()):
+        with pytest.raises(DivergenceError) as info:
+            check_finite(values, DivergenceError, "field", "step 1")
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    finite = np.broadcast_to(np.ones(base_shape), shape)
+    assert check_finite(finite, DivergenceError, "field", "step 1").shape == shape
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,72 @@ def test_paths_invalid_args():
 
 
 # ---------------------------------------------------------------------------
+# inverse normal CDF (Cephes ndtri, the algorithm scipy ships)
+# ---------------------------------------------------------------------------
+_EXPM2 = 0.13533528323661269189  # Cephes' e^-2, the central branch's edge
+_BLOCK = stochastics._NDTRI_BLOCK
+
+
+def _uniforms(n, seed=42):
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    return np.maximum(u, 2.0**-54)
+
+
+def _branch_edges():
+    # e^-2 and 1 - e^-2 bound the central branch; x = sqrt(-2 log y) is 8.0
+    # exactly at e^-32 and its neighbours, and below 8 from e^-32 (1 + 1e-14);
+    # 2^-54 is the lifted u = 0 and 1 - 2^-53 the largest uniform
+    edges = [_EXPM2, 1.0 - _EXPM2, math.exp(-32.0)]
+    neighbours = [np.nextafter(e, toward) for e in edges for toward in (0.0, 1.0)]
+    more = [math.exp(-32.0) * (1.0 + 1e-14), 2.0**-54, 1.0 - 2.0**-53, 0.5, np.nextafter(0.5, 0.0)]
+    return np.array(edges + neighbours + more)
+
+
+def test_ndtri_port_equals_scipy_bitwise_in_the_centre_and_to_1e_15_in_the_tails():
+    special = pytest.importorskip("scipy.special")
+    u = np.concatenate([_uniforms(200_000), _branch_edges()])
+    got, want = stochastics._ndtri(u), special.ndtri(u)
+    central = (u > _EXPM2) & (u <= 1.0 - _EXPM2)
+    assert np.array_equal(got[central], want[central])
+    # only numpy's SIMD log can round a tail value apart from libm's
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    assert np.mean(got == want) > 0.999
+
+
+def test_ndtri_port_takes_cephes_branches_at_their_edges(monkeypatch):
+    # with P0 = 0 the central branch gives s2pi (u - 1/2) exactly, and with
+    # P2 = 0 only the far tail (x >= 8) moves: to x - log(x) / x
+    u = _branch_edges()
+    y = np.minimum(u, 1.0 - u)
+    x = np.sqrt(-2.0 * np.log(y))
+    far = x >= 8.0
+    assert far.sum() == 5 and np.sum(x == 8.0) == 3
+    before = stochastics._ndtri(u)
+    monkeypatch.setattr(stochastics, "_P0", (0.0,) * len(stochastics._P0))
+    monkeypatch.setattr(stochastics, "_P2", (0.0,) * len(stochastics._P2))
+    after = stochastics._ndtri(u)
+    central = (u > _EXPM2) & (u <= 1.0 - _EXPM2)
+    assert central.sum() == 5
+    assert np.array_equal(after == stochastics._S2PI * (u - 0.5), central)
+    assert np.array_equal((after != before)[~central], far[~central])
+    assert np.all(np.sign(before) == np.sign(u - 0.5))
+
+
+@pytest.mark.parametrize("shape", [(_BLOCK + 3,), (3, _BLOCK // 2 + 1, 2)])
+def test_ndtri_port_across_a_block_boundary(shape):
+    # each block's buffers are reused: a value must not depend on its block,
+    # and the tail values of one block must not leak into the next
+    special = pytest.importorskip("scipy.special")
+    u = _uniforms(math.prod(shape)).reshape(shape)
+    u.reshape(-1)[_BLOCK - 2 : _BLOCK + 2] = [1e-3, 0.4, 1.0 - 1e-3, 0.6]
+    got, want = stochastics._ndtri(u), special.ndtri(u)
+    assert got.shape == shape
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+    rest = u.reshape(-1)[_BLOCK - 2 :]
+    assert np.array_equal(stochastics._ndtri(rest), got.reshape(-1)[_BLOCK - 2 :])
+
+
+# ---------------------------------------------------------------------------
 # regression estimator
 # ---------------------------------------------------------------------------
 
