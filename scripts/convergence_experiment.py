@@ -24,7 +24,7 @@ def main():
                         "mesh size is the time increment on every level")
     args = parser.parse_args()
 
-    spec = builtin_problem("linear_scalar", {"terminal_time": 1.0})
+    spec = builtin_problem("linear_scalar")
     partitions = [build_partition(1.0, n0, [args.edge], [1]) for n0 in args.levels]
     config = SolverConfig(algorithm=args.algorithm, samples=args.samples, seed=args.seed)
     fit = convergence_study(spec, partitions, config)

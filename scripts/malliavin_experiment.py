@@ -27,11 +27,10 @@ def main():
     parser.add_argument("--seed", type=int, default=42)
     args = parser.parse_args()
 
-    params = {"terminal_time": 1.0} if args.problem == "linear_scalar" else {}
-    spec = builtin_problem(args.problem, params)
+    spec = builtin_problem(args.problem)
     part = build_partition(1.0, args.steps, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=args.samples, seed=args.seed))
-    report = check_representation_identity(spec, base)
+    report = check_representation_identity(base)
 
     print(f"{'t':>8} {'x':>6} {'mean lhs':>12} {'mean rhs':>12} {'var lhs':>11} {'var rhs':>11} {'z':>8}")
     for row in report.rows:

@@ -55,11 +55,10 @@ from .model import (
 from .solver import (
     SolutionLattice,
     SolverConfig,
-    _check_paths,
     _explicit_step,
     _march,
     _operators,
-    _order_and_stencil,
+    _setup,
     _terminal_stacks,
     solve,
 )
@@ -72,11 +71,11 @@ from .stochastics import BrownianPaths, ConditionalEstimator, simulate_increment
 
 
 def _reference_stacks(spec, partition, paths, j: int, restencil):
-    """Analytic reference at grid time j along the paths, with the run's
-    difference stacks."""
+    """Analytic reference at grid time j along the paths, on the partition's
+    horizon, with the run's difference stacks."""
     S = paths.sample_count
     w = paths.W[:, j, :].reshape(S, *([1] * partition.p), spec.d)
-    V, Vbar = spec.analytic_reference(float(partition.time_points[j]), partition.points, w)
+    V, Vbar = spec.analytic_reference(float(partition.time_points[j]), partition.T, partition.points, w)
     shape = (S,) + partition.grid_shape + (spec.q,)
     V, Vbar = np.asarray(V, dtype=float), np.asarray(Vbar, dtype=float)
     # only a broadcast result is copied out; the stacks are never written
@@ -388,8 +387,8 @@ def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> Co
         )
     reports = []
     for part in partitions:
-        M, restencil = _order_and_stencil(spec, part, config)
         paths = simulate_increments(part, spec.d, config.samples, config.seed, config.max_entries)
+        M, restencil, paths = _setup(spec, part, config, paths)
         criterion = _Criterion(spec, part, paths, restencil, M)
         solve(spec, part, config, paths, observe=criterion.feed)
         reports.append(criterion.report())
@@ -411,10 +410,7 @@ def compare_algorithms(
     j+1 -> j with algorithm two's estimator, which has made each index's basis
     and factor by then, and feeds its stacks at j to the criterion.
     """
-    M, restencil = _order_and_stencil(spec, partition, config)
-    if paths is None:
-        paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
-    _check_paths(spec, partition, config, paths)
+    M, restencil, paths = _setup(spec, partition, config, paths)
     est = ConditionalEstimator(config.estimator, paths)
     step = partial(_explicit_step, partition, est, restencil, *_operators(spec, partition))
     two = {}  # algorithm two's (V stack, Vbar stack) at grid times j and j+1
@@ -447,13 +443,10 @@ def reference_step_residual(
     """
     if spec.analytic_reference is None:
         raise ReferenceRequiredError(f"{spec.name!r} has no analytic reference")
-    _, restencil = _order_and_stencil(spec, partition, config)
     j0 = partition.n0 if j0 is None else j0
     if not 1 <= j0 <= partition.n0:
         raise InvalidPartitionError(f"j0 = {j0} is no backward step; need 1 <= j0 <= n0 = {partition.n0}")
-    if paths is None:
-        paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
-    _check_paths(spec, partition, config, paths)
+    _, restencil, paths = _setup(spec, partition, config, paths)
     est = ConditionalEstimator(config.estimator, paths)
     v_next, _ = _reference_stacks(spec, partition, paths, j0, restencil)
     v_prev, vbar_prev = _reference_stacks(spec, partition, paths, j0 - 1, restencil)
@@ -540,8 +533,8 @@ class MalliavinLattice:
     D_Vbar: dict[StackKey, np.ndarray]  # order zero: (S, n0+1) + grid + (q, d, d)
 
 
-def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice) -> np.ndarray:
-    part = base.partition
+def _terminal_gradient(base: SolutionLattice) -> np.ndarray:
+    spec, part = base.spec, base.partition
     S = base.sample_count
     w_T = base.paths.W[:, -1, :].reshape(S, *([1] * part.p), spec.d)
     if spec.terminal_w_gradient is None:
@@ -552,22 +545,21 @@ def _terminal_gradient(spec: ProblemSpec, base: SolutionLattice) -> np.ndarray:
     ).copy()
 
 
-def build_malliavin_system(
-    spec: ProblemSpec, base: SolutionLattice, theta_index: int
-) -> MalliavinSystem:
-    """The linear system at one branch time: the terminal gradient, read-only
-    so that systems copied to other branch times can share it, and the
-    operator Jacobians frozen along the base solve at every grid time.
+def build_malliavin_system(base: SolutionLattice, theta_index: int) -> MalliavinSystem:
+    """The linear system of the problem base solved, at one branch time: the
+    terminal gradient, read-only so that systems copied to other branch times
+    can share it, and the operator Jacobians frozen along the base solve at
+    every grid time.
     """
     part = base.partition
     coefficients = {
         j: operator_jacobians(
-            spec, float(part.time_points[j]), part.points,
+            base.spec, float(part.time_points[j]), part.points,
             base.stacks(base.V, j), base.stacks(base.Vbar, j),
         )
         for j in range(part.n0 + 1)
     }
-    terminal = _terminal_gradient(spec, base)
+    terminal = _terminal_gradient(base)
     terminal.flags.writeable = False
     return MalliavinSystem(theta_index, terminal, coefficients)
 
@@ -621,7 +613,6 @@ def solve_malliavin_system(
 
 
 def build_malliavin_lattices(
-    spec: ProblemSpec,
     base: SolutionLattice,
     theta_indices=None,
 ) -> Iterator[tuple[int, MalliavinLattice]]:
@@ -636,7 +627,7 @@ def build_malliavin_lattices(
     """
     if theta_indices is None:
         theta_indices = range(base.partition.n0)
-    system = build_malliavin_system(spec, base, 0)
+    system = build_malliavin_system(base, 0)
     for theta in theta_indices:
         yield theta, solve_malliavin_system(replace(system, theta_index=theta), base)
 
@@ -711,7 +702,7 @@ def _moment_z(S: int, lhs: tuple, rhs: tuple, floor: float) -> float:
     return max(abs(z_mean), abs(z_var))
 
 
-def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
+def _identity_rows_at(base: SolutionLattice, j: int, D_V: dict) -> list:
     """The IdentityRows of grid time j, read from D_V, the difference stack of
     slice j of the theta = j Malliavin solve.
 
@@ -721,7 +712,8 @@ def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
     values by 1 / prod_l h_l^{idx_l}, so its rows' jitter scale is floored by
     the same node's order-zero scale times that factor.
     """
-    part, t, S = base.partition, float(base.partition.time_points[j]), base.sample_count
+    spec, part, S = base.spec, base.partition, base.sample_count
+    t = float(part.time_points[j])
     diffusion = evaluate_diffusion_driver(spec, t, part.points, base.stacks(base.V, j))
     lit = base.config.paper_literal_stencil
     J_stack = difference_stack_arrays(diffusion, base.M, part, batch_ndim=1, paper_literal=lit)
@@ -742,9 +734,10 @@ def _identity_rows_at(spec, base: SolutionLattice, j: int, D_V: dict) -> list:
     return rows
 
 
-def check_representation_identity(spec: ProblemSpec, base: SolutionLattice) -> IdentityReport:
+def check_representation_identity(base: SolutionLattice) -> IdentityReport:
     """Moment comparison of Vbar against the diagonal Malliavin derivative
-    plus the diffusion driver, at every grid time and grid point.
+    plus the diffusion driver, at every grid time and grid point of the
+    problem base solved.
 
     Grid time j reads slice j of the theta = j solve, the last slice that
     solve's march hands over; the solves share one theta = 0 system, as in
@@ -755,7 +748,7 @@ def check_representation_identity(spec: ProblemSpec, base: SolutionLattice) -> I
     equality in distribution, and matching means and variances at every node
     already rules out sign and scaling mistakes at Monte Carlo resolution.
     """
-    system = build_malliavin_system(spec, base, 0)
+    system = build_malliavin_system(base, 0)
     rows = []
     for j in range(base.partition.n0):
         last = {}
@@ -763,5 +756,5 @@ def check_representation_identity(spec: ProblemSpec, base: SolutionLattice) -> I
             replace(system, theta_index=j), base,
             observe=lambda i, u_stack, ubar_stack: last.update(D_V=u_stack),
         )
-        rows += _identity_rows_at(spec, base, j, last["D_V"])
+        rows += _identity_rows_at(base, j, last["D_V"])
     return IdentityReport(tuple(rows), max([0.0] + [abs(row.zscore) for row in rows]))

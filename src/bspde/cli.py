@@ -42,7 +42,7 @@ from .errors import (
     check_value,
 )
 from .grid import build_partition, refine_partition
-from .model import BUILTIN_NAMES, BUILTIN_PARAMS, builtin_problem
+from .model import builtin_problem
 from .solver import SolverConfig, export_lattice_csv, solve
 from .stochastics import EstimatorSpec
 
@@ -135,7 +135,6 @@ def load_config(path: str) -> dict:
 def resolve(config: dict):
     """Problem, partitions and solver config of a dict that `load_config`
     returned; the library's constructors check every value as they build."""
-    params = dict(config["problem"]["params"])
     if "partition" in config:
         partitions = [build_partition(**config["partition"])]
     else:
@@ -143,16 +142,7 @@ def resolve(config: dict):
         partitions = [base]
         for _ in range(config["ladder"]["levels"] - 1):
             partitions.append(refine_partition(partitions[-1]))
-    # built-ins whose closed forms depend on the horizon get it from the grid
-    name = config["problem"]["name"]
-    T = partitions[0].T
-    if name in BUILTIN_NAMES and "terminal_time" in BUILTIN_PARAMS[name]:
-        params.setdefault("terminal_time", T)
-        if params["terminal_time"] != T:
-            raise ConfigError(
-                f"problem param terminal_time = {params['terminal_time']!r} differs from the grid's T = {T!r}"
-            )
-    return builtin_problem(name, params), partitions, _solver_config(config)
+    return builtin_problem(**config["problem"]), partitions, _solver_config(config)
 
 
 def _write_json(path, payload) -> None:
@@ -267,7 +257,7 @@ def cmd_check_malliavin(config: dict, args, outdir: str) -> int:
     if len(partitions) != 1:
         raise ConfigError("check-malliavin expects a single partition")
     base = solve(spec, partitions[0], solver_config)
-    report = check_representation_identity(spec, base)
+    report = check_representation_identity(base)
     os.makedirs(outdir, exist_ok=True)
     header_x = ",".join(f"x{l+1}" for l in range(spec.p))
     with open(os.path.join(outdir, "malliavin.csv"), "w") as fh:

@@ -39,21 +39,19 @@ StackKey = tuple[int, tuple[int, ...]]
 
 @dataclass(frozen=True)
 class Partition:
-    """Joint time/space grid with mesh size = max over all increments."""
+    """Joint time/space grid with mesh size = max over all increments; its
+    horizon T is the last grid time."""
 
-    T: float
-    time_points: np.ndarray  # (n0+1,), strictly increasing, 0..T
+    time_points: np.ndarray  # (n0+1,), strictly increasing from 0 to T
     edges: tuple[float, ...]  # b_1..b_p
     counts: tuple[int, ...]  # n_1..n_p
 
     def __post_init__(self):
         t = np.asarray(self.time_points, dtype=float)
-        if not self.T > 0:
-            raise InvalidDomainError(f"terminal time must be positive, got {self.T}")
         if t.ndim != 1 or t.size < 2:
             raise InvalidPartitionError("need at least two time points")
-        if not (np.all(np.diff(t) > 0) and t[0] == 0.0 and np.isclose(t[-1], self.T)):
-            raise InvalidPartitionError("time points must increase strictly from 0 to T")
+        if not (np.all(np.diff(t) > 0) and t[0] == 0.0 and np.isfinite(t[-1])):
+            raise InvalidPartitionError("time points must increase strictly from 0 to a finite T")
         if len(self.edges) != len(self.counts):
             raise InvalidPartitionError("edges and counts must have equal length")
         p = len(self.edges)
@@ -69,6 +67,10 @@ class Partition:
         object.__setattr__(self, "time_points", t)
         object.__setattr__(self, "edges", tuple(float(b) for b in self.edges))
         object.__setattr__(self, "counts", tuple(int(n) for n in self.counts))
+
+    @property
+    def T(self) -> float:
+        return float(self.time_points[-1])
 
     @property
     def p(self) -> int:
@@ -111,13 +113,14 @@ class Partition:
 
 def build_partition(T: float, n0: int, edges, counts) -> Partition:
     """Uniform time grid t_j = j*T/n0 over the rectangle given by edges/counts."""
-    check_value("T", T, "number")
+    if not 0 < check_value("T", T, "number") < math.inf:
+        raise InvalidDomainError(f"terminal time must be positive and finite, got {T}")
     check_value("n0", n0, "integer", 1)
     for name, values in (("edges", edges), ("counts", counts)):
         if not isinstance(values, (list, tuple, np.ndarray)):
             raise InvalidPartitionError(f"{name} must be a sequence, got {values!r}")
     times = np.linspace(0.0, float(T), int(n0) + 1)
-    return Partition(T=float(T), time_points=times, edges=tuple(edges), counts=tuple(counts))
+    return Partition(time_points=times, edges=tuple(edges), counts=tuple(counts))
 
 
 def refine_partition(partition: Partition) -> Partition:

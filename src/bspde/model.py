@@ -12,7 +12,11 @@ Operator callbacks are plain vectorized functions.  Conventions:
 * ``diffusion(t, x, v)`` returns batch + grid_shape + (q, d);
 * ``terminal(x, w)`` receives the terminal Brownian state ``w`` with shape
   (S, 1, ..., 1, d) ready to broadcast against ``x`` and returns
-  (S,) + grid_shape + (q,).
+  (S,) + grid_shape + (q,);
+* ``analytic_reference(t, T, x, w)`` receives the time t, the horizon T of
+  the partition it is read on (its last grid time) and ``w`` = W(t) shaped
+  as for ``terminal``, and returns (V, Vbar) at t, each broadcastable to the
+  lattice's slice shapes.
 
 Each operator reads its own orders.  `evaluate_driver`,
 `evaluate_diffusion_driver` and `operator_jacobians` take whole stacks and
@@ -38,8 +42,8 @@ from .grid import StackKey
 BUILTIN_PARAMS = {
     "zero": ("value", "slope"),
     "martingale": (),
-    "linear_scalar": ("terminal_time",),
-    "heat": ("a", "terminal_time"),
+    "linear_scalar": (),
+    "heat": ("a",),
 }
 BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
@@ -114,7 +118,7 @@ def builtin_problem(name: str, params: dict | None = None) -> ProblemSpec:
         return _zero_problem(params)
     if name == "heat":
         return _heat_problem(params)
-    return _exponential_problem(name, 0.0 if name == "martingale" else 1.0, params)
+    return _exponential_problem(name, 0.0 if name == "martingale" else 1.0)
 
 
 # Every built-in is scalar (p = q = d = 1), has J = 0, and a driver that is
@@ -151,7 +155,7 @@ def _zero_problem(params: dict) -> ProblemSpec:
         h = value + slope * x[..., 0]
         return np.broadcast_to(h, np.broadcast_shapes(h.shape, w[..., 0].shape))[..., None]
 
-    def reference(t, x, w):
+    def reference(t, T, x, w):
         V = terminal(x, w)
         return V, np.zeros(V.shape + (1,))
 
@@ -168,9 +172,8 @@ def _zero_problem(params: dict) -> ProblemSpec:
     )
 
 
-def _exponential_problem(name: str, rate: float, params: dict) -> ProblemSpec:
+def _exponential_problem(name: str, rate: float) -> ProblemSpec:
     """L = rate*V (rate 0 or 1), J = 0, H = x_1*W(T): V = exp(rate(T-t)) x_1 W(t)."""
-    T = float(params.get("terminal_time", 1.0))
 
     def driver(t, x, v, vbar):
         # rate*v without a multiply: at rate 1 the stack entry itself
@@ -179,7 +182,7 @@ def _exponential_problem(name: str, rate: float, params: dict) -> ProblemSpec:
     def terminal(x, w):
         return x[..., 0:1] * w[..., 0:1]
 
-    def reference(t, x, w):
+    def reference(t, T, x, w):
         scale = math.exp(rate * (T - t)) if np.isscalar(t) else np.exp(rate * (T - t))
         # grid axis innermost; Vbar is a read-only broadcast
         V = (scale * x[..., 0] * w[..., 0])[..., None]
@@ -205,7 +208,6 @@ def _exponential_problem(name: str, rate: float, params: dict) -> ProblemSpec:
 
 def _heat_problem(params: dict) -> ProblemSpec:
     a = float(params.get("a", 1.0))
-    T = float(params.get("terminal_time", 1.0))
 
     def driver(t, x, v, vbar):
         return 0.5 * v[(2, (2,))]
@@ -214,7 +216,7 @@ def _heat_problem(params: dict) -> ProblemSpec:
         h = np.exp(a * x[..., 0])
         return np.broadcast_to(h, np.broadcast_shapes(h.shape, w[..., 0].shape))[..., None]
 
-    def reference(t, x, w):
+    def reference(t, T, x, w):
         V = np.exp(a * x[..., 0] + 0.5 * a * a * (T - t))
         V = np.broadcast_to(V, np.broadcast_shapes(V.shape, w[..., 0].shape))[..., None]
         return V, np.zeros(V.shape + (1,))

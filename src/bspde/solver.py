@@ -119,17 +119,6 @@ class SolutionLattice:
         return _restenciler(self.M, self.partition, self.config.paper_literal_stencil)
 
 
-def _order_and_stencil(spec: ProblemSpec, partition: Partition, config: SolverConfig):
-    """A run's lattice order M, refused below the operators' orders, and its
-    stencil map (see `_restenciler`)."""
-    M = spec.M if config.M is None else config.M
-    if M < spec.M:
-        raise InvalidPartitionError(
-            f"lattice order M={M} is below the operators' requirement {spec.M}"
-        )
-    return M, _restenciler(M, partition, config.paper_literal_stencil)
-
-
 def _check_capacity(spec, partition, config):
     """Refuse a stored lattice, order zero of V and Vbar, over the budget."""
     total = config.samples * (partition.n0 + 1) * partition.num_points * spec.q * (1 + spec.d)
@@ -302,8 +291,18 @@ def _operators(spec: ProblemSpec, partition: Partition):
     return drift, diffusion
 
 
-def _check_paths(spec: ProblemSpec, partition: Partition, config: SolverConfig, paths) -> None:
-    """Refuse paths of another sample count, Brownian dimension or time grid."""
+def _setup(spec: ProblemSpec, partition: Partition, config: SolverConfig, paths=None):
+    """A run's (M, restencil, paths): its lattice order M, refused below the
+    operators' orders; its stencil map (see `_restenciler`); and its paths,
+    drawn from config when none are given, refused when they carry another
+    sample count, Brownian dimension or time grid."""
+    M = spec.M if config.M is None else config.M
+    if M < spec.M:
+        raise InvalidPartitionError(
+            f"lattice order M={M} is below the operators' requirement {spec.M}"
+        )
+    if paths is None:
+        paths = simulate_increments(partition, spec.d, config.samples, config.seed, config.max_entries)
     if paths.sample_count != config.samples:
         raise InvalidPartitionError(
             f"paths carry {paths.sample_count} samples, config expects {config.samples}"
@@ -315,6 +314,7 @@ def _check_paths(spec: ProblemSpec, partition: Partition, config: SolverConfig, 
             f"paths were simulated with d={paths.d} on the time grid {paths_grid}, "
             f"the solve needs d={spec.d} on {grid}"
         )
+    return M, _restenciler(M, partition, config.paper_literal_stencil), paths
 
 
 def solve(
@@ -341,14 +341,9 @@ def solve(
     solve conditions with it, so solves on the same paths share each index's
     basis and factor; the lattice's coefficient records are then its records.
     """
-    M, restencil = _order_and_stencil(spec, partition, config)
     if observe is None:
         _check_capacity(spec, partition, config)
-    if paths is None:
-        paths = simulate_increments(
-            partition, spec.d, config.samples, config.seed, config.max_entries
-        )
-    _check_paths(spec, partition, config, paths)
+    M, restencil, paths = _setup(spec, partition, config, paths)
     est = estimator or ConditionalEstimator(config.estimator, paths, config.dump_coefficients)
     if est.paths is not paths or est.spec != config.estimator:
         raise InvalidPartitionError("the estimator is bound to other paths or to another EstimatorSpec")

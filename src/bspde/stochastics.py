@@ -166,8 +166,14 @@ def permute_future_increments(paths: BrownianPaths, from_step: int, permutation)
     t_{from_step} by an adapted scheme must not change; tests use this to
     assert the schemes never peek at later increments.  W up to t_{from_step}
     is kept bitwise; each later state adds the permuted row's rise since then.
+    A permutation that is not one of 0..S-1, or a from_step outside 0..n0,
+    would not preserve the measure and is refused.
     """
-    permutation = np.asarray(permutation, dtype=int)
+    S, n0, permutation = paths.sample_count, paths.partition.n0, np.asarray(permutation)
+    if check_value("from_step", from_step, "integer", 0) > n0:
+        raise InvalidPartitionError(f"need from_step <= n0 = {n0}, got {from_step!r}")
+    if permutation.shape != (S,) or permutation.dtype.kind not in "iu" or np.any(np.sort(permutation) != range(S)):
+        raise InvalidPartitionError(f"permutation must be a permutation of 0..{S - 1}")
     w = paths.W.copy()
     future = paths.W[permutation, from_step:]
     w[:, from_step + 1 :] = w[:, from_step : from_step + 1] + (future[:, 1:] - future[:, :1])
@@ -456,6 +462,8 @@ def condexp_nested(
     w + Z with Z ~ N(0, variance * I_d); unbiased for E[f(W_end) | W_branch=w]
     whenever the target depends on the continuation only through its endpoint.
     """
+    if not 0 <= check_value("variance", variance, "number") < math.inf:
+        raise InvalidPartitionError(f"variance must be finite and >= 0, got {variance!r}")
     check_value("inner_count", inner_count, "integer", 1)
     check_value("seed", seed, "integer", 0)
     states = np.asarray(states, dtype=float)

@@ -52,7 +52,7 @@ def ladder(levels=(4, 8, 16, 32), edge=0.03):
 def test_criterion_1_convergence_rate():
     """Total squared-error criterion decays at first order in the mesh."""
     started = time.perf_counter()
-    spec = builtin_problem("linear_scalar", {"terminal_time": 1.0})
+    spec = builtin_problem("linear_scalar")
     fit = convergence_study(spec, ladder(), SolverConfig(samples=100_000, seed=42))
     elapsed = time.perf_counter() - started
     ok = fit.slope is not None and 0.7 <= fit.slope <= 1.3
@@ -112,7 +112,7 @@ def test_criterion_3b_heat_value_accuracy():
     see the README's limitations section.
     """
     a, T, n0, n1 = 1.0, 1.0, 32, 8
-    spec = builtin_problem("heat", {"a": a, "terminal_time": T})
+    spec = builtin_problem("heat", {"a": a})
     part = build_partition(T, n0, [1.0], [n1])
     lat = solve(spec, part, SolverConfig(samples=100, seed=42))
 
@@ -180,11 +180,11 @@ def test_criterion_4_estimator_oracle_equivalence():
 def test_criterion_5_malliavin_identity():
     """Integrand moments match diagonal Malliavin derivative plus diffusion."""
     worst = {}
-    for name, params in (("martingale", {}), ("linear_scalar", {"terminal_time": 1.0})):
-        spec = builtin_problem(name, params)
+    for name in ("martingale", "linear_scalar"):
+        spec = builtin_problem(name)
         part = build_partition(1.0, 16, [0.5], [1])
         base = solve(spec, part, SolverConfig(samples=10_000, seed=42))
-        rep = check_representation_identity(spec, base)
+        rep = check_representation_identity(base)
         worst[name] = rep.max_abs_z
     ok = all(z < 3.0 for z in worst.values())
     assert report(5, "Malliavin representation identity", ok, f"max|z|={worst}")
@@ -193,7 +193,7 @@ def test_criterion_5_malliavin_identity():
 def test_criterion_6_algorithm_agreement():
     """Scheme discrepancy decays at least linearly in the mesh."""
     started = time.perf_counter()
-    spec = builtin_problem("linear_scalar", {"terminal_time": 1.0})
+    spec = builtin_problem("linear_scalar")
     pts = []
     for part in ladder():
         rep = compare_algorithms(spec, part, SolverConfig(samples=100_000, seed=42))
@@ -245,7 +245,7 @@ def test_criterion_7_property_battery(tmp_path):
 
     # Malliavin zero block before the branch time
     base = solve(spec, part, SolverConfig(samples=200, seed=1), paths)
-    mall = dict(build_malliavin_lattices(spec, base, [2]))
+    mall = dict(build_malliavin_lattices(base, [2]))
     checks["malliavin_zero_block"] = bool(
         np.all(mall[2].D_V[(0, (0,))][:, :2] == 0.0)
         and np.all(mall[2].D_Vbar[(0, (0,))][:, :2] == 0.0)
@@ -286,7 +286,7 @@ def test_criterion_7_property_battery(tmp_path):
 
 def test_criterion_8_time_increment_regularity():
     """Squared solution increments grow at most linearly in the lag."""
-    spec = builtin_problem("linear_scalar", {"terminal_time": 1.0})
+    spec = builtin_problem("linear_scalar")
     part = build_partition(1.0, 16, [0.5], [1])
     lat = solve(spec, part, SolverConfig(samples=20_000, seed=42))
     _, _, slope = increment_regularity(lat)

@@ -45,7 +45,7 @@ def ladder(edge=0.03, count=1, levels=(4, 8, 16, 32)):
 
 
 def lin_spec():
-    return builtin_problem("linear_scalar", {"terminal_time": 1.0})
+    return builtin_problem("linear_scalar")
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,7 @@ def test_criterion_refuses_what_it_cannot_read(misuse_lattices, misuse):
 def test_non_finite_analytic_reference_is_a_numerical_error(study):
     # a NaN reference once left each term at its -1.0 start value: a negative
     # total, and on a ladder a fit called "degenerate"
-    spec = replace(lin_spec(), analytic_reference=lambda t, x, w: (np.full_like(w, np.nan), 0.0))
+    spec = replace(lin_spec(), analytic_reference=lambda t, T, x, w: (np.full_like(w, np.nan), 0.0))
     config = SolverConfig(samples=50, seed=1)
     with pytest.raises(OperatorEvaluationError, match=r"criterion sample mean became non-finite at grid time j=\d"):
         if study == "discrete_error":
@@ -208,7 +208,7 @@ def _discrete_error_oracle(lattice, reference, M=None):
 
         def ref_slices(j, left):
             w = lattice.paths.W[:, j, :].reshape(S, *([1] * p), spec.d)
-            V, Vbar = spec.analytic_reference(float(part.time_points[j]), part.points, w)
+            V, Vbar = spec.analytic_reference(float(part.time_points[j]), part.T, part.points, w)
             shape = (S,) + part.grid_shape + (spec.q,)
             V = np.broadcast_to(np.asarray(V, dtype=float), shape).copy()
             Vbar = np.broadcast_to(np.asarray(Vbar, dtype=float), shape + (spec.d,)).copy()
@@ -267,7 +267,7 @@ def _p2q2d2_spec():
         b = np.cos(x[..., 1]) * (1.0 + x[..., 0] * w[..., 0])
         return np.stack([a, b], axis=-1)
 
-    def reference(t, x, w):
+    def reference(t, T, x, w):
         # not the solution: any smooth field of (t, x, W) exercises the criterion
         V = terminal(x, w) * np.exp(1.0 - t)
         Vbar = V[..., None] * np.array([0.3, -0.7]) + t * x[..., :1, None]
@@ -341,7 +341,7 @@ def test_tied_read_points_keep_the_first_in_read_order():
     lat.V[(0, (0,))][:, 1] = np.array([[5.0, 3.0], [0.0, 4.0], [5.0, 3.0], [0.0, 4.0]])[..., None]
     levels = {0.0: 3.5, 0.5: 0.0, 1.0: 4.5}
 
-    def reference(t, x, w):
+    def reference(t, T, x, w):
         V = np.full(np.broadcast_shapes(x[..., 0:1].shape, w[..., 0:1].shape), levels[t])
         return V, np.zeros(V.shape + (1,))
 
@@ -358,9 +358,9 @@ def test_analytic_reference_evaluated_once_per_grid_time():
     spec = lin_spec()
     reference = spec.analytic_reference
 
-    def counting(t, x, w):
+    def counting(t, T, x, w):
         calls.append(t)
-        return reference(t, x, w)
+        return reference(t, T, x, w)
 
     spec = replace(spec, analytic_reference=counting)
     part = build_partition(1.0, 8, [0.5], [1])
@@ -412,7 +412,7 @@ def test_streamed_error_equals_stored(name, algorithm, kind, monkeypatch):
     config = replace(config, algorithm=algorithm, estimator=EstimatorSpec(kind=kind))
     paths = simulate_increments(part, spec.d, config.samples, config.seed)
     want = discrete_error(analysis.solve(spec, part, config, paths), spec)
-    M, restencil = analysis._order_and_stencil(spec, part, config)
+    M, restencil, _ = analysis._setup(spec, part, config, paths)
     criterion = analysis._Criterion(spec, part, paths, restencil, M)
     analysis.solve(spec, part, config, paths, observe=criterion.feed)
     _assert_same_report(criterion.report(), want)
@@ -438,7 +438,7 @@ _STORED_LATTICE_READERS = {
     "discrete_error": lambda spec, lat, tmp: discrete_error(lat, spec),
     "export_lattice_csv": lambda spec, lat, tmp: export_lattice_csv(lat, tmp / "v", tmp / "vbar"),
     "increment_regularity": lambda spec, lat, tmp: increment_regularity(lat),
-    "check_representation_identity": lambda spec, lat, tmp: check_representation_identity(spec, lat),
+    "check_representation_identity": lambda spec, lat, tmp: check_representation_identity(lat),
 }
 
 
@@ -733,7 +733,7 @@ def test_malliavin_zero_driver_propagates_terminal_gradient():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 6, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=500, seed=15))
-    system = build_malliavin_system(spec, base, theta_index=2)
+    system = build_malliavin_system(base, theta_index=2)
     mall = solve_malliavin_system(system, base)
     x = part.points[..., 0]
     for j in range(2, part.n0 + 1):
@@ -745,7 +745,7 @@ def test_malliavin_zero_block_before_theta():
     spec = lin_spec()
     part = build_partition(1.0, 6, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=300, seed=16))
-    mall = dict(build_malliavin_lattices(spec, base, [3]))
+    mall = dict(build_malliavin_lattices(base, [3]))
     for key in mall[3].D_V:
         assert np.array_equal(mall[3].D_V[key][:, :3], np.zeros_like(mall[3].D_V[key][:, :3]))
         assert np.array_equal(mall[3].D_Vbar[key][:, :3], np.zeros_like(mall[3].D_Vbar[key][:, :3]))
@@ -755,7 +755,7 @@ def test_malliavin_linear_scalar_matches_closed_form():
     spec = lin_spec()
     part = build_partition(1.0, 16, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=500, seed=17))
-    mall = dict(build_malliavin_lattices(spec, base, [0]))
+    mall = dict(build_malliavin_lattices(base, [0]))
     t = part.time_points
     x = 0.5
     expect = np.exp(1.0 - t) * x
@@ -764,11 +764,11 @@ def test_malliavin_linear_scalar_matches_closed_form():
 
 
 def test_representation_identity_on_builtins():
-    for name, params in (("martingale", {}), ("linear_scalar", {"terminal_time": 1.0})):
-        spec = builtin_problem(name, params)
+    for name in ("martingale", "linear_scalar"):
+        spec = builtin_problem(name)
         part = build_partition(1.0, 8, [0.5], [1])
         base = solve(spec, part, SolverConfig(samples=1000, seed=18))
-        report = check_representation_identity(spec, base)
+        report = check_representation_identity(base)
         assert report.passed(3.0), (name, report.max_abs_z)
         assert report.max_abs_z == 0.0  # both sides coincide exactly here
 
@@ -777,7 +777,7 @@ def test_malliavin_non_finite_terminal_gradient_raises():
     spec = lin_spec()
     part = build_partition(1.0, 4, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=100, seed=21))
-    system = build_malliavin_system(spec, base, theta_index=0)
+    system = build_malliavin_system(base, theta_index=0)
     terminal = system.terminal.copy()
     terminal[7, 1, 0, 0] = np.inf
     with pytest.raises(DivergenceError, match="non-finite"):
@@ -792,7 +792,7 @@ def test_terminal_gradient_is_a_writeable_owned_array(name):
     part = build_partition(1.0, 4, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=30, seed=22))
     assert not spec.terminal_w_gradient(part.points, base.paths.W[:, -1, None, :]).flags.writeable
-    grad = analysis._terminal_gradient(spec, base)
+    grad = analysis._terminal_gradient(base)
     assert grad.shape == (30,) + part.grid_shape + (1, 1)
     assert grad.flags.writeable and grad.flags.owndata
     assert np.array_equal(grad[..., 0, 0], np.broadcast_to(part.points[..., 0], (30,) + part.grid_shape))
@@ -803,7 +803,7 @@ def test_malliavin_theta_validation():
     part = build_partition(1.0, 4, [0.5], [1])
     base = solve(spec, part, SolverConfig(samples=100, seed=20))
     with pytest.raises(InvalidPartitionError):
-        build_malliavin_system(spec, base, theta_index=9)
+        build_malliavin_system(base, theta_index=9)
 
 
 def _moment_z_oracle(lhs, rhs, floor):
@@ -845,7 +845,7 @@ def _identity_oracle(spec, base):
     """(rows, max |z|) of the per-node loop over every held per-theta lattice."""
     part, p = base.partition, spec.p
     qd = spec.q * spec.d
-    malliavin = dict(build_malliavin_lattices(spec, base))
+    malliavin = dict(build_malliavin_lattices(base))
     coords = part.points.reshape(-1, p)
     rows, worst = [], 0.0
     for j in range(part.n0):
@@ -898,7 +898,7 @@ def _identity_case(name, S):
 def test_vectorised_identity_check_matches_per_node_loop(name, S):
     spec, base = _identity_case(name, S)
     rows, worst = _identity_oracle(spec, base)
-    report = check_representation_identity(spec, base)
+    report = check_representation_identity(base)
     assert len(report.rows) == len(rows)
     for got, want in zip(report.rows, rows):
         for field in IdentityRow.__dataclass_fields__:
@@ -919,7 +919,7 @@ def test_identity_check_stores_no_malliavin_lattice(monkeypatch):
         return lattice
 
     monkeypatch.setattr(analysis, "solve_malliavin_system", tracking)
-    check_representation_identity(spec, base)
+    check_representation_identity(base)
     assert [theta for theta, *_ in calls] == list(range(part.n0))
     for _, observe, D_V, D_Vbar in calls:
         assert callable(observe)
@@ -929,7 +929,7 @@ def test_identity_check_stores_no_malliavin_lattice(monkeypatch):
 def test_malliavin_stream_rejects_a_theta_off_the_time_grid():
     spec = builtin_problem("martingale")
     base = solve(spec, build_partition(1.0, 4, [0.5], [1]), SolverConfig(samples=50))
-    stream = build_malliavin_lattices(spec, base, [0, 9])
+    stream = build_malliavin_lattices(base, [0, 9])
     assert next(stream)[0] == 0
     with pytest.raises(InvalidPartitionError, match="outside the time grid"):
         next(stream)
@@ -942,7 +942,7 @@ def _identity_check_peak(n0):
     base = solve(spec, part, SolverConfig(samples=2000, seed=34))
     tracemalloc.start()
     try:
-        check_representation_identity(spec, base)
+        check_representation_identity(base)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -964,7 +964,7 @@ def test_malliavin_solve_with_observer_stores_nothing(name):
     spec = builtin_problem(name)
     part = build_partition(1.0, 5, [1.0], [2])
     base = solve(spec, part, SolverConfig(samples=60, seed=35, M=1))
-    system = build_malliavin_system(spec, base, theta_index=2)
+    system = build_malliavin_system(base, theta_index=2)
     stored = solve_malliavin_system(system, base)
     seen = []
     streamed = solve_malliavin_system(
@@ -1009,7 +1009,7 @@ def test_identity_check_has_no_false_infinite_z_on_derivative_rows():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 8, [1.0], [4])
     base = solve(spec, part, SolverConfig(samples=500, seed=42, M=2))
-    report = check_representation_identity(spec, base)
+    report = check_representation_identity(base)
     assert max(abs(row.mean_lhs - row.mean_rhs) for row in report.rows if row.c == 2) > 0
     assert report.max_abs_z == 0
 
@@ -1025,7 +1025,7 @@ def test_identity_check_runs_when_the_diffusion_reads_more_orders_than_the_drive
     )
     part = build_partition(1.0, 4, [1.0], [4])
     base = solve(spec, part, SolverConfig(samples=200, seed=0))
-    report = check_representation_identity(spec, base)
+    report = check_representation_identity(base)
     assert len(report.rows) == part.n0 * part.num_points * (spec.M + 1)
     assert report.max_abs_z == 0
     v, vbar = base.stacks(base.V, 0), base.stacks(base.Vbar, 0)

@@ -153,17 +153,18 @@ def test_problem_param_the_builtin_does_not_read_is_config_error(tmp_path, capsy
     assert not list(tmp_path.rglob("*.csv"))
 
 
-def test_terminal_time_off_the_grid_is_config_error(tmp_path, capsys):
-    # the analytic reference once used the param's horizon, not the grid's
+def test_terminal_time_param_is_config_error(tmp_path, capsys):
+    # the horizon comes from the grid alone: no built-in reads a terminal_time
+    # param, not even one equal to the grid's T
     cfg = write_config(
         tmp_path / "cfg.json",
-        problem={"name": "linear_scalar", "params": {"terminal_time": 5}},
+        problem={"name": "linear_scalar", "params": {"terminal_time": 1.0}},
         partition=None,
         ladder={"base": {"T": 1.0, "n0": 4, "edges": [0.02], "counts": [1]}, "levels": 3},
         solver={"samples": 100},
     )
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    assert "terminal_time" in capsys.readouterr().err
+    assert "'terminal_time'" in capsys.readouterr().err
     assert not list(tmp_path.rglob("*.csv"))
 
 

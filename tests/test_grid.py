@@ -11,6 +11,7 @@ from bspde import (
     InvalidPartitionError,
     NormWeights,
     OrderTooHighError,
+    Partition,
     build_partition,
     cinf_truncated_norm,
     ck_norm,
@@ -62,6 +63,8 @@ def test_mesh_takes_max_over_time_and_space():
 def test_partition_errors():
     with pytest.raises(InvalidDomainError):
         build_partition(-1.0, 4, [1.0], [2])
+    with pytest.raises(InvalidDomainError, match="positive and finite"):
+        build_partition(math.inf, 4, [1.0], [2])  # its grid times would be NaN
     with pytest.raises(InvalidDomainError):
         build_partition(1.0, 4, [0.0], [2])
     with pytest.raises(InvalidPartitionError):
@@ -82,6 +85,15 @@ def test_partition_errors():
     # numpy scalars are integers and numbers
     part = build_partition(np.float64(1.0), np.int64(2), np.array([1.0]), np.array([2]))
     assert (part.n0, part.counts, part.edges) == (2, (2,), (1.0,))
+
+
+def test_horizon_is_the_last_grid_time():
+    part = build_partition(2.0, 3, [1.0], [2])
+    assert part.T == part.time_points[-1] == 2.0 and refine_partition(part).T == 2.0
+    with pytest.raises(AttributeError):
+        part.T = 3.0
+    with pytest.raises(InvalidPartitionError, match="finite T"):
+        Partition(time_points=np.array([0.0, 1.0, np.inf]), edges=(1.0,), counts=(1,))
 
 
 def test_partition_spacing_identity():

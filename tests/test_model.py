@@ -13,15 +13,16 @@ from bspde import (
     build_partition,
     builtin_problem,
     operator_jacobians,
+    simulate_increments,
     solve,
 )
-from bspde.model import evaluate_diffusion_driver, evaluate_driver
+from bspde.model import BUILTIN_NAMES, evaluate_diffusion_driver, evaluate_driver
 
 ALL_BUILTINS = (
     ("zero", {"value": 7.0}),
     ("martingale", {}),
-    ("linear_scalar", {"terminal_time": 1.0}),
-    ("heat", {"a": 1.0, "terminal_time": 1.0}),
+    ("linear_scalar", {}),
+    ("heat", {"a": 1.0}),
 )
 
 
@@ -45,15 +46,17 @@ def test_builtin_names():
         builtin_problem("nope")
 
 
-def test_reference_terminal_consistency():
-    # the reference at t = T must coincide with the terminal field
-    part = build_partition(1.0, 2, [1.0], [4])
-    w = np.random.default_rng(3).normal(size=(16, 1, 1))
-    for name, params in ALL_BUILTINS:
-        spec = builtin_problem(name, params)
-        V, Vbar = spec.analytic_reference(1.0, part.points, w)
-        H = spec.terminal(part.points, w)
-        assert np.max(np.abs(V - H)) < 1e-12, name
+@pytest.mark.parametrize("T", [1.0, 2.0])
+def test_reference_terminal_consistency(T):
+    # the reference a run reads at its last grid time, on its grid's horizon,
+    # must coincide with the terminal field; every built-in is made without params
+    part = build_partition(T, 2, [1.0], [4])
+    paths = simulate_increments(part, 1, 16, seed=3)
+    w = paths.W[:, -1].reshape(16, 1, 1)
+    for name in BUILTIN_NAMES:
+        spec = builtin_problem(name)
+        V, _ = analysis._reference_stacks(spec, part, paths, part.n0, lambda field: field)
+        assert np.max(np.abs(V - spec.terminal(part.points, w))) < 1e-12, name
 
 
 def _copying_reference(name, T, t, x, w):
@@ -72,11 +75,11 @@ def _copying_reference(name, T, t, x, w):
 @pytest.mark.parametrize("edges,counts", [([1.0], [4]), ([1.0, 2.0], [3, 2])])
 def test_reference_matches_copying_formula_bitwise(name, edges, counts):
     T = 1.5
-    spec = builtin_problem(name, {} if name == "martingale" else {"terminal_time": T})
+    spec = builtin_problem(name)
     part = build_partition(T, 4, edges, counts)
     w = np.random.default_rng(9).normal(size=(50,) + (1,) * part.p + (1,))
     for t in part.time_points:
-        V, Vbar = spec.analytic_reference(float(t), part.points, w)
+        V, Vbar = spec.analytic_reference(float(t), T, part.points, w)
         want_V, want_Vbar = _copying_reference(name, T, float(t), part.points, w)
         assert V.shape == want_V.shape and Vbar.shape == want_Vbar.shape
         assert np.array_equal(V, want_V) and np.array_equal(Vbar, want_Vbar)
@@ -231,6 +234,6 @@ def test_finite_difference_layout_on_several_components():
 
     part = build_partition(1.0, 2, [1.0], [3])
     base = solve(spec, part, SolverConfig(samples=12, seed=3))
-    grad = analysis._terminal_gradient(spec, base)
+    grad = analysis._terminal_gradient(base)
     assert grad.shape == (12,) + part.grid_shape + (2, 2)
     assert np.max(np.abs(grad - _G)) < 1e-8

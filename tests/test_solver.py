@@ -154,7 +154,7 @@ def test_lattices_store_order_zero_only():
     part = build_partition(1.0, 2, [2.0], [4])
     lat = solve(spec, part, SolverConfig(samples=8, seed=1, M=2))
     assert list(lat.V) == list(lat.Vbar) == [(0, (0,))]
-    mall = dict(build_malliavin_lattices(spec, lat, [0]))[0]
+    mall = dict(build_malliavin_lattices(lat, [0]))[0]
     assert list(mall.D_V) == list(mall.D_Vbar) == [(0, (0,))]
     assert [c for c, _ in lat.stacks(lat.V, 0)] == [0, 1, 2]
 
@@ -164,7 +164,7 @@ def test_every_time_slice_is_contiguous(algorithm):
     spec = builtin_problem("linear_scalar")
     part = small_partition(n0=4)
     lat = solve(spec, part, SolverConfig(algorithm=algorithm, samples=20, seed=2, M=1))
-    mall = dict(build_malliavin_lattices(spec, lat, [2]))[2]
+    mall = dict(build_malliavin_lattices(lat, [2]))[2]
     families = [lat.V, lat.Vbar, mall.D_V, mall.D_Vbar]
     shapes = [(20, 5, 3, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1), (20, 5, 3, 1, 1, 1)]
     for family, shape in zip(families, shapes):
@@ -362,7 +362,7 @@ def test_observer_may_keep_every_stack_it_is_handed(march):
 
     if march == "malliavin":
         base = solve(spec, part, config)
-        solve_malliavin_system(build_malliavin_system(spec, base, 0), base, observe=observe)
+        solve_malliavin_system(build_malliavin_system(base, 0), base, observe=observe)
     else:
         solve(spec, part, config, observe=observe)
     assert len(kept) == part.n0 + 1
@@ -417,7 +417,7 @@ def test_export_memory_does_not_grow_with_the_sample_count(tmp_path, monkeypatch
 def test_fixed_point_divergence_for_large_steps():
     # driver Lipschitz constant 1 with dt = 2 gives an expanding inner map;
     # two steps are needed so the iteration starts away from its fixed point
-    spec = builtin_problem("linear_scalar", {"terminal_time": 4.0})
+    spec = builtin_problem("linear_scalar")
     part = build_partition(4.0, 2, [0.5], [1])
     with pytest.raises(FixedPointDivergenceError, match="shrink dt"):
         solve(spec, part, SolverConfig(algorithm="two", samples=50, seed=2))
@@ -493,8 +493,8 @@ def test_check_finite_on_a_broadcast_names_what_its_copy_names(base_shape, nan_a
 @pytest.mark.parametrize("name,params", [
     ("zero", {"value": 2.0}),
     ("martingale", {}),
-    ("linear_scalar", {"terminal_time": 1.0}),
-    ("heat", {"a": 1.0, "terminal_time": 1.0}),
+    ("linear_scalar", {}),
+    ("heat", {"a": 1.0}),
 ])
 def test_reference_single_step_residual_shrinks(name, params):
     spec = builtin_problem(name, params)

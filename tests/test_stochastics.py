@@ -284,6 +284,13 @@ def test_nested_capacity_and_validation():
         condexp_nested(lambda w: w[..., 0], np.zeros(10), 1.0, 0, 0)
 
 
+@pytest.mark.parametrize("variance", [-1.0, math.nan, math.inf, "0.5"])
+def test_nested_refuses_a_negative_or_non_finite_variance(variance):
+    # a negative variance has no square root, and a non-finite one makes every estimate NaN
+    with pytest.raises(InvalidPartitionError, match="variance"):
+        condexp_nested(lambda w: w[..., 0], np.zeros(10), variance, 10, 0)
+
+
 def test_oracle_consistency_regression_vs_nested():
     # polynomial targets of the next state: regression with enough degree
     # agrees with brute-force branching within combined Monte Carlo error
@@ -769,6 +776,26 @@ def test_permute_future_increments_keeps_past():
     assert np.array_equal(np.diff(shuffled.W, axis=1)[:, :2], np.diff(paths.W, axis=1)[:, :2])
     assert np.array_equal(shuffled.W[:, :3], paths.W[:, :3])
     assert not np.array_equal(np.diff(shuffled.W, axis=1)[:, 2:], np.diff(paths.W, axis=1)[:, 2:])
+
+
+_NOT_MEASURE_PRESERVING = {
+    "all-zeros": (2, np.zeros(50, dtype=int), "permutation"),  # every sample gets sample 0's future
+    "short": (2, np.arange(5), "permutation"),
+    "float": (2, np.arange(50.0), "permutation"),
+    "column": (2, np.arange(50)[:, None], "permutation"),
+    "step-negative": (-1, np.arange(50), "from_step"),
+    "step-past-n0": (5, np.arange(50), "from_step"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NOT_MEASURE_PRESERVING))
+def test_permute_future_increments_refuses_what_is_not_a_rearrangement(case):
+    from_step, permutation, name = _NOT_MEASURE_PRESERVING[case]
+    paths = simulate_increments(build_partition(1.0, 4, [1.0], [1]), 1, 50, seed=9)
+    with pytest.raises(InvalidPartitionError, match=name):
+        permute_future_increments(paths, from_step, permutation)
+    # from_step = n0 is the last step it accepts, and rearranges nothing
+    assert np.array_equal(permute_future_increments(paths, 4, np.arange(50)[::-1]).W, paths.W)
 
 
 @pytest.mark.parametrize("from_step", [0, 2, 3])

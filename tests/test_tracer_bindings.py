@@ -44,14 +44,14 @@ def test_span_attributes_read_real_arguments_and_results(tmp_path):
     spec, part = builtin_problem("linear_scalar"), build_partition(1.0, 2, [1.0], [1])
     config = SolverConfig(algorithm="two", samples=20, seed=1)
     lattice = solve(spec, part, config)
-    system = build_malliavin_system(spec, lattice, 0)
+    system = build_malliavin_system(lattice, 0)
     estimator = ConditionalEstimator(config.estimator, lattice.paths)
     field = lattice.V[0, (0,)][:, 1]
     paths = [str(tmp_path / "v.csv"), str(tmp_path / "vbar.csv")]
     calls = {
         "solver.solve": ((spec, part, config), lattice),
         "analysis.malliavin_solve": ((system, lattice), solve_malliavin_system(system, lattice)),
-        "analysis.identity_check": ((spec, lattice), check_representation_identity(spec, lattice)),
+        "analysis.identity_check": ((lattice,), check_representation_identity(lattice)),
         "stochastics.condexp": ((estimator, field, 1), estimator.cond_mean(field, 1)),
         "grid.difference_stack": ((field,), difference_stack_arrays(field, 1, part, batch_ndim=1)),
         "solver.export": ((lattice, *paths), export_lattice_csv(lattice, *paths)),
