@@ -13,22 +13,23 @@ modulus of continuity, which is exactly the first-order term the criterion is
 designed to expose.  The terminal integrand slice (identically zero by
 construction) lies outside the extension and is never read.
 
-The criterion is an accumulator fed the lattice one slice at a time, in
-either time order.  Grid time j reads slices j-1 and j only, so it is
-evaluated as soon as both have arrived, and the accumulator holds a two-slice
-window.  `discrete_error` feeds it the stored slices of a lattice; the
-convergence study and the scheme comparison feed it each slice as the
-backward march makes it (`solve(..., observe=...)`), so neither stores a
-lattice: the comparison steps algorithm one inside algorithm two's solve,
-against algorithm two's two latest slices.  The reference at t_j is built
-once and serves both read points there, "at t_j" against slice j and "just
-before t_j" against slice j-1.  The per-sample deviation is the squared
-difference, reduced over components with max.  The sample means of both read points are
-taken together, in cache-sized chunks of samples whose running sums add the
-samples one after another, exactly as a mean over the sample axis does, and
-each term is attained at the first worst read point in a fixed numbering;
-so the report is bit-identical to a per-read-point loop, whichever order the
-slices come in.
+The criterion is an accumulator fed the lattice one slice at a time, in the
+backward march's order n0-1, ..., 0.  Grid time j reads slices j-1 and j only,
+so it is evaluated when slice j-1 arrives (grid time 0 with slice 0), and the
+accumulator holds a two-slice window.  `discrete_error` replays the stored
+slices of a lattice in that order; the convergence study and the scheme
+comparison feed it each slice as the backward march makes it
+(`solve(..., observe=...)`), so neither stores a lattice: the comparison steps
+algorithm one inside algorithm two's solve, against algorithm two's two latest
+slices.  The reference at t_j is built once and serves both read points
+there, "at t_j" against slice j and "just before t_j" against slice j-1.  The
+per-sample deviation is the squared max-abs difference over entries and
+components, the kernel that `increment_regularity` also forms its increments
+with.  The sample means of both read points are taken together, in cache-sized
+chunks of samples whose running sums add the samples one after another,
+exactly as a mean over the sample axis does, and each term is attained at the
+first worst read point in a fixed numbering; so the report is bit-identical
+to a per-read-point loop.
 """
 
 from __future__ import annotations
@@ -62,6 +63,7 @@ from .solver import (
     _terminal_stacks,
     solve,
 )
+# simulate_increments is unused here, but perfbench/tracer.py binds a span to it in bspde.analysis
 from .stochastics import BrownianPaths, ConditionalEstimator, simulate_increments
 
 
@@ -230,21 +232,20 @@ def _sample_means(term_pairs, S: int, G: int) -> np.ndarray:
 class _Criterion:
     """The discrete error criterion, fed the lattice one slice at a time.
 
-    `feed(j, v_stack, vbar_stack)` takes the difference stacks of the slice
-    at grid time j.  Slices come one grid time apart, in either time order;
-    the terminal slice n0, which is never read, may be fed or left out.
-    Grid time j reads slices j-1 and j (those in 0..n0-1) and is evaluated as
-    soon as both have arrived, so only the last slice fed is kept for the
-    next: a two-slice window.  After its evaluation, grid time j keeps only
-    the reference slices that a neighbouring grid time still to come reads
-    (none of an analytic reference or a finer lattice, slice j-1 or j of a
-    reference on the run's own time grid), so no slice that the next grid
-    time does not read is alive while it derives its own.  Read points are
-    numbered all "at t_j" first, then all "just before t_j", and each term is
-    attained at the first worst read point in that order whatever order the
-    slices come in.  `report()` needs every grid time evaluated.  The terms
-    are orders 0..M, and an analytic reference is differenced with
-    `restencil`, the run's own stencil map.
+    `feed(j, v_stack, vbar_stack)` takes the difference stacks of slice j in
+    the backward march's order n0, n0-1, ..., 0, and refuses a slice skipped
+    or out of that order; the terminal slice n0, never read, may be left out.
+    Slice j completes grid time j+1, which reads slices j and j+1 (those in
+    0..n0-1), and slice 0 also grid time 0, so only the last slice fed is kept
+    for the next: a two-slice window.  Grid time j then keeps only the
+    reference slices that grid time j-1 reads (none of an analytic reference
+    or a finer lattice, slice j-1 of a reference on the run's own time grid),
+    so no slice that the next grid time does not read is alive while it
+    derives its own.  Read points are numbered all "at t_j" first, then all
+    "just before t_j", and each term is attained at the first worst read point
+    in that order.  `report()` needs every slice 0..n0-1 fed.  The terms are
+    orders 0..M, and an analytic reference is differenced with `restencil`,
+    the run's own stencil map.
     """
 
     def __init__(self, reference, partition: Partition, paths: BrownianPaths, restencil, M: int):
@@ -255,20 +256,21 @@ class _Criterion:
         self.terms = [(f, c) for f in range(2) for c in self.orders]  # f: 0 for V, 1 for Vbar
         # per term: (worst mean, -read point, stderr); the first worst read point wins
         self.best = {term: (-1.0, 0, None) for term in self.terms}
-        self.pending = set(range(partition.n0 + 1))  # grid times not yet evaluated
+        self.next = partition.n0 - 1  # the slice the march hands over next
         self.window = {}  # slice index -> (V stack, Vbar stack)
         self.refs = {}  # reference key -> (V stack, Vbar stack)
 
     def feed(self, j: int, v_stack, vbar_stack) -> None:
-        n0 = self.partition.n0
-        if j == n0:
-            return
+        if j == self.partition.n0 == self.next + 1:
+            return  # the terminal slice is never read
+        if j != self.next:
+            raise InvalidPartitionError(f"the criterion was fed slice {j} where the march's order "
+                                        f"n0-1, ..., 0 has slice {self.next} next")
         self.window[j] = (v_stack, vbar_stack)
-        for g in (j, j + 1):
-            if g in self.pending and all(s in self.window for s in (g - 1, g) if 0 <= s < n0):
-                self._evaluate(g)
-                self.pending.remove(g)
-        self.window = {j: self.window[j]}
+        self._evaluate(j + 1)
+        if j == 0:
+            self._evaluate(0)
+        self.window, self.next = {j: self.window[j]}, j - 1
 
     def _evaluate(self, j: int) -> None:
         """Both read points of grid time j: "just before t_j" against slice j-1
@@ -299,14 +301,14 @@ class _Criterion:
                     column *= column
                     se = float(column[:, 0].std(ddof=1) / math.sqrt(S)) if S > 1 else 0.0
                     self.best[term] = (worst, -r, se)
-        # keep only the slices that a neighbouring grid time still to come reads
-        near = {self.ref_key(g, left) for g in (j - 1, j + 1) if g in self.pending for left in (False, True)}
+        # keep only the slices that grid time j-1, the next evaluated, reads
+        near = {self.ref_key(j - 1, left) for left in (False, True)} if j else ()
         self.refs = {k: stacks for k, stacks in self.refs.items() if k in near}
 
     def report(self) -> ErrorReport:
-        if self.pending:
+        if self.next >= 0:
             raise InvalidPartitionError(
-                f"the criterion was not fed the slices of grid times {sorted(self.pending)}"
+                f"the criterion was not fed the slices {list(range(self.next, -1, -1))}"
             )
         best, orders = self.best, self.orders
         return ErrorReport(
@@ -333,12 +335,12 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     reference: a ProblemSpec carrying an analytic reference (evaluated along
     the lattice's sample paths) or another SolutionLattice on the same spatial
     grid whose time grid contains this lattice's grid times.  The stored
-    slices 0..n0-1 are fed to the criterion in time order, each derived once.
+    slices n0-1..0 are replayed in the march's order, each derived once.
     The criterion sums orders 0..M, at most the lattice's own order.
     """
     M = _lattice_order(lattice, M)
     criterion = _Criterion(reference, lattice.partition, lattice.paths, lattice.restencil, M)
-    for j in range(lattice.partition.n0):
+    for j in reversed(range(lattice.partition.n0)):
         criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))
     return criterion.report()
 
@@ -353,27 +355,26 @@ DEGENERATE_FLOOR = 1e-16
 @dataclass(frozen=True)
 class ConvergenceFit:
     points: tuple[tuple[float, float], ...]  # (mesh_size, total error)
-    slope: float | None
-    degenerate: bool
+    slope: float | None  # None when the fit is degenerate
     reports: tuple[ErrorReport, ...]
 
 
-def fit_loglog(points) -> tuple[float | None, bool]:
-    """(least-squares slope of log(err) vs log(mesh), False), or (None, True) if errs vanish."""
+def fit_loglog(points) -> float | None:
+    """Least-squares slope of log(err) vs log(mesh), or None (degenerate) if errs vanish."""
     meshes = np.array([m for m, _ in points])
     errs = np.array([e for _, e in points])
     if np.all(errs < DEGENERATE_FLOOR):
-        return None, True
+        return None
     if np.any(errs <= 0):
         raise InvalidPartitionError("cannot fit a rate through zero/negative errors")
-    return float(np.polyfit(np.log(meshes), np.log(errs), 1)[0]), False
+    return float(np.polyfit(np.log(meshes), np.log(errs), 1)[0])
 
 
 def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> ConvergenceFit:
     """Solve on each partition (same samples and seed) and fit the error rate.
 
-    Each level's criterion against the analytic reference is fed by the backward
-    march on its own paths; neither outlives the level, and no lattice is stored.
+    Each level draws its paths in `_setup`, as `solve` does, and the backward march
+    feeds its criterion against the analytic reference; neither outlives the level.
     """
     partitions = list(partitions)
     if len(partitions) < 3:
@@ -387,14 +388,13 @@ def convergence_study(spec: ProblemSpec, partitions, config: SolverConfig) -> Co
         )
     reports = []
     for part in partitions:
-        paths = simulate_increments(part, spec.d, config.samples, config.seed, config.max_entries)
-        M, restencil, paths = _setup(spec, part, config, paths)
+        M, restencil, paths = _setup(spec, part, config)
         criterion = _Criterion(spec, part, paths, restencil, M)
         solve(spec, part, config, paths, observe=criterion.feed)
         reports.append(criterion.report())
         del paths, criterion
     points = [(part.mesh_size, report.total) for part, report in zip(partitions, reports)]
-    return ConvergenceFit(tuple(points), *fit_loglog(points), reports=tuple(reports))
+    return ConvergenceFit(tuple(points), fit_loglog(points), tuple(reports))
 
 
 def compare_algorithms(
@@ -470,24 +470,18 @@ def increment_regularity(lattice: SolutionLattice, M: int | None = None):
     drawn from the stored slices 0..n0-1 and a log-log least-squares slope.
     """
     M = _lattice_order(lattice, M)
-    p = lattice.spec.p
-    n0 = lattice.partition.n0
-    times = lattice.partition.time_points
-    S = lattice.sample_count
-    V = [lattice.stacks(lattice.V, j) for j in range(n0)]
+    part = lattice.partition
+    V = [lattice.stacks(lattice.V, j) for j in range(part.n0)]
+    dev = np.empty((lattice.sample_count, part.num_points))
     lags, moments = [], []
-    for j1 in range(n0):
-        for j2 in range(j1 + 1, n0):
-            worst = None
-            for c in range(M + 1):
-                for idx in enumerate_multi_indices(c, p):
-                    diff = np.abs(V[j2][(c, idx)] - V[j1][(c, idx)])
-                    diff = diff.reshape(S, -1).max(axis=1)
-                    worst = diff if worst is None else np.maximum(worst, diff)
-            lags.append(float(times[j2] - times[j1]))
+    for j1 in range(part.n0):
+        for j2 in range(j1 + 1, part.n0):
+            pairs = (_entry_pairs(V[j2], V[j1], c, part.p, part.num_points) for c in range(M + 1))
+            _deviation_into(dev, sum(pairs, []))
+            worst = np.abs(dev, out=dev).max(axis=1)  # a lone pair's difference is signed
+            lags.append(float(part.time_points[j2] - part.time_points[j1]))
             moments.append(float((worst**2).mean()))
-    lags = np.array(lags)
-    moments = np.array(moments)
+    lags, moments = np.array(lags), np.array(moments)
     good = moments > 0
     if good.sum() < 2:
         return lags, moments, None
@@ -656,8 +650,8 @@ class IdentityReport:
     rows: tuple[IdentityRow, ...]
     max_abs_z: float
 
-    def passed(self, z_tol: float = 3.0) -> bool:
-        return self.max_abs_z < z_tol
+    def passed(self) -> bool:
+        return self.max_abs_z < 3.0
 
 
 def _node_moments(block: np.ndarray) -> list[tuple[float, float, float]]:

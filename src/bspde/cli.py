@@ -211,8 +211,6 @@ def _criterion_rows(path, rows) -> None:
 def cmd_converge(config: dict, args, outdir: str) -> int:
     started = time.perf_counter()
     spec, partitions, solver_config = resolve(config)
-    if len(partitions) < 3:
-        raise ConfigError("converge needs a ladder with at least 3 levels")
     fit = convergence_study(spec, partitions, solver_config)
     os.makedirs(outdir, exist_ok=True)
     rows = [
@@ -221,7 +219,7 @@ def cmd_converge(config: dict, args, outdir: str) -> int:
     ]
     _criterion_rows(os.path.join(outdir, "convergence.csv"), rows)
     _emit_run_records(outdir, config, started, "converge")
-    if fit.degenerate:
+    if fit.slope is None:
         print("converge: degenerate (errors at machine-zero); no slope fitted")
     else:
         print(f"converge: fitted slope {fit.slope:.4f} over {len(partitions)} levels")
@@ -241,8 +239,8 @@ def cmd_compare(config: dict, args, outdir: str) -> int:
     _criterion_rows(os.path.join(outdir, "compare.csv"), rows)
     _emit_run_records(outdir, config, started, "compare")
     if len(points) >= 3:
-        slope, degenerate = fit_loglog(points)
-        if degenerate:
+        slope = fit_loglog(points)
+        if slope is None:
             print("compare: degenerate (discrepancy at machine-zero)")
         else:
             print(f"compare: discrepancy slope {slope:.4f}")

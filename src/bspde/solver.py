@@ -292,10 +292,13 @@ def _operators(spec: ProblemSpec, partition: Partition):
 
 
 def _setup(spec: ProblemSpec, partition: Partition, config: SolverConfig, paths=None):
-    """A run's (M, restencil, paths): its lattice order M, refused below the
-    operators' orders; its stencil map (see `_restenciler`); and its paths,
-    drawn from config when none are given, refused when they carry another
-    sample count, Brownian dimension or time grid."""
+    """A run's (M, restencil, paths), refused on a grid whose spatial dimension
+    is not the problem's: its lattice order M, refused below the operators'
+    orders; its stencil map (see `_restenciler`); and its paths, drawn from
+    config when none are given, refused when they carry another sample count,
+    Brownian dimension or time grid."""
+    if spec.p != partition.p:
+        raise InvalidPartitionError(f"problem {spec.name!r} has p={spec.p}, the grid p={partition.p}")
     M = spec.M if config.M is None else config.M
     if M < spec.M:
         raise InvalidPartitionError(

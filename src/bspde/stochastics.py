@@ -454,13 +454,13 @@ def condexp_nested(
     inner_count: int,
     seed: int,
     max_entries: int = DEFAULT_CAPACITY,
-    return_stderr: bool = False,
 ):
     """Brute-force conditional expectation by branching fresh continuations.
 
     For each outer state w the functional is averaged over inner draws
     w + Z with Z ~ N(0, variance * I_d); unbiased for E[f(W_end) | W_branch=w]
     whenever the target depends on the continuation only through its endpoint.
+    Returns (estimate, stderr), each (S,); stderr is 0 when inner_count is 1.
     """
     if not 0 <= check_value("variance", variance, "number") < math.inf:
         raise InvalidPartitionError(f"variance must be finite and >= 0, got {variance!r}")
@@ -479,7 +479,5 @@ def condexp_nested(
     branched = states[:, None, :] + z
     values = np.asarray(target_functional(branched), dtype=float)
     est = values.mean(axis=1)
-    if not return_stderr:
-        return est
     stderr = values.std(axis=1, ddof=1) / math.sqrt(inner_count) if inner_count > 1 else np.zeros_like(est)
     return est, stderr

@@ -210,7 +210,7 @@ def test_converge_writes_csv_and_slope(tmp_path, capsys):
     assert len(lines) == 5
 
 
-def test_converge_needs_three_levels(tmp_path):
+def test_converge_needs_three_levels(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "cfg.json",
         problem={"name": "linear_scalar"},
@@ -219,6 +219,22 @@ def test_converge_needs_three_levels(tmp_path):
         solver={"samples": 1000},
     )
     assert main(["converge", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "need at least 3 partition levels" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "compare", "check-malliavin"])
+def test_problem_of_another_spatial_dimension_is_config_error(tmp_path, capsys, command):
+    # once a KeyError traceback from the operators, which read stack keys of p = 1, exit 1
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        problem={"name": "linear_scalar"},
+        partition={"T": 1.0, "n0": 4, "edges": [1.0, 1.0], "counts": [2, 2]},
+        solver={"samples": 50},
+    )
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert "has p=1, the grid p=2" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_converge_degenerate_zero_problem(tmp_path, capsys):

@@ -323,6 +323,14 @@ def test_paths_of_another_time_grid_or_dimension_are_refused(study, paths_n0, pa
     assert "needs d=1 on [0.   0.25 0.5  0.75 1.  ]" in str(err.value)
 
 
+@pytest.mark.parametrize("name", ["linear_scalar", "heat"])
+def test_a_problem_of_another_spatial_dimension_is_refused(name):
+    # once a bare KeyError from the operators, which read stack keys of p = 1
+    part = build_partition(1.0, 4, [1.0, 1.0], [2, 2])
+    with pytest.raises(InvalidPartitionError, match=f"problem '{name}' has p=1, the grid p=2"):
+        solve(builtin_problem(name), part, SolverConfig(samples=50))
+
+
 def test_capacity_budget_counts_only_the_stored_lattice():
     # 100 samples x 5 times x 2 points x (V + Vbar) = 2 000 lattice entries,
     # against 100 x 4 = 400 path entries

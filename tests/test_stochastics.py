@@ -253,7 +253,6 @@ def test_nested_martingale_property():
     states = np.linspace(-2, 2, 41)
     est, se = condexp_nested(
         lambda w: w[..., 0], states, variance=0.5, inner_count=4000, seed=11,
-        return_stderr=True,
     )
     assert np.max(np.abs(est - states)) < 5.0 * np.max(se) + 1e-12
 
@@ -262,7 +261,7 @@ def test_nested_second_moment_identity():
     # E[W(T)^2 | W(t)=w] = w^2 + (T - t)
     states = np.linspace(-1.5, 1.5, 31)
     var = 0.75
-    est = condexp_nested(lambda w: w[..., 0] ** 2, states, var, inner_count=20_000, seed=12)
+    est, _ = condexp_nested(lambda w: w[..., 0] ** 2, states, var, inner_count=20_000, seed=12)
     expected = states**2 + var
     assert np.max(np.abs(est - expected)) < 0.1
 
@@ -271,7 +270,6 @@ def test_nested_deterministic_functional_zero_variance():
     states = np.zeros(5)
     est, se = condexp_nested(
         lambda w: np.full(w.shape[:-1], 2.5), states, 1.0, inner_count=100, seed=13,
-        return_stderr=True,
     )
     assert np.array_equal(est, np.full(5, 2.5))
     assert np.array_equal(se, np.zeros(5))
@@ -303,7 +301,7 @@ def test_oracle_consistency_regression_vs_nested():
     probes = slice(0, 64)
     nested, se = condexp_nested(
         lambda w: 0.3 * w[..., 0] ** 2 - 1.2 * w[..., 0] + 0.5,
-        w1[probes], variance=0.5, inner_count=20_000, seed=22, return_stderr=True,
+        w1[probes], variance=0.5, inner_count=20_000, seed=22,
     )
     diff = fitted[probes] - nested
     combined = np.sqrt(se**2 + (np.std(diff, ddof=1) / math.sqrt(diff.size)) ** 2)
