@@ -30,7 +30,6 @@ from .errors import (
     OperatorEvaluationError,
     OrderTooHighError,
     ReferenceRequiredError,
-    SingularDesignError,
 )
 from .grid import (
     NormWeights,

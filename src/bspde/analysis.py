@@ -336,9 +336,15 @@ def discrete_error(lattice: SolutionLattice, reference, M: int | None = None) ->
     the lattice's sample paths) or another SolutionLattice on the same spatial
     grid whose time grid contains this lattice's grid times.  The stored
     slices n0-1..0 are replayed in the march's order, each derived once.
-    The criterion sums orders 0..M, at most the lattice's own order.
+    The criterion sums orders 0..M, at most the lattice's own order.  A
+    reference problem of another (p, q, d) than the lattice's is refused.
     """
     M = _lattice_order(lattice, M)
+    ref_spec = reference.spec if isinstance(reference, SolutionLattice) else reference
+    if isinstance(ref_spec, ProblemSpec):
+        want, got = ((spec.p, spec.q, spec.d) for spec in (lattice.spec, ref_spec))
+        if got != want:
+            raise InvalidPartitionError(f"the reference's problem has (p, q, d) = {got}, the lattice's {want}")
     criterion = _Criterion(reference, lattice.partition, lattice.paths, lattice.restencil, M)
     for j in reversed(range(lattice.partition.n0)):
         criterion.feed(j, lattice.stacks(lattice.V, j), lattice.stacks(lattice.Vbar, j))

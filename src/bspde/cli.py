@@ -38,7 +38,6 @@ from .errors import (
     DivergenceError,
     FixedPointDivergenceError,
     OperatorEvaluationError,
-    SingularDesignError,
     check_value,
 )
 from .grid import build_partition, refine_partition
@@ -55,7 +54,6 @@ NUMERICAL_ERRORS = (
     FixedPointDivergenceError,
     OperatorEvaluationError,
     CapacityError,
-    SingularDesignError,
 )
 
 # each block's required and optional keys; the library's constructors check the values
@@ -66,7 +64,7 @@ _KEYS = {
     "ladder": (("base", "levels"), ()),
     "solver": (("samples",), ("algorithm", "M", "estimator", "fp_tolerance", "fp_max_iters",
                               "paper_literal_stencil", "dump_coefficients")),
-    "estimator": ((), ("kind", "degree", "ridge")),
+    "estimator": ((), ("kind", "degree")),
     "output": ((), ("directory",)),
 }
 
@@ -310,6 +308,8 @@ def main(argv=None) -> int:
             config["seed"] = args.seed
         if args.paper_literal_stencil:
             config["solver"]["paper_literal_stencil"] = True
+        if config["solver"]["dump_coefficients"] and args.command != "solve":
+            raise ConfigError(f"solver.dump_coefficients: only solve writes coefficients.csv, not {args.command}")
         outdir = args.out or config["output"]["directory"]
         config["output"]["directory"] = outdir
         return COMMANDS[args.command](config, args, outdir)

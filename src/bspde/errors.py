@@ -1,8 +1,8 @@
 """Exception hierarchy for the bspde package.
 
-Numerical failures (divergence, fixed-point stall, singular designs) are kept
-distinct from usage errors (bad partitions, bad configs) so that batch
-drivers can map them to different exit codes.
+Numerical failures (divergence, fixed-point stall, non-finite operator
+values, an exceeded capacity budget) are kept distinct from usage errors (bad
+partitions, bad configs) so that batch drivers map them to other exit codes.
 """
 
 import numbers
@@ -28,10 +28,6 @@ class OrderTooHighError(BspdeError):
 
 class CapacityError(BspdeError):
     """Requested simulation exceeds the configured memory budget."""
-
-
-class SingularDesignError(BspdeError):
-    """Rank-deficient regression normal equations with zero ridge."""
 
 
 class OperatorEvaluationError(BspdeError):

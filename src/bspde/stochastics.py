@@ -17,7 +17,10 @@ which spans the polynomials of total degree <= degree; each is a martingale.
   a coefficient shift.  For targets exactly polynomial in W(t_j0) (every
   built-in test problem) it is exact up to linear-algebra roundoff.
 * ``regression`` is the usual cross-sectional least-squares projection on
-  the basis at the *current* state W(t_{j0-1}), with optional ridge.
+  the basis at the *current* state W(t_{j0-1}).
+
+Both kinds fit through the thin QR factor of their fit basis, which decides
+the rank by itself and gives the minimum-norm least-squares coefficients.
 
 :func:`condexp_nested` brute-forces the expectation by branching fresh inner
 paths.  It needs the target as a functional of the continuation, so it is an
@@ -34,7 +37,7 @@ import numpy as np
 from numpy.linalg import lapack_lite
 from numpy.random import Generator, Philox  # numpy loads numpy.random lazily: load it with the package
 
-from .errors import CapacityError, InvalidPartitionError, SingularDesignError, check_value
+from .errors import CapacityError, InvalidPartitionError, check_value
 from .grid import Partition
 
 DEFAULT_CAPACITY = 1 << 27  # float64 entries, ~1 GiB
@@ -183,14 +186,10 @@ def permute_future_increments(paths: BrownianPaths, from_step: int, permutation)
 
 @dataclass(frozen=True)
 class EstimatorSpec:
-    """Strategy for conditional expectations inside the backward schemes.
-
-    ridge=None means the scale-free default 1e-8 * S, applied at fit time.
-    """
+    """Strategy for conditional expectations inside the backward schemes."""
 
     kind: str = "analytic"
     degree: int = 3
-    ridge: float | None = None
 
     def __post_init__(self):
         if self.kind not in ESTIMATOR_KINDS:
@@ -198,7 +197,6 @@ class EstimatorSpec:
                 f"estimator kind must be one of {ESTIMATOR_KINDS}, got {self.kind!r}"
             )
         check_value("degree", self.degree, "integer", 0)
-        check_value("ridge", self.ridge, "number", 0, optional=True)
 
     def basis_size(self, d: int) -> int:
         return math.comb(self.degree + d, d)
@@ -280,15 +278,15 @@ class ConditionalEstimator:
     Targets carry a leading sample axis; arbitrary trailing axes are treated
     as independent regression columns, all fitted and applied in one product.
     A column constant over the samples is then overwritten with its exact
-    value (c, or 0 for the dW form) and records no coefficients.  A backward
-    step from t_j0 fits at index j0 and applies at j0-1, and the next step
-    fits at j0-1.  Each basis is the Hermite basis at (W(t_j), t_j), so the
-    recorded exponents are Hermite degrees.  The estimator holds one slot
-    for a basis, one for the thin QR factor Q R of the analytic kind's fit
-    basis, and one for the regression kind's normal matrix; factoring index
-    j factors its basis in place, because no later step applies there.  Each
-    index's basis is built once per backward march, and its factor or normal
-    matrix once per fit index, however many solves share the estimator.
+    value (c, or 0 for the dW form) and records no coefficients.  The
+    analytic kind's backward step from t_j0 fits at index j0 and applies at
+    j0-1, where the next step fits; the regression kind's fits and applies at
+    j0-1.  Each basis is the Hermite basis at (W(t_j), t_j), so the recorded
+    exponents are Hermite degrees.  The estimator holds two slots: one for a
+    basis and one for the thin QR factor Q R of a fit basis.  Factoring index
+    j factors its basis in place, so a later product with that basis is taken
+    as Q R.  Each index's basis is built once per backward march, and its
+    factor once per fit index, however many solves share the estimator.
     """
 
     def __init__(
@@ -307,7 +305,6 @@ class ConditionalEstimator:
         self.records: list[CoefficientRecord] = [] if record_coefficients else None
         self._basis_slot: tuple[int | None, np.ndarray | None] = (None, None)
         self._factor_slot: tuple[int | None, tuple[np.ndarray | None, ...]] = (None, (None, None))
-        self._gram_slot: tuple[int | None, np.ndarray | None] = (None, None)
 
     # -- shared helpers -----------------------------------------------------
 
@@ -360,20 +357,36 @@ class ConditionalEstimator:
                 for b, exps in enumerate(self.exponents)
             )
 
-    # -- analytic kind ------------------------------------------------------
+    def _apply(self, coef: np.ndarray, j: int, out: np.ndarray) -> None:
+        """out = Phi coef for the basis Phi at W(t_j), as Q (R coef) where it has been factored."""
+        if self._factor_slot[0] == j:
+            q, r = self._factor_slot[1]
+            np.matmul(q, r @ coef, out=out)
+        else:
+            np.matmul(self._basis(j), coef, out=out)
 
-    def _analytic_fit(self, flat: np.ndarray, j0: int, op: str, const) -> np.ndarray:
-        """Least-squares Hermite fit of the targets in W(t_j0), recorded as op.
+    def _fit(self, flat: np.ndarray, j: int, j0: int, op: str, const) -> np.ndarray:
+        """Least-squares Hermite fit of the targets in W(t_j), recorded at step j0 as op.
 
         With Phi = Q R and Q orthonormal, R has Phi's singular values, so the
         cutoff eps * max(S, B) of lstsq(Phi, flat) gives the same rank and the
         same minimum-norm solution from the B x B problem R c = Q^T flat.
         """
-        q, r = self._factor(j0)
+        q, r = self._factor(j)
         rcond = np.finfo(float).eps * max(q.shape[0], r.shape[1])
         coef, *_ = np.linalg.lstsq(r, q.T @ flat, rcond=rcond)
         self._record(j0, op, coef, const)
         return coef
+
+    def _regress(self, flat: np.ndarray, j0: int, op: str, const) -> np.ndarray:
+        """Projection coefficients of flat on the basis at W(t_{j0-1}); a fit, not a sample mean, is recorded."""
+        w_prev = self.paths.W[:, j0 - 1, :]
+        if np.all(w_prev == w_prev[0:1, :]):
+            # all states coincide (j0 = 1): the sample mean, on He_0 = 1 (row 0)
+            coef = np.zeros((self.exponents.shape[0], flat.shape[1]))
+            coef[0] = flat.mean(axis=0)
+            return coef
+        return self._fit(flat, j0 - 1, j0, op, const)
 
     def cond_mean(self, targets: np.ndarray, j0: int) -> np.ndarray:
         flat, const = self._split(targets)
@@ -381,10 +394,10 @@ class ConditionalEstimator:
         if not const.all():
             if self.spec.kind == "analytic":
                 # He_a(W, t) is a martingale: the fitted coefficients apply unchanged at j0-1
-                coef = self._analytic_fit(flat, j0, "mean", const)
+                coef = self._fit(flat, j0, j0, "mean", const)
             else:
                 coef = self._regress(flat, j0, "mean", const)
-            np.matmul(self._basis(j0 - 1), coef, out=out)
+            self._apply(coef, j0 - 1, out)
         # E[c | F] = c, exactly; keeps noise-free problems bit-deterministic
         for col in np.flatnonzero(const):
             out[:, col] = flat[0, col]
@@ -397,7 +410,7 @@ class ConditionalEstimator:
         if not const.all():
             if self.spec.kind == "analytic":
                 # Stein: E[He_a(W_j0, t_j0) dW_i | F] = a_i dt He_{a-e_i}(W_j0-1, t_j0-1)
-                coef = self._analytic_fit(flat, j0, "dw", const)
+                coef = self._fit(flat, j0, j0, "dw", const)
                 dt = float(self.paths.partition.time_increments[j0 - 1])
                 coefs = [dt * self._lowering[i] @ coef for i in range(d)]
             else:
@@ -405,46 +418,10 @@ class ConditionalEstimator:
                 coefs = [self._regress(flat * dw[:, i], j0, f"dw{i}", const) for i in range(d)]
             # one product for all d: (B, G, d) coefficients into the (S, G, d) output
             coef = np.stack(coefs, axis=-1).reshape(-1, G * d)
-            np.matmul(self._basis(j0 - 1), coef, out=out.reshape(S, G * d))
+            self._apply(coef, j0 - 1, out.reshape(S, G * d))
         for col in np.flatnonzero(const):
             out[:, col] = 0.0  # E[c * dW | F] = 0, exactly
         return out.reshape(np.shape(targets) + (d,))
-
-    # -- regression kind ----------------------------------------------------
-
-    def _gram(self, j: int) -> np.ndarray:
-        """Read-only normal matrix of the basis at W(t_j), which it replaces:
-        the ridge added, or with ridge 0 the full rank checked.
-        """
-        if self._gram_slot[0] != j:
-            S = self.paths.sample_count
-            ridge = 1e-8 * S if self.spec.ridge is None else self.spec.ridge
-            phi = self._basis(j)
-            gram = phi.T @ phi
-            if ridge > 0:
-                gram += ridge * np.eye(gram.shape[0])
-            elif np.linalg.matrix_rank(gram) < gram.shape[0]:
-                raise SingularDesignError("regression design is rank deficient; set ridge > 0")
-            gram.setflags(write=False)
-            self._gram_slot = (j, gram)
-        return self._gram_slot[1]
-
-    def _regress(self, flat: np.ndarray, j0: int, op: str, const) -> np.ndarray:
-        """Projection coefficients of flat on the basis at W(t_{j0-1}), from the
-        ridge-regularized normal equations; a fit is recorded."""
-        w_prev = self.paths.W[:, j0 - 1, :]
-        if np.all(w_prev == w_prev[0:1, :]):
-            # all states coincide (j0 = 1): the sample mean, on He_0 = 1 (row 0)
-            coef = np.zeros((self.exponents.shape[0], flat.shape[1]))
-            coef[0] = flat.mean(axis=0)
-            return coef
-        phi = self._basis(j0 - 1)
-        try:
-            coef = np.linalg.solve(self._gram(j0 - 1), phi.T @ flat)
-        except np.linalg.LinAlgError as exc:
-            raise SingularDesignError("regression normal equations are singular; set ridge > 0") from exc
-        self._record(j0, op, coef, const)
-        return coef
 
 
 def condexp_nested(

@@ -146,7 +146,7 @@ def test_criterion_4_estimator_oracle_equivalence():
     paths = simulate_increments(part, 1, S, seed=42)
     w1, w2 = paths.W[:, 1, 0], paths.W[:, 2, 0]
     rng = np.random.Generator(np.random.Philox(key=777))
-    est = ConditionalEstimator(EstimatorSpec(kind="regression", degree=3, ridge=0.0), paths)
+    est = ConditionalEstimator(EstimatorSpec(kind="regression", degree=3), paths)
     exps = monomial_exponents(3, 1)
     phi = _design_matrix(w1[:, None], exps, float(part.time_points[1]))
     gram_inv = np.linalg.inv(phi.T @ phi)

@@ -38,7 +38,7 @@ from bspde import (
     stochastics,
 )
 from bspde.analysis import ErrorReport, IdentityRow, fit_loglog
-from bspde.model import OperatorJacobians, evaluate_diffusion_driver, operator_jacobians
+from bspde.model import OperatorJacobians, evaluate_diffusion_driver, operator_jacobians, zero_key
 
 
 def ladder(edge=0.03, count=1, levels=(4, 8, 16, 32)):
@@ -136,22 +136,45 @@ def test_discrete_error_refuses_orders_above_the_lattice():
         discrete_error(lat, spec, M=lat.M + 1)
 
 
+def _two_components(lattice, offset):
+    """The lattice as component 0 of a q = 2 lattice on its paths, whose component 1 is offset."""
+    key = zero_key(1)
+    v, vbar = lattice.V[key], lattice.Vbar[key]
+    return replace(
+        lattice, spec=replace(lattice.spec, q=2),
+        V={key: np.concatenate([v, v + offset], axis=-1)},
+        Vbar={key: np.concatenate([vbar, vbar + offset], axis=-2)},
+    )
+
+
 @pytest.fixture(scope="module")
 def misuse_lattices():
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 4, [1.0], [2])
+    M0 = solve(spec, part, SolverConfig(samples=50, seed=6))
     return {
         "spec": spec,
-        "M0": solve(spec, part, SolverConfig(samples=50, seed=6)),
+        "M0": M0,
         "M2": solve(spec, part, SolverConfig(samples=50, seed=6, M=2)),
         "S40": solve(spec, part, SolverConfig(samples=40, seed=6)),
+        "q2": _two_components(M0, 5.0),
     }
 
 
 _CRITERION_MISUSES = {
-    # each raised a bare KeyError, a numpy ValueError or a ZeroDivisionError
+    # each raised a bare KeyError, a numpy ValueError or a ZeroDivisionError, or
+    # compared component 0 only and returned a number
     "reference-of-lower-order": (lambda l: discrete_error(l["M2"], l["M0"]), r"order >= M=2 .* has 0 and"),
     "reference-of-other-sample-count": (lambda l: discrete_error(l["M0"], l["S40"]), "50 samples, has 0 and 40"),
+    "reference-problem-of-other-q": (
+        lambda l: discrete_error(l["q2"], l["spec"]), r"\(p, q, d\) = \(1, 1, 1\), the lattice's \(1, 2, 1\)"
+    ),
+    "reference-lattice-of-other-q": (
+        lambda l: discrete_error(l["q2"], l["M0"]), r"\(p, q, d\) = \(1, 1, 1\), the lattice's \(1, 2, 1\)"
+    ),
+    "reference-problem-of-other-d": (
+        lambda l: discrete_error(l["M0"], _p2q2d2_spec()), r"\(p, q, d\) = \(2, 2, 2\), the lattice's \(1, 1, 1\)"
+    ),
     "negative-M": (lambda l: discrete_error(l["M0"], l["spec"], M=-1), "need M >= 0"),
     "regularity-above-the-lattice-order": (
         lambda l: increment_regularity(l["M0"], M=1), "M=1 exceeds the lattice order 0"

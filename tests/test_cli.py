@@ -4,7 +4,7 @@ import resource
 
 import pytest
 
-from bspde.cli import load_config, main
+from bspde.cli import load_config, main, resolve
 
 
 def write_config(path, **overrides):
@@ -125,6 +125,16 @@ _LADDER = {"base": {"T": 1.0, "n0": 2, "edges": [1.0], "counts": [1]}, "levels":
         ("solve", {"solver": [{"samples": 20}]}, "solver"),
         # once refused under the library field's name, record_coefficients
         ("solve", {"solver": {"samples": 20, "dump_coefficients": 1}}, "dump_coefficients"),
+        # the ridge is gone: both estimator kinds fit through the QR factor
+        ("solve", {"solver": {"samples": 20, "estimator": {"kind": "regression", "ridge": 0}}}, "unknown key 'ridge'"),
+        # once recorded in memory, written nowhere, exit 0
+        *(
+            (command, {**blocks, "solver": {"samples": 20, "dump_coefficients": True}},
+             f"solver.dump_coefficients: only solve writes coefficients.csv, not {command}")
+            for command, blocks in (
+                ("converge", {"partition": None, "ladder": _LADDER}), ("compare", {}), ("check-malliavin", {}),
+            )
+        ),
     ],
 )
 def test_value_the_library_cannot_use_is_config_error(tmp_path, monkeypatch, capsys, command, overrides, names):
@@ -143,6 +153,14 @@ def test_readme_config_example_is_its_own_echo(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(example)
     assert load_config(str(cfg)) == json.loads(example)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((pathlib.Path(__file__).parents[1] / "scripts" / "configs").glob("*.json")), ids=lambda p: p.stem
+)
+def test_shipped_config_loads_and_resolves(path):
+    # no shipped config keeps a key or a value that the CLI refuses; nothing is solved
+    resolve(load_config(str(path)))
 
 
 def test_problem_param_the_builtin_does_not_read_is_config_error(tmp_path, capsys):

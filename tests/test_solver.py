@@ -173,8 +173,12 @@ def test_every_time_slice_is_contiguous(algorithm):
         assert all(arr[:, j].flags.c_contiguous for j in range(part.n0 + 1))
 
 
-@pytest.mark.parametrize("algorithm", ["one", "two"])
-def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
+@pytest.mark.parametrize(
+    "algorithm,kind",
+    [("one", "analytic"), ("two", "analytic"), ("one", "regression"), ("two", "regression")],
+    ids=["one", "two", "regression-one", "regression-two"],
+)
+def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm, kind):
     built = []
     design_matrix = stochastics._design_matrix
 
@@ -184,14 +188,21 @@ def test_each_basis_index_built_once_per_solve(monkeypatch, algorithm):
 
     monkeypatch.setattr(stochastics, "_design_matrix", counting)
     part = small_partition(n0=8)
-    solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
-    assert len(built) == part.n0 + 1
+    config = SolverConfig(algorithm=algorithm, samples=200, seed=3, estimator=EstimatorSpec(kind=kind))
+    solve(builtin_problem("linear_scalar"), part, config)
+    # the regression kind fits and applies at W(t_{j0-1}): it never reads the basis at t_n0
+    assert len(built) == part.n0 + (kind == "analytic")
 
 
-@pytest.mark.parametrize("algorithm,fits_per_step", [("one", 3), ("two", 2)])
-def test_one_factor_per_fit_index_and_one_small_lstsq_per_fit(monkeypatch, algorithm, fits_per_step):
+@pytest.mark.parametrize(
+    "algorithm,kind,fits_per_step",
+    [("one", "analytic", 3), ("two", "analytic", 2), ("one", "regression", 3), ("two", "regression", 2)],
+    ids=["one-3", "two-2", "regression-one-3", "regression-two-2"],
+)
+def test_one_factor_per_fit_index_and_one_small_lstsq_per_fit(monkeypatch, algorithm, kind, fits_per_step):
     # the factor is LAPACK's dgeqrf on the (S, B) fit basis; its workspace
-    # queries (lwork = -1) factor nothing and are not counted
+    # queries (lwork = -1) factor nothing and are not counted.  The regression
+    # kind's step from j0 = 1 takes the sample mean: it factors and fits nothing
     qr_inputs, lstsq_inputs = [], []
     geqrf, lstsq = stochastics.lapack_lite.dgeqrf, np.linalg.lstsq
 
@@ -207,10 +218,12 @@ def test_one_factor_per_fit_index_and_one_small_lstsq_per_fit(monkeypatch, algor
     monkeypatch.setattr(stochastics.lapack_lite, "dgeqrf", counting_geqrf)
     monkeypatch.setattr(np.linalg, "lstsq", counting_lstsq)
     part = small_partition(n0=8)
-    solve(builtin_problem("linear_scalar"), part, SolverConfig(algorithm=algorithm, samples=200, seed=3))
-    B = EstimatorSpec().basis_size(1)
-    assert qr_inputs == [(200, B)] * part.n0
-    assert lstsq_inputs == [(B, B)] * (fits_per_step * part.n0)
+    config = SolverConfig(algorithm=algorithm, samples=200, seed=3, estimator=EstimatorSpec(kind=kind))
+    lattice = solve(builtin_problem("linear_scalar"), part, config)
+    B, fit_steps = EstimatorSpec().basis_size(1), part.n0 - (kind == "regression")
+    assert qr_inputs == [(200, B)] * fit_steps
+    assert lstsq_inputs == [(B, B)] * (fits_per_step * fit_steps)
+    assert np.all(np.isfinite(lattice.V[zero_key(1)]))
 
 
 def test_solve_with_a_given_estimator_refuses_other_paths_and_specs():

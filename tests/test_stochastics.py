@@ -9,7 +9,6 @@ from bspde import (
     CapacityError,
     EstimatorSpec,
     InvalidPartitionError,
-    SingularDesignError,
     SolverConfig,
     build_partition,
     builtin_problem,
@@ -174,10 +173,9 @@ def two_step_paths(S, seed=0):
     return paths, paths.W[:, 1, 0], paths.W[:, 2, 0]
 
 
-def regression(paths, degree, ridge=None):
+def regression(paths, degree):
     # cond_mean(targets, j0) projects on polynomials of W(t_{j0-1})
-    spec = EstimatorSpec(kind="regression", degree=degree, ridge=ridge)
-    return ConditionalEstimator(spec, paths)
+    return ConditionalEstimator(EstimatorSpec(kind="regression", degree=degree), paths)
 
 
 def test_regression_recovers_martingale_projection():
@@ -190,39 +188,38 @@ def test_regression_recovers_martingale_projection():
 def test_regression_constant_targets():
     paths, w1, _ = two_step_paths(5000, seed=4)
     targets = np.full_like(w1, 3.7)
-    for ridge in (0.0, None):
-        assert np.array_equal(regression(paths, 3, ridge).cond_mean(targets, 2), targets)
-    # the default ridge (1e-8 * S) is applied, and shrinks at that scale
-    exact = regression(paths, 2, 0.0).cond_mean(w1**2, 2)
-    shrunk = regression(paths, 2).cond_mean(w1**2, 2)
-    assert not np.array_equal(shrunk, exact)
-    assert np.max(np.abs(shrunk - exact)) < 1e-5
+    assert np.array_equal(regression(paths, 3).cond_mean(targets, 2), targets)
 
 
 def test_regression_in_span_reproduction():
     paths, w1, _ = two_step_paths(5000, seed=5)
     targets = w1**2
-    fitted = regression(paths, 2, 0.0).cond_mean(targets, 2)
+    fitted = regression(paths, 2).cond_mean(targets, 2)
     assert np.max(np.abs(fitted - targets)) < 1e-8
 
 
-def test_regression_singular_design_advises_ridge():
-    # two distinct state values cannot support a quadratic basis
+def test_regression_rank_deficient_design_gives_lstsq_projection():
+    # two distinct state values cannot support a quadratic basis: the fit is
+    # still the least-squares projection, that of lstsq on the full basis
     w = np.zeros((100, 3, 1))
     w[:, 1, 0] = np.tile([0.0, 1.0], 50)
     paths = BrownianPaths(
         partition=build_partition(1.0, 2, [1.0], [1]), d=1, seed=0, W=w,
     )
     targets = np.arange(100.0)
-    with pytest.raises(SingularDesignError, match="ridge"):
-        regression(paths, 2, 0.0).cond_mean(targets, 2)
-    fitted = regression(paths, 2).cond_mean(targets, 2)
-    assert fitted.shape == targets.shape
+    est = regression(paths, 2)
+    phi = _design_matrix(w[:, 1, :], est.exponents, 0.5)
+    assert np.linalg.matrix_rank(phi) == 2
+    want = phi @ np.linalg.lstsq(phi, targets, rcond=None)[0]
+    fitted = est.cond_mean(targets, 2)
+    assert np.max(np.abs(fitted - want)) <= 1e-12 * np.max(np.abs(targets))
+    # the projection on two values: each value's sample mean
+    assert np.allclose(fitted[:2], [targets[0::2].mean(), targets[1::2].mean()], rtol=1e-12)
 
 
 def test_projection_idempotence():
     paths, _, w2 = two_step_paths(5000, seed=6)
-    est = regression(paths, 3, 0.0)
+    est = regression(paths, 3)
     once = est.cond_mean(w2**2, 2)
     twice = est.cond_mean(once, 2)
     assert np.max(np.abs(twice - once)) < 1e-10
@@ -234,7 +231,7 @@ def test_tower_property_in_mean():
     part = build_partition(1.0, 3, [1.0], [1])
     paths = simulate_increments(part, 1, 30_000, seed=7)
     w3 = paths.W[:, 3, 0]
-    est = regression(paths, 2, 0.0)
+    est = regression(paths, 2)
     stage2 = est.cond_mean(w3**2, 3)
     twice = est.cond_mean(stage2, 2)
     once = est.cond_mean(w3**2, 2)
@@ -399,11 +396,18 @@ def test_shared_basis_matches_fresh_estimator_per_call(kind):
             assert np.array_equal(got, getattr(fresh, method)(target, j0))
             fresh_records += fresh.records
             j, phi = shared._basis_slot
-            want = _design_matrix(paths.W[:, j, :], shared.exponents, part.time_points[j])
-            assert np.array_equal(phi, want)
-        # the apply index is held; the analytic kind holds its fit index's factor
-        assert shared._basis_slot[0] == j0 - 1
-        assert shared._factor_slot[0] == (j0 if kind == "analytic" else None)
+            if j is not None:
+                want = _design_matrix(paths.W[:, j, :], shared.exponents, part.time_points[j])
+                assert np.array_equal(phi, want)
+        # the analytic kind holds the apply index's basis and its fit index's
+        # factor; the regression kind fits at the apply index and holds its
+        # factor in place of its basis, but for the sample mean at j0 = 1
+        if kind == "analytic":
+            assert (shared._basis_slot[0], shared._factor_slot[0]) == (j0 - 1, j0)
+        elif j0 > 1:
+            assert (shared._basis_slot[0], shared._factor_slot[0]) == (None, j0 - 1)
+        else:
+            assert (shared._basis_slot[0], shared._factor_slot[0]) == (0, 1)
     assert shared.records == fresh_records
     # the shared basis is read-only
     phi = shared._basis(1)
@@ -544,7 +548,7 @@ def test_factored_fit_matches_full_lstsq(d, with_constant):
     flat = targets.reshape(3000, -1)
     phi = _design_matrix(paths.W[:, 2, :], est.exponents, 1.0)
     full = np.linalg.lstsq(phi, flat, rcond=None)[0]
-    coef = est._analytic_fit(flat, 2, "mean", None)
+    coef = est._fit(flat, 2, 2, "mean", None)
     assert np.max(np.abs(coef - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
     fitted = phi @ coef
     assert np.max(np.abs(fitted - phi @ full)) <= 1e-12 * np.max(np.abs(flat))
@@ -599,7 +603,7 @@ def test_factored_fit_rank_deficient_gives_minimum_norm():
     y = np.stack([np.where(w[:, 2, 0] < 0, 2.0, -1.0) + 0.1 * np.arange(S) / S, w[:, 2, 0]], axis=1)
     phi = _design_matrix(w[:, 2, :], est.exponents, 1.0)
     assert np.linalg.matrix_rank(phi) == 2
-    coef = est._analytic_fit(y, 2, "mean", None)
+    coef = est._fit(y, 2, 2, "mean", None)
     min_norm = np.linalg.pinv(phi) @ y
     assert np.max(np.abs(coef - min_norm)) <= 1e-12 * np.max(np.abs(min_norm))
     assert np.max(np.abs(coef - np.linalg.lstsq(phi, y, rcond=None)[0])) <= 1e-12 * np.max(np.abs(min_norm))
@@ -723,27 +727,6 @@ def test_analytic_fit_makes_one_lstsq_call(monkeypatch):
     assert len(calls) == 2
 
 
-def test_regression_checks_each_index_rank_once(monkeypatch):
-    # without ridge the normal matrix of each fit index is formed and its rank
-    # checked once, though each explicit step makes three regression fits on it
-    calls = []
-    matrix_rank = np.linalg.matrix_rank
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return matrix_rank(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
-    part = build_partition(1.0, 8, [0.5], [1])
-    spec = EstimatorSpec(kind="regression", degree=3, ridge=0.0)
-    lattice = solve(
-        builtin_problem("linear_scalar"), part, SolverConfig(samples=500, seed=38, estimator=spec)
-    )
-    # steps j0 = 8..2 fit on W(t_{j0-1}); the step from j0 = 1 takes the sample mean
-    assert len(calls) == part.n0 - 1
-    assert np.all(np.isfinite(lattice.V[zero_key(1)]))
-
-
 def test_nested_kind_rejected_inside_schemes():
     # condexp_nested is a standalone oracle, not an estimator kind
     with pytest.raises(InvalidPartitionError, match="kind"):
@@ -755,13 +738,11 @@ def test_estimator_spec_validation():
         EstimatorSpec(kind="bogus")
     with pytest.raises(InvalidPartitionError):
         EstimatorSpec(degree=-1)
-    with pytest.raises(InvalidPartitionError):
-        EstimatorSpec(ridge=-0.5)
     with pytest.raises(InvalidPartitionError, match="degree must be an integer"):
         EstimatorSpec(degree=2.0)
-    with pytest.raises(InvalidPartitionError, match="ridge must be a number"):
-        EstimatorSpec(ridge=True)
-    assert EstimatorSpec(degree=np.int64(2), ridge=np.float64(0.0)).basis_size(1) == 3
+    with pytest.raises(InvalidPartitionError, match="degree must be an integer"):
+        EstimatorSpec(degree=True)
+    assert EstimatorSpec(degree=np.int64(2)).basis_size(1) == 3
     assert EstimatorSpec(degree=3).basis_size(1) == 4
     assert EstimatorSpec(degree=3).basis_size(2) == 10
 
