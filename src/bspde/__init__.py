@@ -59,8 +59,6 @@ from .solver import (
 from .stochastics import (
     BrownianPaths,
     EstimatorSpec,
-    condexp_nested,
-    permute_future_increments,
     simulate_increments,
 )
 

@@ -30,6 +30,12 @@ chunks of samples whose running sums add the samples one after another,
 exactly as a mean over the sample axis does, and each term is attained at the
 first worst read point in a fixed numbering; so the report is bit-identical
 to a per-read-point loop.
+
+The representation-identity check stores no lattice either.  It runs one
+observed base solve; at grid time j the observer freezes the operator
+Jacobians from the stacks it is handed and, for j < n0, runs the theta = j
+Malliavin solve at once, since that frozen linear system reads the
+coefficients at j..n0 only (El Karoui, Peng & Quenez 1997, section 5).
 """
 
 from __future__ import annotations
@@ -702,9 +708,10 @@ def _moment_z(S: int, lhs: tuple, rhs: tuple, floor: float) -> float:
     return max(abs(z_mean), abs(z_var))
 
 
-def _identity_rows_at(base: SolutionLattice, j: int, D_V: dict) -> list:
-    """The IdentityRows of grid time j, read from D_V, the difference stack of
-    slice j of the theta = j Malliavin solve.
+def _identity_rows_at(base: SolutionLattice, j: int, v_stack, vbar_stack, D_V: dict) -> list:
+    """The IdentityRows of grid time j, read from the base solve's V and Vbar
+    stacks at j and from D_V, the difference stack of slice j of the theta = j
+    Malliavin solve.
 
     Each (c, multi_index) entry's two sides are copied into C-contiguous
     (nodes, S) blocks, nodes ordered grid point first, then component.  A
@@ -714,14 +721,13 @@ def _identity_rows_at(base: SolutionLattice, j: int, D_V: dict) -> list:
     """
     spec, part, S = base.spec, base.partition, base.sample_count
     t = float(part.time_points[j])
-    diffusion = evaluate_diffusion_driver(spec, t, part.points, base.stacks(base.V, j))
+    diffusion = evaluate_diffusion_driver(spec, t, part.points, v_stack)
     lit = base.config.paper_literal_stencil
     J_stack = difference_stack_arrays(diffusion, base.M, part, batch_ndim=1, paper_literal=lit)
-    Vbar = base.stacks(base.Vbar, j)
     coords = [tuple(x) for x in part.points.reshape(-1, spec.p).tolist()]
     rows = []
     for (c, idx), J in J_stack.items():
-        lhs = _node_moments(np.ascontiguousarray(Vbar[c, idx].reshape(S, -1).T))
+        lhs = _node_moments(np.ascontiguousarray(vbar_stack[c, idx].reshape(S, -1).T))
         rhs = _node_moments(np.ascontiguousarray((D_V[c, idx] + J).reshape(S, -1).T))
         if c == 0:  # the stack's first entry
             scale0 = [_moment_scale(left, right) for left, right in zip(lhs, rhs)]
@@ -734,27 +740,47 @@ def _identity_rows_at(base: SolutionLattice, j: int, D_V: dict) -> list:
     return rows
 
 
-def check_representation_identity(base: SolutionLattice) -> IdentityReport:
+def check_representation_identity(
+    spec: ProblemSpec,
+    partition: Partition,
+    config: SolverConfig,
+    paths: BrownianPaths | None = None,
+) -> IdentityReport:
     """Moment comparison of Vbar against the diagonal Malliavin derivative
-    plus the diffusion driver, at every grid time and grid point of the
-    problem base solved.
+    plus the diffusion driver, at every grid time and grid point, for the
+    problem solved on the partition with config (and paths, drawn from config
+    when none are given).
 
-    Grid time j reads slice j of the theta = j solve, the last slice that
-    solve's march hands over; the solves share one theta = 0 system, as in
-    `build_malliavin_lattices`, and run with an observer that keeps only that
-    slice's D_V stack, so no Malliavin lattice is stored.
+    One base solve runs with an observer and stores no lattice.  At grid time
+    j the observer freezes the operator Jacobians there, from the stacks it is
+    handed; the theta = j system reads them at j..n0 only, so for j < n0 it
+    runs the theta = j solve at once, keeping only its last slice's D_V stack,
+    and builds the rows of j from that and the base stacks in hand.  The
+    solves run in march order, theta = n0-1, ..., 0, and the rows are returned
+    in ascending j.
 
     Only the first two moments are compared; the underlying statement is an
     equality in distribution, and matching means and variances at every node
     already rules out sign and scaling mistakes at Monte Carlo resolution.
     """
-    system = build_malliavin_system(base, 0)
-    rows = []
-    for j in range(base.partition.n0):
-        last = {}
-        solve_malliavin_system(
-            replace(system, theta_index=j), base,
-            observe=lambda i, u_stack, ubar_stack: last.update(D_V=u_stack),
-        )
-        rows += _identity_rows_at(base, j, last["D_V"])
+    M, _, paths = _setup(spec, partition, config, paths)
+    # what the observed solve returns, empty V and Vbar; the theta solves read their run from it
+    base = SolutionLattice(spec=spec, partition=partition, paths=paths, config=config, M=M, V={}, Vbar={})
+    terminal = _terminal_gradient(base)
+    terminal.flags.writeable = False
+    coefficients, blocks = {}, []
+
+    def observe(j, v_stack, vbar_stack):
+        t = float(partition.time_points[j])
+        coefficients[j] = operator_jacobians(spec, t, partition.points, v_stack, vbar_stack)
+        if j < partition.n0:
+            last = {}
+            solve_malliavin_system(
+                MalliavinSystem(j, terminal, coefficients), base,
+                observe=lambda i, u_stack, ubar_stack: last.update(D_V=u_stack),
+            )
+            blocks.append(_identity_rows_at(base, j, v_stack, vbar_stack, last["D_V"]))
+
+    solve(spec, partition, config, paths, observe=observe)
+    rows = [row for block in reversed(blocks) for row in block]
     return IdentityReport(tuple(rows), max([0.0] + [abs(row.zscore) for row in rows]))

@@ -252,8 +252,7 @@ def cmd_check_malliavin(config: dict, args, outdir: str) -> int:
     spec, partitions, solver_config = resolve(config)
     if len(partitions) != 1:
         raise ConfigError("check-malliavin expects a single partition")
-    base = solve(spec, partitions[0], solver_config)
-    report = check_representation_identity(base)
+    report = check_representation_identity(spec, partitions[0], solver_config)
     os.makedirs(outdir, exist_ok=True)
     header_x = ",".join(f"x{l+1}" for l in range(spec.p))
     with open(os.path.join(outdir, "malliavin.csv"), "w") as fh:

@@ -463,7 +463,6 @@ _STORED_LATTICE_READERS = {
     "discrete_error": lambda spec, lat, tmp: discrete_error(lat, spec),
     "export_lattice_csv": lambda spec, lat, tmp: export_lattice_csv(lat, tmp / "v", tmp / "vbar"),
     "increment_regularity": lambda spec, lat, tmp: increment_regularity(lat),
-    "check_representation_identity": lambda spec, lat, tmp: check_representation_identity(lat),
 }
 
 
@@ -713,6 +712,7 @@ def test_reference_step_residual_checks_the_lattice_order():
 
 _ENTRY_POINTS = {
     "solve": analysis.solve,
+    "check_representation_identity": check_representation_identity,
     "compare_algorithms": compare_algorithms,
     "convergence_study": lambda spec, part, config: convergence_study(spec, ladder(levels=(4, 8, 16)), config),
     "reference_step_residual": reference_step_residual,
@@ -728,7 +728,25 @@ def test_every_entry_point_refuses_fewer_samples_than_the_basis(entry):
         _ENTRY_POINTS[entry](lin_spec(), part, SolverConfig(samples=3))
 
 
-@pytest.mark.parametrize("entry", ["compare_algorithms", "reference_step_residual", "solve"])
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+@pytest.mark.parametrize("case", ["grid-of-other-p", "M-below-the-operators"])
+def test_every_entry_point_refuses_bad_input_before_any_draw(entry, case, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(solver, "simulate_increments", draw)
+    part = build_partition(1.0, 4, [1.0], [2])
+    if case == "grid-of-other-p":
+        spec, config, match = _p2q2d2_spec(), SolverConfig(samples=10), "p=2, the grid p=1"
+    else:
+        spec, config, match = builtin_problem("heat"), SolverConfig(samples=10, M=1), "M=1 is below"
+    with pytest.raises(InvalidPartitionError, match=match):
+        _ENTRY_POINTS[entry](spec, part, config)
+
+
+@pytest.mark.parametrize(
+    "entry", ["check_representation_identity", "compare_algorithms", "reference_step_residual", "solve"]
+)
 def test_every_entry_point_names_paths_of_another_sample_count(entry):
     # compare_algorithms once built its estimator before checking its paths,
     # and refused these as "need samples >= basis size 4"
@@ -746,7 +764,7 @@ def test_reference_step_residual_refuses_a_j0_that_is_no_backward_step(j0):
         reference_step_residual(lin_spec(), part, SolverConfig(samples=50, seed=1), j0=j0)
 
 
-@pytest.mark.parametrize("study", [compare_algorithms, reference_step_residual])
+@pytest.mark.parametrize("study", [check_representation_identity, compare_algorithms, reference_step_residual])
 def test_path_simulation_respects_the_capacity_budget(study):
     # 100 samples x 4 steps x 1 component = 400 path entries, one over the budget
     part = build_partition(1.0, 4, [0.5], [1])
@@ -849,8 +867,7 @@ def test_representation_identity_on_builtins():
     for name in ("martingale", "linear_scalar"):
         spec = builtin_problem(name)
         part = build_partition(1.0, 8, [0.5], [1])
-        base = solve(spec, part, SolverConfig(samples=1000, seed=18))
-        report = check_representation_identity(base)
+        report = check_representation_identity(spec, part, SolverConfig(samples=1000, seed=18))
         assert report.passed(), (name, report.max_abs_z)
         assert report.max_abs_z == 0.0  # both sides coincide exactly here
 
@@ -980,7 +997,7 @@ def _identity_case(name, S):
 def test_vectorised_identity_check_matches_per_node_loop(name, S):
     spec, base = _identity_case(name, S)
     rows, worst = _identity_oracle(spec, base)
-    report = check_representation_identity(base)
+    report = check_representation_identity(base.spec, base.partition, base.config, base.paths)
     assert len(report.rows) == len(rows)
     for got, want in zip(report.rows, rows):
         for field in IdentityRow.__dataclass_fields__:
@@ -991,7 +1008,6 @@ def test_vectorised_identity_check_matches_per_node_loop(name, S):
 def test_identity_check_stores_no_malliavin_lattice(monkeypatch):
     spec = lin_spec()
     part = build_partition(1.0, 6, [0.5], [1])
-    base = solve(spec, part, SolverConfig(samples=200, seed=32))
     calls = []
     solve_system = analysis.solve_malliavin_system
 
@@ -1001,8 +1017,9 @@ def test_identity_check_stores_no_malliavin_lattice(monkeypatch):
         return lattice
 
     monkeypatch.setattr(analysis, "solve_malliavin_system", tracking)
-    check_representation_identity(base)
-    assert [theta for theta, *_ in calls] == list(range(part.n0))
+    check_representation_identity(spec, part, SolverConfig(samples=200, seed=32))
+    # each theta = j solve runs when the base march reaches j: in march order
+    assert [theta for theta, *_ in calls] == list(range(part.n0 - 1, -1, -1))
     for _, observe, D_V, D_Vbar in calls:
         assert callable(observe)
         assert D_V == {} and D_Vbar == {}
@@ -1019,12 +1036,14 @@ def test_malliavin_stream_rejects_a_theta_off_the_time_grid():
 
 @functools.lru_cache(maxsize=None)
 def _identity_check_peak(n0):
+    """The traced peak of the check's own march, with its paths drawn before."""
     spec = lin_spec()
     part = build_partition(1.0, n0, [0.5], [1])
-    base = solve(spec, part, SolverConfig(samples=2000, seed=34))
+    config = SolverConfig(samples=2000, seed=34)
+    paths = simulate_increments(part, spec.d, config.samples, config.seed)
     tracemalloc.start()
     try:
-        check_representation_identity(base)
+        check_representation_identity(spec, part, config, paths)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1036,9 +1055,19 @@ def test_identity_check_memory_grows_linearly_in_n0():
 
 
 def test_identity_check_memory_is_flat_in_n0():
-    # no Malliavin lattice is stored and the frozen Jacobians are broadcasts,
-    # so only per-slice buffers remain: the peak does not grow with n0
+    # no lattice is stored, base or Malliavin, and the frozen Jacobians are
+    # broadcasts, so only per-slice buffers remain: the peak does not grow with n0
     assert _identity_check_peak(32) < 1.3 * _identity_check_peak(8)
+
+
+def test_identity_check_holds_no_base_lattice():
+    # the base march hands each slice to the check and stores none: the
+    # check's peak (0.25 of one stored base lattice, order zero of V and Vbar
+    # at every grid time) stays far below that lattice, where a solve before
+    # the check peaks at 1.17 of it
+    spec, part = lin_spec(), build_partition(1.0, 32, [0.5], [1])
+    lattice_bytes = 2000 * (part.n0 + 1) * part.num_points * spec.q * (1 + spec.d) * 8
+    assert _identity_check_peak(32) < 0.375 * lattice_bytes
 
 
 @pytest.mark.parametrize("name", ["martingale", "linear_scalar"])
@@ -1090,8 +1119,7 @@ def test_identity_check_has_no_false_infinite_z_on_derivative_rows():
     # 0, both variances 0) once read as an infinite z
     spec = builtin_problem("martingale")
     part = build_partition(1.0, 8, [1.0], [4])
-    base = solve(spec, part, SolverConfig(samples=500, seed=42, M=2))
-    report = check_representation_identity(base)
+    report = check_representation_identity(spec, part, SolverConfig(samples=500, seed=42, M=2))
     assert max(abs(row.mean_lhs - row.mean_rhs) for row in report.rows if row.c == 2) > 0
     assert report.max_abs_z == 0
 
@@ -1107,7 +1135,7 @@ def test_identity_check_runs_when_the_diffusion_reads_more_orders_than_the_drive
     )
     part = build_partition(1.0, 4, [1.0], [4])
     base = solve(spec, part, SolverConfig(samples=200, seed=0))
-    report = check_representation_identity(base)
+    report = check_representation_identity(base.spec, base.partition, base.config, base.paths)
     assert len(report.rows) == part.n0 * part.num_points * (spec.M + 1)
     assert report.max_abs_z == 0
     v, vbar = base.stacks(base.V, 0), base.stacks(base.Vbar, 0)

@@ -1,9 +1,11 @@
+import functools
 import json
 import pathlib
 import resource
 
 import pytest
 
+from bspde import SolverConfig, cli
 from bspde.cli import load_config, main, resolve
 
 
@@ -287,6 +289,22 @@ def test_check_malliavin_martingale(tmp_path, capsys):
     lines = (out / "malliavin.csv").read_text().splitlines()
     assert lines[0] == "t,x1,c,multi_index,mean_lhs,mean_rhs,var_lhs,var_rhs,zscore"
     assert len(lines) == 1 + 4 * 2  # grid times x grid points
+
+
+def test_check_malliavin_is_held_to_the_paths_budget_only(tmp_path, monkeypatch, capsys):
+    # the check stores no lattice: a budget that its 100 x 4 paths fit but a
+    # stored 100 x 5 x 2 x 2 lattice would not refuses solve and not the check
+    monkeypatch.setattr(cli, "SolverConfig", functools.partial(SolverConfig, max_entries=1000))
+    cfg = write_config(
+        tmp_path / "cfg.json",
+        problem={"name": "linear_scalar"},
+        partition={"T": 1.0, "n0": 4, "edges": [0.5], "counts": [1]},
+        solver={"samples": 100},
+    )
+    assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 3
+    assert "over the budget 1000" in capsys.readouterr().err
+    assert main(["check-malliavin", "--config", str(cfg), "--out", str(tmp_path / "m")]) == 0
+    assert len((tmp_path / "m" / "malliavin.csv").read_text().splitlines()) == 1 + 4 * 2
 
 
 def test_paper_literal_stencil_changes_results(tmp_path):

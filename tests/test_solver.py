@@ -19,7 +19,6 @@ from bspde import (
     build_malliavin_lattices,
     build_malliavin_system,
     export_lattice_csv,
-    permute_future_increments,
     reference_step_residual,
     simulate_increments,
     solve,
@@ -30,6 +29,8 @@ from bspde import (
 from bspde.errors import check_finite
 from bspde.model import zero_key
 from bspde.solver import _SAMPLE, _row_template
+
+from oracles import permute_future_increments
 
 
 def small_partition(n0=4, edge=1.0, count=2, T=1.0):

@@ -12,8 +12,6 @@ from bspde import (
     SolverConfig,
     build_partition,
     builtin_problem,
-    condexp_nested,
-    permute_future_increments,
     simulate_increments,
     solve,
     stochastics,
@@ -25,6 +23,8 @@ from bspde.stochastics import (
     _design_matrix,
     monomial_exponents,
 )
+
+from oracles import condexp_nested, permute_future_increments
 
 
 def one_step_partition(T=1.0):

@@ -51,7 +51,7 @@ def test_span_attributes_read_real_arguments_and_results(tmp_path):
     calls = {
         "solver.solve": ((spec, part, config), lattice),
         "analysis.malliavin_solve": ((system, lattice), solve_malliavin_system(system, lattice)),
-        "analysis.identity_check": ((lattice,), check_representation_identity(lattice)),
+        "analysis.identity_check": ((spec, part, config), check_representation_identity(spec, part, config)),
         "stochastics.condexp": ((estimator, field, 1), estimator.cond_mean(field, 1)),
         "grid.difference_stack": ((field,), difference_stack_arrays(field, 1, part, batch_ndim=1)),
         "solver.export": ((lattice, *paths), export_lattice_csv(lattice, *paths)),
